@@ -1,5 +1,7 @@
 # Developer checks. `make check` is the gate every change must pass:
-# build + vet + full test suite under the race detector.
+# build + vet + full test suite under the race detector, plus vet and tests
+# of the benchmark module (a library API change that breaks bench/ fails
+# here, not in the benchmark run).
 
 GO ?= go
 
@@ -17,7 +19,7 @@ FULLSCALE_CEILING ?= 120s
 FUZZTIME ?= 30s
 COVER_OUT ?= coverage.out
 
-.PHONY: all build vet test race bench bench-smoke bench-save obs-smoke \
+.PHONY: all build vet test race bench bench-smoke bench-save bench-test obs-smoke \
 	daemon-smoke chaos-smoke append-smoke fuzz-smoke cover cover-check check
 
 all: check
@@ -45,6 +47,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench '^BenchmarkPersonFullScale$$' -benchtime=1x \
 		-timeout $(FULLSCALE_CEILING) .
+
+# The benchmark module (bench/, its own go.mod): vet plus its tests, which
+# run every workload at tiny sizes, traced and untraced (~10s).
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Record the benchmark trajectory point: parse `go test -json` output into
 # $(BENCH_OUT) (see DESIGN.md §10 for how to read it).
@@ -96,4 +103,4 @@ chaos-smoke:
 append-smoke:
 	./scripts/append_smoke.sh
 
-check: build vet test race
+check: build vet test race bench-test

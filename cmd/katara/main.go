@@ -7,11 +7,11 @@
 //
 //	katara -kb yago.nt -in dirty.csv [-out cleaned.csv] [-k 3]
 //	       [-assume trust|skeptic] [-facts new-facts.nt] [-v]
-//	       [-workers N] [-shards N] [-stats] [-dedup=false]
+//	       [-workers N] [-stats] [-dedup=false]
 //	       [-fault-rate 0.3] [-budget 100] [-deadline 30s] [-degrade trust|unknown]
 //	       [-provenance lineage.jsonl] [-explain ROW,COL]
 //	       [-log-level info] [-log-json]
-//	katara -paper-scale [-workers -1] [-shards -1] [-explain ROW,COL]
+//	katara -paper-scale [-workers -1] [-explain ROW,COL]
 //
 // -provenance records the run's full decision lineage — pattern scores,
 // validation steps, per-tuple KB and crowd evidence, repair candidates with
@@ -123,8 +123,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		verbose  = fs.Bool("v", false, "print per-tuple annotations")
 		stats    = fs.Bool("stats", false, "print pipeline stage timings, counters and latency percentiles")
 		statsAll = fs.Bool("stats-verbose", false, "include zero-valued counters and empty histograms in -stats output")
-		workers  = fs.Int("workers", 0, "worker pool size for the parallel stages (0 or 1 = serial, -1 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 0, "row-range shards for annotation coverage and repair retrieval (0 or 1 = unsharded, -1 = GOMAXPROCS)")
+		workers  = fs.Int("workers", 0, "parallelism of the parallel stages: contiguous row ranges per stage (0 or 1 = serial, -1 = GOMAXPROCS)")
 		dedup    = fs.Bool("dedup", true, "distinct-signature execution: compute coverage, crowd questions and repairs once per distinct row signature (-dedup=false disables)")
 
 		paperScale = fs.Bool("paper-scale", false, "run the self-contained full-paper-scale workload (316K-row Person table against a generated KB) and print an aggregate summary; -kb and -in are not required")
@@ -174,7 +173,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	// inputs with the same message.
 	params := jobs.Params{
 		Workers:    *workers,
-		Shards:     *shards,
 		RepairK:    *k,
 		Budget:     *budget,
 		DeadlineMS: deadline.Milliseconds(),

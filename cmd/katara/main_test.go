@@ -126,7 +126,7 @@ func TestRunSuccessPathFlushesJournal(t *testing.T) {
 
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
-		"-kb", kbPath, "-in", csvPath, "-trace", tracePath, "-shards", "4",
+		"-kb", kbPath, "-in", csvPath, "-trace", tracePath, "-workers", "4",
 	}, strings.NewReader(""), &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr %q", code, stderr.String())
@@ -168,7 +168,7 @@ func runProv(t *testing.T, dir, kbPath, csvPath, name string, extra ...string) (
 	t.Helper()
 	provPath := filepath.Join(dir, name)
 	args := append([]string{
-		"-kb", kbPath, "-in", csvPath, "-shards", "3", "-provenance", provPath,
+		"-kb", kbPath, "-in", csvPath, "-workers", "3", "-provenance", provPath,
 	}, extra...)
 	var stdout, stderr bytes.Buffer
 	if code := run(args, strings.NewReader(""), &stdout, &stderr); code != 0 {

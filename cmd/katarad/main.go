@@ -1,7 +1,7 @@
 // Command katarad serves cleaning as a service: a long-running daemon that
 // loads one knowledge base at startup and accepts concurrent cleaning jobs
 // over HTTP/JSON. Each job cleans its submitted table against a private
-// clone of the pristine KB through the sharded pipeline, with per-job
+// clone of the pristine KB through the pipeline, with per-job
 // budgets, deadlines and live progress.
 //
 // Usage:
@@ -30,7 +30,7 @@
 // Logs are structured (log/slog): text by default, JSON with -log-json.
 // Lifecycle events go to stdout, errors to stderr; every request is logged
 // with its method, path, status, duration, and — for job routes — the job
-// ID and shard count.
+// ID and its parallelism.
 //
 // With -journal-dir, every job transition is recorded in a crash-safe
 // write-ahead log: a submission is fsynced before it is acknowledged, so an

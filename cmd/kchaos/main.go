@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		appends     = fs.Int("appends", 6, "root+append chains to run through the burst")
 		seed        = fs.Int64("seed", 1, "seed for the kill-point schedule")
 		concurrency = fs.Int("concurrency", 8, "submissions in flight at once")
-		shards      = fs.Int("shards", 2, "shard count for each job")
+		workers     = fs.Int("workers", 2, "parallelism of each job (-1 = GOMAXPROCS)")
 		journalDir  = fs.String("journal-dir", "", "journal directory (default: a fresh temp dir)")
 		killMin     = fs.Duration("kill-min", 150*time.Millisecond, "minimum delay before each kill")
 		killMax     = fs.Duration("kill-max", 400*time.Millisecond, "maximum delay before each kill")
@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	payload, err := json.Marshal(jobs.SubmitRequest{
 		Table:  jobs.TableDoc{Name: tbl.Name, Columns: tbl.Columns, Rows: tbl.Rows},
-		Params: jobs.Params{Shards: *shards},
+		Params: jobs.Params{Workers: *workers},
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "kchaos:", err)

@@ -19,7 +19,7 @@ func TestMakeBuckets(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tbl.Append("x", "y")
 	}
-	bks, err := makeBuckets(tbl, jobs.Params{Shards: 2})
+	bks, err := makeBuckets(tbl, jobs.Params{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +34,8 @@ func TestMakeBuckets(t *testing.T) {
 		if err := json.Unmarshal(bks[i].payload, &req); err != nil {
 			t.Fatalf("bucket %s payload: %v", bks[i].name, err)
 		}
-		if len(req.Table.Rows) != want || req.Params.Shards != 2 {
-			t.Fatalf("bucket %s payload rows=%d shards=%d", bks[i].name, len(req.Table.Rows), req.Params.Shards)
+		if len(req.Table.Rows) != want || req.Params.Workers != 2 {
+			t.Fatalf("bucket %s payload rows=%d workers=%d", bks[i].name, len(req.Table.Rows), req.Params.Workers)
 		}
 	}
 

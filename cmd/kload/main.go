@@ -13,7 +13,7 @@
 // Usage:
 //
 //	kload -addr 127.0.0.1:8080 -in dirty.csv [-jobs 120] [-concurrency 100]
-//	      [-shards 4] [-scrape 50ms]
+//	      [-workers 4] [-scrape 50ms]
 //
 // Jobs are spread over three table-size buckets (full, half and quarter
 // row-prefixes of -in) and per-bucket p50/p95 job latency is reported, so
@@ -53,8 +53,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		inPath      = fs.String("in", "", "CSV table to submit (required)")
 		nJobs       = fs.Int("jobs", 120, "total jobs to submit")
 		concurrency = fs.Int("concurrency", 100, "jobs in flight at once")
-		shards      = fs.Int("shards", 4, "shard count for each job")
-		workers     = fs.Int("workers", 0, "worker pool size for each job")
+		workers     = fs.Int("workers", 4, "parallelism of each job (-1 = GOMAXPROCS)")
 		scrape      = fs.Duration("scrape", 50*time.Millisecond, "interval between /metrics scrapes")
 		timeout     = fs.Duration("timeout", 5*time.Minute, "overall run deadline")
 	)
@@ -66,7 +65,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		fs.Usage()
 		return 2
 	}
-	if err := (jobs.Params{Workers: *workers, Shards: *shards}).Validate(); err != nil {
+	if err := (jobs.Params{Workers: *workers}).Validate(); err != nil {
 		fmt.Fprintln(stderr, "kload:", err)
 		return 2
 	}
@@ -93,7 +92,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	// plus half and quarter row-prefixes — so one burst measures how job
 	// latency scales with table size. Reports are byte-compared within each
 	// bucket (different sizes legitimately produce different reports).
-	buckets, err := makeBuckets(tbl, jobs.Params{Shards: *shards, Workers: *workers})
+	buckets, err := makeBuckets(tbl, jobs.Params{Workers: *workers})
 	if err != nil {
 		fmt.Fprintln(stderr, "kload:", err)
 		return 1

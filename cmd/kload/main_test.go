@@ -42,7 +42,6 @@ func TestRunRequiresFlags(t *testing.T) {
 // jobs.Params validator, and burst sizing must be positive.
 func TestRunRejectsBadParams(t *testing.T) {
 	for _, bad := range [][]string{
-		{"-shards", "-2"},
 		{"-workers", "-3"},
 		{"-jobs", "0"},
 		{"-concurrency", "0"},

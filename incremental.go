@@ -100,7 +100,6 @@ type session struct {
 	repairIx    *repair.Index
 	repairStamp int
 	kbStamp     int // kb.NumTriples at the last completed increment
-	shards      int
 	// dirty forces a full re-clean on the next increment: the session
 	// degraded (budget/deadline decisions are not replayable) or a prior
 	// increment failed.
@@ -109,13 +108,12 @@ type session struct {
 
 // beginIncremental opens a fresh session at the start of a Clean run, before
 // the pipeline can enrich the KB.
-func (c *Cleaner) beginIncremental(t *Table, shards int) {
+func (c *Cleaner) beginIncremental(t *Table) {
 	c.session = &session{
-		tbl:    t.Clone(),
-		base:   c.kb.CloneExact(),
-		memo:   validation.NewAnswerMemo(),
-		ann:    &annotation.Session{},
-		shards: shards,
+		tbl:  t.Clone(),
+		base: c.kb.CloneExact(),
+		memo: validation.NewAnswerMemo(),
+		ann:  &annotation.Session{},
 	}
 }
 
@@ -201,19 +199,7 @@ func (c *Cleaner) replayPattern(ctx context.Context) (*Pattern, string) {
 		s.baseStats = kbstats.New(s.base)
 		s.baseResolver = resolve.New(s.base, c.opts.Threshold)
 	}
-	dopts := discovery.Options{
-		Threshold:     c.opts.Threshold,
-		MaxCandidates: c.opts.MaxCandidates,
-		MaxRows:       c.opts.MaxRows,
-		MinSupport:    c.opts.MinSupport,
-		Resolver:      s.baseResolver,
-	}
-	var cands *discovery.Candidates
-	if c.opts.Workers > 1 {
-		cands = discovery.GenerateParallel(s.tbl, s.baseStats, dopts, c.opts.Workers)
-	} else {
-		cands = discovery.Generate(s.tbl, s.baseStats, dopts)
-	}
+	cands := c.generate(s.tbl, s.baseStats, s.baseResolver, nil)
 	candidates := discovery.TopK(cands, c.opts.TopK)
 	if len(candidates) == 0 {
 		return nil, "no-pattern"
@@ -255,31 +241,9 @@ func (c *Cleaner) replayPattern(ctx context.Context) (*Pattern, string) {
 func (c *Cleaner) appendDelta(ctx context.Context, p *Pattern, lo int) (*Report, error) {
 	s := c.session
 	t := s.tbl
-	var tel *telemetry.Pipeline
-	switch {
-	case c.opts.Pipeline != nil:
-		tel = c.opts.Pipeline
-	case c.opts.Tracer != nil:
-		tel = telemetry.NewTraced(c.opts.Tracer)
-	case c.opts.Telemetry:
-		tel = telemetry.New()
-	}
-	c.crowd.SetTelemetry(tel)
-	defer c.crowd.SetTelemetry(nil)
-	c.resolver.SetTelemetry(tel)
-	defer c.resolver.SetTelemetry(nil)
 	rec := c.opts.Provenance
-	c.crowd.SetProvenance(rec)
-	defer c.crowd.SetProvenance(nil)
-	if c.opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.Deadline)
-		defer cancel()
-	}
-	if c.opts.Budget > 0 || c.opts.BudgetAssignments > 0 {
-		c.crowd.SetBudget(crowd.NewBudget(c.opts.Budget, c.opts.BudgetAssignments))
-		defer c.crowd.SetBudget(nil)
-	}
+	ctx, tel, done := c.startRun(ctx)
+	defer done()
 	root := tel.PushSpan("append")
 	root.SetStr("table", t.Name)
 	root.SetInt("rows", int64(t.NumRows()-lo))
@@ -364,45 +328,10 @@ func (c *Cleaner) sessionRepairs(rep *Report, p *Pattern, rows []int, rerankAll 
 		return
 	}
 	if s.repairIx == nil || s.repairStamp != c.kb.NumTriples() {
-		start := tel.StartStage(telemetry.StageBuildIndex)
-		s.repairIx = repair.BuildIndex(c.kb, p, repair.Options{
-			MaxGraphs: c.opts.RepairMaxGraphs,
-			Weights:   c.opts.RepairWeights,
-			Workers:   c.opts.Workers,
-			Telemetry: tel,
-		})
-		tel.EndStage(telemetry.StageBuildIndex, start)
+		s.repairIx = c.buildRepairIndex(p, tel)
 		s.repairStamp = c.kb.NumTriples()
 	}
-	ix := s.repairIx
-	if tel != nil {
-		ix = ix.WithTelemetry(tel)
-	}
-	var groupRank map[int][]Repair
-	if s.in != nil {
-		groupRank = make(map[int][]Repair)
-	}
-	for _, row := range rows {
-		if s.in != nil {
-			g := s.in.GroupOf(row)
-			reps, ok := groupRank[g]
-			if !ok {
-				var considered int
-				reps, considered = ix.TopKStats(s.tbl.Rows[row], c.opts.RepairK)
-				groupRank[g] = reps
-				if rec.Enabled() {
-					rec.RecordRepair(g, considered, repairCandidates(reps))
-				}
-			}
-			rep.Repairs[row] = reps
-			continue
-		}
-		reps, considered := ix.TopKStats(s.tbl.Rows[row], c.opts.RepairK)
-		if rec.Enabled() {
-			rec.RecordRepair(row, considered, repairCandidates(reps))
-		}
-		rep.Repairs[row] = reps
-	}
+	c.rankRepairs(s.repairIx, s.tbl, rows, s.in, tel, rec, rep.Repairs)
 }
 
 // recleanFromBase is the drift path: record the drift, rewind the KB to the
@@ -418,7 +347,7 @@ func (c *Cleaner) recleanFromBase(ctx context.Context, reason string, deltaRows 
 	c.kb = s.base.CloneExact()
 	c.stats = kbstats.New(c.kb)
 	c.resolver = resolve.New(c.kb, c.opts.Threshold)
-	rep, err := c.runClean(ctx, s.tbl, s.shards)
+	rep, err := c.runClean(ctx, s.tbl)
 	if err != nil && c.session != nil {
 		// Leave the session usable: the table keeps its rows, and the next
 		// increment re-attempts the full clean.

@@ -8,10 +8,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"katara/internal/crowd"
+	"katara/internal/fanout"
 	"katara/internal/pattern"
 	"katara/internal/provenance"
 	"katara/internal/rdf"
@@ -184,11 +183,11 @@ type Annotator struct {
 	// that makes RelationalTables' KB share high in Table 5.
 	Enrich bool
 	// Workers fans the per-tuple KB-coverage evaluation (step 1 of §6.1)
-	// out over a worker pool; <= 1 evaluates serially. Crowd questions are
-	// always issued serially in row order, so question budgets, majority
-	// votes and enrichment stay deterministic: results are identical for
-	// every worker count. Once enrichment mutates the KB, precomputed
-	// coverage is stale and later rows are re-evaluated serially.
+	// out over that many contiguous ranges; <= 1 evaluates serially. Crowd
+	// questions are always issued serially in row order, so question
+	// budgets, majority votes and enrichment stay deterministic: results are
+	// identical for every worker count. Once enrichment mutates the KB,
+	// precomputed coverage is stale and later rows are re-evaluated serially.
 	Workers int
 	// Telemetry receives the TuplesAnnotated / KBLookups / CrowdQuestions
 	// counters; nil disables instrumentation.
@@ -271,19 +270,15 @@ func (a *Annotator) labels() pattern.LabelSource {
 
 // Annotate labels every tuple of tbl.
 func (a *Annotator) Annotate(tbl *table.Table) *Result {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = similarity.DefaultThreshold
-	}
-	return a.AnnotateWith(tbl, a.precomputeMatches(tbl, threshold))
+	return a.AnnotateWith(tbl, a.precomputeMatches(tbl))
 }
 
 // EvaluateCoverage evaluates the step-1 KB coverage (§6.1) of rows
 // [lo, hi) into out, which must have length tbl.NumRows(). Coverage is a
 // pure function of the (read-only) KB, the pattern and the tuple, so
-// disjoint ranges may be evaluated concurrently — this is the per-shard
-// entry point of a row-range sharded run. tel receives the KBLookups
-// counter and may be a shard-local pipeline merged by the caller. Call
+// disjoint ranges may be evaluated concurrently — this is the per-range
+// body of the coverage fan-out. tel receives the KBLookups counter and may
+// be a range-local pipeline merged by the caller. Call
 // KB.WarmClosures() before fanning out: the lazily-memoised hierarchy
 // closures must not be forced by racing workers.
 func (a *Annotator) EvaluateCoverage(tbl *table.Table, lo, hi int, out []*pattern.Match, tel *telemetry.Pipeline) {
@@ -332,10 +327,10 @@ func (a *Annotator) EvaluateCoverageGroups(tbl *table.Table, groups []table.Grou
 // optionally precomputed in matches (nil = evaluate inline per row; the
 // coverage of row i, when present, must be matches[i]). Step 2 — crowd
 // consultation and enrichment — always runs serially in row order
-// regardless of how matches was produced, which is the shard-determinism
-// argument: a sharded run fans only the KB-pure coverage evaluation out and
-// feeds this same serial pass, so its report is byte-identical to the
-// unsharded run's. Once enrichment mutates the KB the precomputed coverage
+// regardless of how matches was produced, which is the determinism
+// argument: a parallel run fans only the KB-pure coverage evaluation out
+// and feeds this same serial pass, so its report is byte-identical to the
+// serial run's. Once enrichment mutates the KB the precomputed coverage
 // is stale and later rows are re-evaluated inline.
 func (a *Annotator) AnnotateWith(tbl *table.Table, matches []*pattern.Match) *Result {
 	return a.AnnotateRange(tbl, matches, 0, tbl.NumRows())
@@ -587,12 +582,12 @@ func factKey(f Fact) string {
 }
 
 // precomputeMatches evaluates every tuple's KB coverage (step 1 of §6.1)
-// concurrently — the stage the paper distributes, since coverage queries are
-// independent per tuple. Returns nil when the pool would not pay off; the
-// caller then evaluates serially. The workers only read the KB, so the
-// lazily-memoised hierarchy closures are forced up front (the annotation
-// analogue of kbstats.Stats.Prewarm).
-func (a *Annotator) precomputeMatches(tbl *table.Table, threshold float64) []*pattern.Match {
+// across contiguous ranges in parallel — the stage the paper distributes,
+// since coverage queries are independent per tuple. Returns nil when the
+// fan-out would not pay off; the caller then evaluates serially. The workers
+// only read the KB, so the lazily-memoised hierarchy closures are forced up
+// front (the annotation analogue of kbstats.Stats.Prewarm).
+func (a *Annotator) precomputeMatches(tbl *table.Table) []*pattern.Match {
 	n := tbl.NumRows()
 	in := a.Interned
 	if in != nil && in.NumRows() != n {
@@ -605,37 +600,18 @@ func (a *Annotator) precomputeMatches(tbl *table.Table, threshold float64) []*pa
 	if in != nil {
 		units = in.NumGroups()
 	}
-	if a.Workers <= 1 || units < 2*a.Workers {
+	if !fanout.Splits(units, a.Workers) {
 		return nil
 	}
 	a.KB.WarmClosures()
-	labels := a.labels()
 	matches := make([]*pattern.Match, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < a.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= units {
-					return
-				}
-				a.Telemetry.Inc(telemetry.KBLookups)
-				if in != nil {
-					gr := in.Group(i)
-					m := pattern.EvaluateWith(a.Pattern, a.KB, labels, tbl.Rows[gr.Rep], threshold)
-					for _, row := range gr.Rows {
-						matches[row] = m
-					}
-				} else {
-					matches[i] = pattern.EvaluateWith(a.Pattern, a.KB, labels, tbl.Rows[i], threshold)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Run("annotation", units, a.Workers, a.Telemetry, nil, func(p fanout.Part) {
+		if in != nil {
+			a.EvaluateCoverageGroups(tbl, in.Groups(), p.Lo, p.Hi, matches, p.Tel)
+		} else {
+			a.EvaluateCoverage(tbl, p.Lo, p.Hi, matches, p.Tel)
+		}
+	})
 	return matches
 }
 

@@ -302,7 +302,7 @@ func TestSmallTableSkipsWorkerPool(t *testing.T) {
 	f := newFixture() // 3 rows < 2*Workers, so precompute must bail out
 	ann := newAnnotator(f, false)
 	ann.Workers = 4
-	if m := ann.precomputeMatches(f.tbl, 0.7); m != nil {
+	if m := ann.precomputeMatches(f.tbl); m != nil {
 		t.Fatalf("precomputeMatches on a tiny table = %v, want nil", m)
 	}
 	res := ann.Annotate(f.tbl)

@@ -150,7 +150,7 @@ type Crowd struct {
 	stats       Stats
 
 	// backoffRng draws retry-backoff jitter. It is deliberately separate
-	// from rng: concurrent sharded jobs must not retry in lockstep, but the
+	// from rng: concurrent jobs must not retry in lockstep, but the
 	// decision stream (worker permutations, answers) must stay untouched so
 	// differential runs remain byte-identical.
 	backoffRng *rand.Rand

@@ -30,7 +30,7 @@ type RetryPolicy struct {
 	// i.e. only the context deadline applies).
 	AssignmentTimeout time.Duration
 	// Jitter in (0, 1] randomizes each backoff wait down to
-	// [d·(1−Jitter), d], so concurrent sharded jobs hitting the same
+	// [d·(1−Jitter), d], so concurrent jobs hitting the same
 	// transient fault don't retry in lockstep (a thundering herd against
 	// the crowd market). The draw comes from a dedicated rng seeded by the
 	// crowd seed — never the decision rng — so enabling jitter changes

@@ -45,12 +45,12 @@ type Options struct {
 	// over 30 machines; sampling is our single-machine equivalent.
 	MaxRows int
 	// Telemetry receives the KBLookups counter (one per uncached label
-	// resolution); nil disables instrumentation. Counters are atomic, so
-	// GenerateParallel's shards may share one pipeline.
+	// resolution); nil disables instrumentation. GenerateParallel's ranges
+	// record into child pipelines merged after the join.
 	Telemetry *telemetry.Pipeline
 	// Resolver, when non-nil, handles label resolution instead of direct
 	// kb.MatchLabel calls — typically a *resolve.Cache shared across pipeline
-	// stages (and across GenerateParallel shards) so each distinct cell value
+	// stages (and across GenerateParallel ranges) so each distinct cell value
 	// hits the KB once. It must resolve against the same KB as the stats.
 	Resolver resolve.Source
 }
@@ -151,18 +151,61 @@ type weightedMatch struct {
 }
 
 // Generate runs candidate type/relationship discovery for tbl against the
-// KB behind stats. It performs, per cell, the equivalent of the paper's
-// Q_types query (label → resource → types with subClassOf* closure, via the
-// fuzzy label index standing in for LARQ) and, per ordered cell pair, the
-// Q¹_rels/Q²_rels lookups (resource-object and literal-object
-// relationships, with subPropertyOf* generalisation).
+// KB behind stats: the evidence pass over every sampled row, then one
+// scoring pass (GenerateParallel with one worker).
 func Generate(tbl *table.Table, stats *kbstats.Stats, opts Options) *Candidates {
-	opts = opts.withDefaults()
+	return GenerateParallel(tbl, stats, opts, 1)
+}
+
+// evidence is the per-row output of the §4.1 lookups for the sampled rows,
+// indexed by sample position: the scoring pass reads nothing else, so
+// disjoint row ranges can be collected concurrently.
+type evidence struct {
+	// pairs are the ordered column pairs (i, j), i != j, in the order the
+	// scoring pass emits them.
+	pairs     [][2]int
+	cellTypes [][]map[rdf.ID]float64 // [col][row] -> type -> best match weight
+	cellRels  [][]map[rdf.ID]float64 // [pair][row] -> property -> weight
+	// litW/resW are each row's literal- and resource-object relationship
+	// weights per pair, summed in row order by the scoring pass to decide
+	// PairCandidates.LiteralObject.
+	litW, resW [][]float64
+}
+
+func newEvidence(cols, rows int) *evidence {
+	var pairs [][2]int
+	for i := 0; i < cols; i++ {
+		for j := 0; j < cols; j++ {
+			if i != j {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	ev := &evidence{
+		pairs:     pairs,
+		cellTypes: make([][]map[rdf.ID]float64, cols),
+		cellRels:  make([][]map[rdf.ID]float64, len(pairs)),
+		litW:      make([][]float64, len(pairs)),
+		resW:      make([][]float64, len(pairs)),
+	}
+	for c := range ev.cellTypes {
+		ev.cellTypes[c] = make([]map[rdf.ID]float64, rows)
+	}
+	for p := range ev.cellRels {
+		ev.cellRels[p] = make([]map[rdf.ID]float64, rows)
+		ev.litW[p] = make([]float64, rows)
+		ev.resW[p] = make([]float64, rows)
+	}
+	return ev
+}
+
+// collect runs the per-cell Q_types lookup (label → resource → types with
+// subClassOf* closure, via the fuzzy label index standing in for LARQ) and
+// the per-cell-pair Q¹_rels/Q²_rels lookups (resource-object and
+// literal-object relationships, with subPropertyOf* generalisation) for
+// sampled positions [lo, hi), recording KB lookups into tel.
+func (ev *evidence) collect(tbl *table.Table, rows []int, lo, hi int, stats *kbstats.Stats, opts Options, tel *telemetry.Pipeline) {
 	kb := stats.KB()
-	rows := sampleRows(tbl.NumRows(), opts.MaxRows)
-
-	c := &Candidates{Table: tbl, Rows: rows, Stats: stats, Options: opts}
-
 	src := resolve.Source(kb)
 	if opts.Resolver != nil {
 		src = opts.Resolver
@@ -177,7 +220,7 @@ func Generate(tbl *table.Table, stats *kbstats.Stats, opts Options) *Candidates 
 		if r, ok := resCache[val]; ok {
 			return r
 		}
-		opts.Telemetry.Inc(telemetry.KBLookups)
+		tel.Inc(telemetry.KBLookups)
 		hits := src.MatchLabel(val, opts.Threshold)
 		var out []weightedMatch
 		if len(hits) > 0 {
@@ -211,48 +254,12 @@ func Generate(tbl *table.Table, stats *kbstats.Stats, opts Options) *Candidates 
 		typeCache[val] = set
 		return set
 	}
-
-	minSupport := opts.MinSupport * float64(len(rows))
-
-	// Candidate types per column (§4.1, Q_types + tf-idf ranking).
-	for col := 0; col < tbl.NumCols(); col++ {
-		cc := ColumnCandidates{Col: col, CellTypes: make([]map[rdf.ID]float64, len(rows))}
-		tfidf := map[rdf.ID]float64{}
-		support := map[rdf.ID]int{}
-		weighted := map[rdf.ID]float64{}
-		for i, row := range rows {
-			cellT := typesOf(tbl.Cell(row, col))
-			cc.CellTypes[i] = cellT
-			idf := stats.IDF(len(cellT))
-			for t, w := range cellT {
-				tfidf[t] += w * stats.TF(t) * idf
-				support[t]++
-				weighted[t] += w
-			}
+	for col := range ev.cellTypes {
+		for i := lo; i < hi; i++ {
+			ev.cellTypes[col][i] = typesOf(tbl.Cell(rows[i], col))
 		}
-		maxScore := 0.0
-		for t, v := range tfidf {
-			if weighted[t] >= minSupport && v > maxScore {
-				maxScore = v
-			}
-		}
-		if maxScore == 0 {
-			continue
-		}
-		for t, v := range tfidf {
-			if weighted[t] < minSupport {
-				continue
-			}
-			cc.Types = append(cc.Types, ScoredType{Type: t, TFIDF: v / maxScore, Support: support[t]})
-		}
-		sortTypes(cc.Types, stats)
-		if opts.MaxCandidates > 0 && len(cc.Types) > opts.MaxCandidates {
-			cc.Types = cc.Types[:opts.MaxCandidates]
-		}
-		c.Columns = append(c.Columns, cc)
 	}
 
-	// Candidate relationships per ordered column pair (§4.1, Q¹/Q²_rels).
 	pairCache := map[[2]string]map[rdf.ID]float64{}
 	litCache := map[[2]string]map[rdf.ID]float64{}
 	relsBetween := func(a, b string) map[rdf.ID]float64 {
@@ -293,76 +300,120 @@ func Generate(tbl *table.Table, stats *kbstats.Stats, opts Options) *Candidates 
 		litCache[key] = set
 		return set
 	}
-
-	for i := 0; i < tbl.NumCols(); i++ {
-		for j := 0; j < tbl.NumCols(); j++ {
-			if i == j {
-				continue
+	for pi, pr := range ev.pairs {
+		for i := lo; i < hi; i++ {
+			a, b := tbl.Cell(rows[i], pr[0]), tbl.Cell(rows[i], pr[1])
+			rels := map[rdf.ID]float64{}
+			for p, w := range relsBetween(a, b) {
+				rels[p] = w
+				ev.resW[pi][i] += w
 			}
-			pc := PairCandidates{From: i, To: j, CellRels: make([]map[rdf.ID]float64, len(rows))}
-			tfidf := map[rdf.ID]float64{}
-			support := map[rdf.ID]int{}
-			weighted := map[rdf.ID]float64{}
-			literalW, resourceW := 0.0, 0.0
-			for ri, row := range rows {
-				a, b := tbl.Cell(row, i), tbl.Cell(row, j)
-				rels := map[rdf.ID]float64{}
-				for p, w := range relsBetween(a, b) {
+			for p, w := range relsToLiteral(a, b) {
+				if w > rels[p] {
 					rels[p] = w
-					resourceW += w
-				}
-				for p, w := range relsToLiteral(a, b) {
-					if w > rels[p] {
-						rels[p] = w
-						literalW += w
-					}
-				}
-				pc.CellRels[ri] = rels
-				idf := stats.RelIDF(len(rels))
-				for p, w := range rels {
-					tfidf[p] += w * stats.RelTF(p) * idf
-					support[p]++
-					weighted[p] += w
+					ev.litW[pi][i] += w
 				}
 			}
-			maxScore := 0.0
-			for p, v := range tfidf {
-				if weighted[p] >= minSupport && v > maxScore {
-					maxScore = v
-				}
-			}
-			if maxScore == 0 {
-				continue
-			}
-			pc.LiteralObject = literalW > resourceW
-			for p, v := range tfidf {
-				if weighted[p] < minSupport {
-					continue
-				}
-				pc.Rels = append(pc.Rels, ScoredRel{
-					Prop:       p,
-					TFIDF:      v / maxScore,
-					Support:    support[p],
-					Confidence: weighted[p] / float64(len(rows)),
-				})
-			}
-			sortRels(pc.Rels, stats)
-			if opts.MaxCandidates > 0 && len(pc.Rels) > opts.MaxCandidates {
-				pc.Rels = pc.Rels[:opts.MaxCandidates]
-			}
-			best := 0.0
-			for _, r := range pc.Rels {
-				if r.Confidence > best {
-					best = r.Confidence
-				}
-			}
-			if best < opts.MinEdgeConfidence {
-				continue
-			}
-			c.Pairs = append(c.Pairs, pc)
+			ev.cellRels[pi][i] = rels
 		}
 	}
-	return c
+}
+
+// score is the scoring pass over the complete evidence: tf-idf ranking,
+// support floors and caps per column (§4.1 Q_types) and per ordered column
+// pair (Q¹/Q²_rels).
+func (ev *evidence) score(c *Candidates) {
+	stats, opts := c.Stats, c.Options
+	n := len(c.Rows)
+	minSupport := opts.MinSupport * float64(n)
+
+	for col, cellTypes := range ev.cellTypes {
+		cc := ColumnCandidates{Col: col, CellTypes: cellTypes}
+		tfidf := map[rdf.ID]float64{}
+		support := map[rdf.ID]int{}
+		weighted := map[rdf.ID]float64{}
+		for _, cellT := range cellTypes {
+			idf := stats.IDF(len(cellT))
+			for t, w := range cellT {
+				tfidf[t] += w * stats.TF(t) * idf
+				support[t]++
+				weighted[t] += w
+			}
+		}
+		maxScore := 0.0
+		for t, v := range tfidf {
+			if weighted[t] >= minSupport && v > maxScore {
+				maxScore = v
+			}
+		}
+		if maxScore == 0 {
+			continue
+		}
+		for t, v := range tfidf {
+			if weighted[t] < minSupport {
+				continue
+			}
+			cc.Types = append(cc.Types, ScoredType{Type: t, TFIDF: v / maxScore, Support: support[t]})
+		}
+		sortTypes(cc.Types, stats)
+		if opts.MaxCandidates > 0 && len(cc.Types) > opts.MaxCandidates {
+			cc.Types = cc.Types[:opts.MaxCandidates]
+		}
+		c.Columns = append(c.Columns, cc)
+	}
+
+	for pi, pr := range ev.pairs {
+		pc := PairCandidates{From: pr[0], To: pr[1], CellRels: ev.cellRels[pi]}
+		tfidf := map[rdf.ID]float64{}
+		support := map[rdf.ID]int{}
+		weighted := map[rdf.ID]float64{}
+		literalW, resourceW := 0.0, 0.0
+		for i, rels := range pc.CellRels {
+			literalW += ev.litW[pi][i]
+			resourceW += ev.resW[pi][i]
+			idf := stats.RelIDF(len(rels))
+			for p, w := range rels {
+				tfidf[p] += w * stats.RelTF(p) * idf
+				support[p]++
+				weighted[p] += w
+			}
+		}
+		maxScore := 0.0
+		for p, v := range tfidf {
+			if weighted[p] >= minSupport && v > maxScore {
+				maxScore = v
+			}
+		}
+		if maxScore == 0 {
+			continue
+		}
+		pc.LiteralObject = literalW > resourceW
+		for p, v := range tfidf {
+			if weighted[p] < minSupport {
+				continue
+			}
+			pc.Rels = append(pc.Rels, ScoredRel{
+				Prop:       p,
+				TFIDF:      v / maxScore,
+				Support:    support[p],
+				Confidence: weighted[p] / float64(n),
+			})
+		}
+		sortRels(pc.Rels, stats)
+		if opts.MaxCandidates > 0 && len(pc.Rels) > opts.MaxCandidates {
+			pc.Rels = pc.Rels[:opts.MaxCandidates]
+		}
+		best := 0.0
+		for _, r := range pc.Rels {
+			if r.Confidence > best {
+				best = r.Confidence
+			}
+		}
+		if best < opts.MinEdgeConfidence {
+			continue
+		}
+		c.Pairs = append(c.Pairs, pc)
+	}
 }
 
 // sortTypes orders candidates by tf-idf descending; ties go to the more

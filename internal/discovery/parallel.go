@@ -2,10 +2,9 @@ package discovery
 
 import (
 	"runtime"
-	"sync"
 
+	"katara/internal/fanout"
 	"katara/internal/kbstats"
-	"katara/internal/rdf"
 	"katara/internal/table"
 )
 
@@ -13,177 +12,29 @@ import (
 // distributed candidate generation ("we implemented a distributed version
 // of candidate types/relationships generation by distributing the 316K
 // tuples over 30 machines, and all candidates are collected into one
-// machine", §7.1): the table's rows are sharded across workers, each worker
-// generates candidates for its shard against the shared (read-only) KB
-// statistics, and the shards' per-cell evidence is merged before the
-// rank join.
-//
-// The merge recomputes the tf-idf sums and supports exactly as a
-// single-shard run would, so GenerateParallel(tbl, stats, opts, n) returns
-// results identical to Generate(tbl, stats, opts) for any worker count.
+// machine", §7.1): the sampled rows are split into contiguous ranges, each
+// range's per-cell evidence is collected concurrently against the shared
+// (read-only) KB statistics into its own slots, and one scoring pass then
+// ranks the complete evidence in row order. The scoring pass is the same
+// for every worker count, so GenerateParallel(tbl, stats, opts, n) returns
+// exactly Generate(tbl, stats, opts). workers <= 0 uses GOMAXPROCS.
 func GenerateParallel(tbl *table.Table, stats *kbstats.Stats, opts Options, workers int) *Candidates {
 	opts = opts.withDefaults()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	rows := sampleRows(tbl.NumRows(), opts.MaxRows)
-	if workers == 1 || len(rows) < 2*workers {
-		return Generate(tbl, stats, opts)
+	ev := newEvidence(tbl.NumCols(), len(rows))
+	if fanout.Splits(len(rows), workers) {
+		// Workers read the shared Stats concurrently; its lazily-memoised
+		// pieces (closures, instance lists) must be computed up front. The
+		// KB label index is read-only after build, so MatchLabel is safe.
+		stats.Prewarm()
 	}
-
-	// Workers read the shared Stats concurrently; its lazily-memoised
-	// pieces (closures, instance lists) must be computed up front. The KB
-	// label index is read-only after build, so MatchLabel is safe as-is.
-	stats.Prewarm()
-
-	shards := make([][]int, workers)
-	for i, r := range rows {
-		shards[i%workers] = append(shards[i%workers], r)
-	}
-
-	results := make([]*Candidates, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			shardTbl := &table.Table{Name: tbl.Name, Columns: tbl.Columns}
-			for _, r := range shards[w] {
-				shardTbl.Rows = append(shardTbl.Rows, tbl.Rows[r])
-			}
-			shardOpts := opts
-			shardOpts.MaxRows = 0     // shard is already sampled
-			shardOpts.MinSupport = -1 // no per-shard floors; applied after merge
-			shardOpts.MinEdgeConfidence = -1
-			shardOpts.MaxCandidates = 0
-			results[w] = Generate(shardTbl, stats, shardOpts)
-		}(w)
-	}
-	wg.Wait()
-
-	return mergeShards(tbl, rows, shards, results, stats, opts)
-}
-
-// mergeShards reassembles per-cell evidence in the original row order and
-// re-runs the scoring/floors/caps exactly as Generate does.
-func mergeShards(tbl *table.Table, rows []int, shards [][]int, results []*Candidates, stats *kbstats.Stats, opts Options) *Candidates {
-	// Map original sampled row -> (shard, index within shard).
-	type loc struct{ shard, idx int }
-	where := map[int]loc{}
-	for s, sh := range shards {
-		for i, r := range sh {
-			where[r] = loc{s, i}
-		}
-	}
-
+	fanout.Run("discovery", len(rows), workers, opts.Telemetry, nil, func(p fanout.Part) {
+		ev.collect(tbl, rows, p.Lo, p.Hi, stats, opts, p.Tel)
+	})
 	c := &Candidates{Table: tbl, Rows: rows, Stats: stats, Options: opts}
-	minSupport := opts.MinSupport * float64(len(rows))
-
-	for col := 0; col < tbl.NumCols(); col++ {
-		merged := ColumnCandidates{Col: col}
-		merged.CellTypes = make([]map[rdf.ID]float64, len(rows))
-		tfidf := map[rdf.ID]float64{}
-		support := map[rdf.ID]int{}
-		weighted := map[rdf.ID]float64{}
-		for i, r := range rows {
-			l := where[r]
-			var cellT map[rdf.ID]float64
-			if sc := results[l.shard].ColumnFor(col); sc != nil {
-				cellT = sc.CellTypes[l.idx]
-			}
-			merged.CellTypes[i] = cellT
-			idf := stats.IDF(len(cellT))
-			for t, w := range cellT {
-				tfidf[t] += w * stats.TF(t) * idf
-				support[t]++
-				weighted[t] += w
-			}
-		}
-		maxScore := 0.0
-		for t, v := range tfidf {
-			if weighted[t] >= minSupport && v > maxScore {
-				maxScore = v
-			}
-		}
-		if maxScore == 0 {
-			continue
-		}
-		for t, v := range tfidf {
-			if weighted[t] < minSupport {
-				continue
-			}
-			merged.Types = append(merged.Types, ScoredType{Type: t, TFIDF: v / maxScore, Support: support[t]})
-		}
-		sortTypes(merged.Types, stats)
-		if opts.MaxCandidates > 0 && len(merged.Types) > opts.MaxCandidates {
-			merged.Types = merged.Types[:opts.MaxCandidates]
-		}
-		c.Columns = append(c.Columns, merged)
-	}
-
-	for i := 0; i < tbl.NumCols(); i++ {
-		for j := 0; j < tbl.NumCols(); j++ {
-			if i == j {
-				continue
-			}
-			pc := PairCandidates{From: i, To: j, CellRels: make([]map[rdf.ID]float64, len(rows))}
-			tfidf := map[rdf.ID]float64{}
-			support := map[rdf.ID]int{}
-			weighted := map[rdf.ID]float64{}
-			literalVotes := 0
-			for ri, r := range rows {
-				l := where[r]
-				var rels map[rdf.ID]float64
-				if sp := results[l.shard].PairFor(i, j); sp != nil {
-					rels = sp.CellRels[l.idx]
-					if sp.LiteralObject {
-						literalVotes++
-					}
-				}
-				pc.CellRels[ri] = rels
-				idf := stats.RelIDF(len(rels))
-				for p, w := range rels {
-					tfidf[p] += w * stats.RelTF(p) * idf
-					support[p]++
-					weighted[p] += w
-				}
-			}
-			maxScore := 0.0
-			for p, v := range tfidf {
-				if weighted[p] >= minSupport && v > maxScore {
-					maxScore = v
-				}
-			}
-			if maxScore == 0 {
-				continue
-			}
-			pc.LiteralObject = literalVotes*2 > len(rows)
-			for p, v := range tfidf {
-				if weighted[p] < minSupport {
-					continue
-				}
-				pc.Rels = append(pc.Rels, ScoredRel{
-					Prop:       p,
-					TFIDF:      v / maxScore,
-					Support:    support[p],
-					Confidence: weighted[p] / float64(len(rows)),
-				})
-			}
-			sortRels(pc.Rels, stats)
-			if opts.MaxCandidates > 0 && len(pc.Rels) > opts.MaxCandidates {
-				pc.Rels = pc.Rels[:opts.MaxCandidates]
-			}
-			best := 0.0
-			for _, r := range pc.Rels {
-				if r.Confidence > best {
-					best = r.Confidence
-				}
-			}
-			if best < opts.MinEdgeConfidence {
-				continue
-			}
-			c.Pairs = append(c.Pairs, pc)
-		}
-	}
+	ev.score(c)
 	return c
 }

@@ -1,51 +1,68 @@
 package discovery
 
 import (
+	"reflect"
 	"testing"
 
 	"katara/internal/kbstats"
+	"katara/internal/rdf"
 	"katara/internal/table"
 )
 
-// assertCandidatesEqual compares the ranked lists of two candidate sets.
+// assertCandidatesEqual compares two candidate sets field by field: the
+// ranked lists, the per-cell evidence (CellTypes, CellRels) and every pair's
+// LiteralObject flag.
 func assertCandidatesEqual(t *testing.T, a, b *Candidates) {
 	t.Helper()
-	if len(a.Columns) != len(b.Columns) {
-		t.Fatalf("column counts differ: %d vs %d", len(a.Columns), len(b.Columns))
+	if !reflect.DeepEqual(a.Columns, b.Columns) {
+		t.Fatalf("column candidates differ:\n%+v\nvs\n%+v", a.Columns, b.Columns)
 	}
-	for i := range a.Columns {
-		ca, cb := a.Columns[i], b.Columns[i]
-		if ca.Col != cb.Col || len(ca.Types) != len(cb.Types) {
-			t.Fatalf("column %d lists differ: %d vs %d types", ca.Col, len(ca.Types), len(cb.Types))
-		}
-		for j := range ca.Types {
-			ta, tb := ca.Types[j], cb.Types[j]
-			if ta.Type != tb.Type || ta.Support != tb.Support {
-				t.Fatalf("col %d rank %d: %+v vs %+v", ca.Col, j, ta, tb)
-			}
-			if diff := ta.TFIDF - tb.TFIDF; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("col %d rank %d tfidf: %f vs %f", ca.Col, j, ta.TFIDF, tb.TFIDF)
-			}
+	if !reflect.DeepEqual(a.Pairs, b.Pairs) {
+		t.Fatalf("pair candidates differ:\n%+v\nvs\n%+v", a.Pairs, b.Pairs)
+	}
+}
+
+// TestGenerateParallelLiteralObjectMatchesSequential pins LiteralObject on
+// a table where the literal-object evidence is spread thinly over many rows
+// and the resource-object evidence is concentrated in few: summed over rows
+// the resource weight wins, while most rows (and any range holding only
+// literal rows) lean literal. Only a single scoring pass over the whole
+// evidence agrees with Generate.
+func TestGenerateParallelLiteralObjectMatchesSequential(t *testing.T) {
+	kb := rdf.New()
+	add := func(sub, pred, obj string) { kb.AddFact(rdf.IRI(sub), rdf.IRI(pred), rdf.IRI(obj)) }
+	lit := func(sub, pred, obj string) { kb.AddFact(rdf.IRI(sub), rdf.IRI(pred), rdf.Lit(obj)) }
+	add("c:Italy", rdf.IRIType, "country")
+	lit("c:Italy", rdf.IRILabel, "Italy")
+	lit("c:Italy", "motto", "59000000")
+	add("c:France", rdf.IRIType, "country")
+	lit("c:France", rdf.IRILabel, "France")
+	add("cap:Paris", rdf.IRIType, "city")
+	lit("cap:Paris", rdf.IRILabel, "Paris")
+	add("c:France", "hasCapital", "cap:Paris")
+	add("c:France", "largestCity", "cap:Paris")
+
+	// Rows alternate literal (weight 1) and resource (weight 2) evidence:
+	// 3 literal rows against 2 resource rows, 3 < 4 in summed weight.
+	tbl := table.New("lit", "Country", "Value")
+	for i := 0; i < 5; i++ {
+		if i%2 == 0 {
+			tbl.Append("Italy", "59000000")
+		} else {
+			tbl.Append("France", "Paris")
 		}
 	}
-	if len(a.Pairs) != len(b.Pairs) {
-		t.Fatalf("pair counts differ: %d vs %d", len(a.Pairs), len(b.Pairs))
+	seq := Generate(tbl, kbstats.New(kb), Options{})
+	pc := seq.PairFor(0, 1)
+	if pc == nil || pc.LiteralObject {
+		t.Fatalf("sequential pair (0,1) = %+v, want a resource-object pair", pc)
 	}
-	for i := range a.Pairs {
-		pa, pb := a.Pairs[i], b.Pairs[i]
-		if pa.From != pb.From || pa.To != pb.To || len(pa.Rels) != len(pb.Rels) {
-			t.Fatalf("pair %d differs: (%d,%d)x%d vs (%d,%d)x%d",
-				i, pa.From, pa.To, len(pa.Rels), pb.From, pb.To, len(pb.Rels))
+	for _, workers := range []int{2, 3} {
+		par := GenerateParallel(tbl, kbstats.New(kb), Options{}, workers)
+		if pp := par.PairFor(0, 1); pp == nil || pp.LiteralObject {
+			t.Fatalf("workers=%d: pair (0,1) = %+v, want a resource-object pair", workers, pp)
 		}
-		for j := range pa.Rels {
-			ra, rb := pa.Rels[j], pb.Rels[j]
-			if ra.Prop != rb.Prop || ra.Support != rb.Support {
-				t.Fatalf("pair %d rank %d: %+v vs %+v", i, j, ra, rb)
-			}
-			if diff := ra.Confidence - rb.Confidence; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("pair %d rank %d confidence: %f vs %f", i, j, ra.Confidence, rb.Confidence)
-			}
-		}
+		assertCandidatesEqual(t, seq, par)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestManagerAppendChain(t *testing.T) {
 	m := NewManager(Config{KB: kb, MaxConcurrent: 2, MaxQueue: 8})
 	defer m.Close()
 
-	rootID, err := m.Submit(root, Params{Shards: 2})
+	rootID, err := m.Submit(root, Params{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestManagerAppendChain(t *testing.T) {
 		t.Fatalf("increment annotated %d rows, want the cumulative %d", len(rep.Annotations), dirty.NumRows())
 	}
 
-	batchID, err := m.Submit(dirty, Params{Shards: 2})
+	batchID, err := m.Submit(dirty, Params{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestManagerAppendSlowPathMatchesFast(t *testing.T) {
 	defer m.Close()
 
 	runChain := func(evict bool) []byte {
-		rootID, err := m.Submit(root, Params{Shards: 2})
+		rootID, err := m.Submit(root, Params{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestManagerAppendCrashReplay(t *testing.T) {
 	// reference every replay must reproduce.
 	j1, rep1 := openJournal(t, dir)
 	m1 := NewManager(Config{KB: kb, MaxConcurrent: 1, Journal: j1, Replay: rep1})
-	rootID, err := m1.Submit(root, Params{Shards: 2})
+	rootID, err := m1.Submit(root, Params{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestManagerAppendCrashReplay(t *testing.T) {
 	// the increment and finishing it leaves behind.
 	dir2 := t.TempDir()
 	jc, _ := openJournal(t, dir2)
-	if err := jc.RecordSubmit(rootID, TableDoc{Name: root.Name, Columns: root.Columns, Rows: root.Rows}, Params{Shards: 2}); err != nil {
+	if err := jc.RecordSubmit(rootID, TableDoc{Name: root.Name, Columns: root.Columns, Rows: root.Rows}, Params{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jc.RecordEnd(rootDoc); err != nil {
@@ -281,7 +281,7 @@ func TestHTTPAppend(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(m))
 	defer ts.Close()
 
-	code, body := do(t, ts, "POST", "/jobs", SubmitRequest{Table: tableDoc(root), Params: Params{Shards: 2}})
+	code, body := do(t, ts, "POST", "/jobs", SubmitRequest{Table: tableDoc(root), Params: Params{Workers: 2}})
 	if code != 202 {
 		t.Fatalf("submit = %d %s", code, body)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"katara"
+	"katara/internal/fanout"
 	"katara/internal/telemetry"
 )
 
@@ -374,7 +375,7 @@ func buildCleaner(kb *katara.KB, p Params, pipe *telemetry.Pipeline) *katara.Cle
 }
 
 // runClean is the real RunFunc: build the per-job cleaner and run the
-// sharded pipeline.
+// pipeline.
 func runClean(ctx context.Context, kb *katara.KB, tbl *katara.Table, p Params, pipe *telemetry.Pipeline) (*katara.Report, error) {
 	return buildCleaner(kb, p, pipe).CleanContext(ctx, tbl)
 }
@@ -640,7 +641,7 @@ func (m *Manager) worker() {
 }
 
 // runJob executes the job with panic isolation: a panic anywhere in the run
-// — including one re-raised from a shard goroutine — becomes a failed job
+// — including one re-raised from a fan-out goroutine — becomes a failed job
 // with the stack preserved in its result, never a dead daemon.
 func (m *Manager) runJob(job *Job) (rep *katara.Report, err error) {
 	defer func() {
@@ -649,8 +650,8 @@ func (m *Manager) runJob(job *Job) (rep *katara.Report, err error) {
 			return
 		}
 		stack := string(debug.Stack())
-		if pe, ok := r.(*katara.PanicError); ok {
-			// The shard barrier already captured the original goroutine's
+		if pe, ok := r.(*fanout.PanicError); ok {
+			// The fan-out barrier already captured the original goroutine's
 			// stack; prefer it over this recovery frame's.
 			stack = pe.Stack
 		}

@@ -53,7 +53,7 @@ func TestJobHappyPath(t *testing.T) {
 	m := NewManager(Config{KB: kb, MaxConcurrent: 2, MaxQueue: 8})
 	defer m.Close()
 
-	id, err := m.Submit(dirty, Params{Shards: 4})
+	id, err := m.Submit(dirty, Params{Workers: 4})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestJobHappyPath(t *testing.T) {
 
 	// Determinism across jobs: identical submission, byte-identical report
 	// document (the corruption signal kload watches for).
-	id2, err := m.Submit(dirty, Params{Shards: 4})
+	id2, err := m.Submit(dirty, Params{Workers: 4})
 	if err != nil {
 		t.Fatalf("Submit #2: %v", err)
 	}

@@ -1,6 +1,6 @@
 // Structured request logging for the job API: one slog record per request
 // with method, path, status, duration, and — when the path names a job —
-// the job ID and its shard count, so a daemon log line can be joined
+// the job ID and its parallelism, so a daemon log line can be joined
 // against the job's journal records and metrics.
 
 package jobs
@@ -75,7 +75,7 @@ func (m *Manager) LogRequests(log *slog.Logger, h http.Handler) http.Handler {
 		if id := jobIDFromPath(r.URL.Path); id != "" {
 			attrs = append(attrs, slog.String("job", id))
 			if st, err := m.Status(id); err == nil {
-				attrs = append(attrs, slog.Int("shards", st.Params.Shards))
+				attrs = append(attrs, slog.Int("workers", max(st.Params.Workers, st.Params.Shards)))
 			}
 		}
 		log.Info("request", attrs...)

@@ -44,7 +44,7 @@ func TestLogRequestsNilLogger(t *testing.T) {
 
 // TestLogRequestsRecord: one structured record per request with method,
 // path and status; when the path names a known job, the record joins in
-// the job ID and its shard count.
+// the job ID and its parallelism.
 func TestLogRequestsRecord(t *testing.T) {
 	run := func(context.Context, *katara.KB, *katara.Table, Params, *telemetry.Pipeline) (*katara.Report, error) {
 		return &katara.Report{}, nil
@@ -54,7 +54,7 @@ func TestLogRequestsRecord(t *testing.T) {
 
 	tbl := katara.NewTable("t", "a")
 	tbl.Append("x")
-	id, err := m.Submit(tbl, Params{Shards: 3})
+	id, err := m.Submit(tbl, Params{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +73,14 @@ func TestLogRequestsRecord(t *testing.T) {
 	line := buf.String()
 	for _, want := range []string{
 		"method=GET", "path=/jobs/" + id + "/result", "status=200",
-		"job=" + id, "shards=3", "duration_ms=",
+		"job=" + id, "workers=3", "duration_ms=",
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("log record missing %q: %s", want, line)
 		}
 	}
 
-	// An unknown job still logs, with the 404 status and no shard attr.
+	// An unknown job still logs, with the 404 status and no workers attr.
 	buf.Reset()
 	resp, err = http.Get(ts.URL + "/jobs/nope/result")
 	if err != nil {
@@ -91,7 +91,7 @@ func TestLogRequestsRecord(t *testing.T) {
 	if !strings.Contains(line, "status=404") || !strings.Contains(line, "job=nope") {
 		t.Errorf("404 record wrong: %s", line)
 	}
-	if strings.Contains(line, "shards=") {
-		t.Errorf("404 record has shards attr: %s", line)
+	if strings.Contains(line, "workers=") {
+		t.Errorf("404 record has workers attr: %s", line)
 	}
 }

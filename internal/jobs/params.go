@@ -1,6 +1,6 @@
 // Package jobs is the cleaning-as-a-service layer: validated job
 // parameters, a bounded-concurrency job manager that runs each submitted
-// table through the sharded pipeline against a per-job clone of a pristine
+// table through the pipeline against a per-job clone of a pristine
 // KB, and the HTTP/JSON surface cmd/katarad mounts.
 //
 // The package sits above the root katara API (it imports it, never the
@@ -22,11 +22,11 @@ import (
 // misbehaving (a negative budget used to mean "unlimited", a fractional
 // worker count truncated, a negative deadline expired instantly).
 type Params struct {
-	// Workers sizes the worker pool for the parallel stages: 0 or 1 serial,
-	// -1 = GOMAXPROCS, anything below -1 invalid.
+	// Workers is the run's parallelism (katara.Options.Workers): 0 or 1
+	// serial, -1 = GOMAXPROCS, anything below -1 invalid.
 	Workers int `json:"workers,omitempty"`
-	// Shards is the row-range shard count for annotation coverage and
-	// repair retrieval: 0 or 1 unsharded, -1 = GOMAXPROCS.
+	// Shards is an alias of Workers, still accepted so existing clients and
+	// journals keep working; the run uses the larger of the two.
 	Shards int `json:"shards,omitempty"`
 	// RepairK caps possible repairs per erroneous tuple (0 = library
 	// default).

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"katara"
+	"katara/internal/fanout"
 	"katara/internal/table"
 	"katara/internal/telemetry"
 )
@@ -121,7 +122,7 @@ func TestManagerRecoveredTerminal(t *testing.T) {
 	dir := t.TempDir()
 	j1, rep1 := openJournal(t, dir)
 	m1 := NewManager(Config{Run: quickRun, MaxConcurrent: 1, Journal: j1, Replay: rep1})
-	id, err := m1.Submit(tinyTable(), Params{Shards: 2})
+	id, err := m1.Submit(tinyTable(), Params{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,25 +250,38 @@ func TestManagerPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestManagerShardPanicIsolation injects a panic inside a real shard worker
-// (via katara.ShardPanicHook) of a real pipeline run: exactly the job that
-// hit the panic fails — with the shard goroutine's stack, not the re-raise
-// site's — while the other jobs complete with byte-identical reports.
+// TestManagerShardPanicIsolation injects a panic inside a real annotation
+// fan-out worker (via fanout.PanicHook) of a real pipeline run: exactly the
+// job that hit the panic fails — with the worker goroutine's stack, not the
+// re-raise site's — while the other jobs complete with byte-identical
+// reports.
 func TestManagerShardPanicIsolation(t *testing.T) {
+	checkFanoutPanicIsolation(t, "annotation", Params{Workers: 2})
+}
+
+// TestManagerDiscoveryPanicIsolation is the same contract for the
+// candidate-generation fan-out of a Workers job.
+func TestManagerDiscoveryPanicIsolation(t *testing.T) {
+	checkFanoutPanicIsolation(t, "discovery", Params{Workers: 2})
+}
+
+// checkFanoutPanicIsolation submits three identical jobs and panics the
+// first worker of the given fan-out stage to run.
+func checkFanoutPanicIsolation(t *testing.T, stage string, params Params) {
 	kb, dirty := fixture(t, 40)
 	var fired atomic.Bool
-	katara.ShardPanicHook = func(shard int) {
-		if fired.CompareAndSwap(false, true) {
-			panic(fmt.Sprintf("injected shard %d panic", shard))
+	fanout.PanicHook = func(s string, part int) {
+		if s == stage && fired.CompareAndSwap(false, true) {
+			panic(fmt.Sprintf("injected %s part %d panic", s, part))
 		}
 	}
-	defer func() { katara.ShardPanicHook = nil }()
+	defer func() { fanout.PanicHook = nil }()
 
 	m := NewManager(Config{KB: kb, MaxConcurrent: 2, MaxQueue: 8})
 	defer m.Close()
 	var ids []string
 	for i := 0; i < 3; i++ {
-		id, err := m.Submit(dirty, Params{Shards: 2})
+		id, err := m.Submit(dirty, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,11 +296,11 @@ func TestManagerShardPanicIsolation(t *testing.T) {
 		switch st.State {
 		case StateFailed:
 			failed++
-			if !strings.Contains(st.Error, "panic in shard worker") {
-				t.Fatalf("shard-panic job error = %q", st.Error)
+			if !strings.Contains(st.Error, "panic in "+stage+" fan-out worker") {
+				t.Fatalf("%s-panic job error = %q", stage, st.Error)
 			}
-			if !strings.Contains(doc.Stack, "runShardGuarded") {
-				t.Fatalf("stack is not the shard goroutine's:\n%s", doc.Stack)
+			if !strings.Contains(doc.Stack, "fanout.runGuarded") {
+				t.Fatalf("stack is not the fan-out worker goroutine's:\n%s", doc.Stack)
 			}
 		case StateDone:
 			done++
@@ -300,7 +314,7 @@ func TestManagerShardPanicIsolation(t *testing.T) {
 		t.Fatalf("failed=%d done=%d, want exactly the panicking job to fail", failed, done)
 	}
 	if !bytes.Equal(reports[0], reports[1]) {
-		t.Fatal("surviving jobs' reports differ — shard panic corrupted a concurrent job")
+		t.Fatalf("surviving jobs' reports differ — a %s panic corrupted a concurrent job", stage)
 	}
 	if line := metricsLine(t, m, "katarad_jobs_panics_total"); line != "katarad_jobs_panics_total 1" {
 		t.Fatalf("panics metric = %q", line)

@@ -63,7 +63,7 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 
 	// Submit.
-	code, body = do(t, ts, "POST", "/jobs", SubmitRequest{Table: tableDoc(dirty), Params: Params{Shards: 2}})
+	code, body = do(t, ts, "POST", "/jobs", SubmitRequest{Table: tableDoc(dirty), Params: Params{Workers: 2}})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d %s", code, body)
 	}
@@ -231,7 +231,7 @@ func TestHTTPConcurrentSubmissions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, body := do(t, ts, "POST", "/jobs", SubmitRequest{Table: tableDoc(dirty), Params: Params{Shards: 2}})
+			code, body := do(t, ts, "POST", "/jobs", SubmitRequest{Table: tableDoc(dirty), Params: Params{Workers: 2}})
 			if code != 202 {
 				t.Errorf("submit %d = %d %s", i, code, body)
 				return

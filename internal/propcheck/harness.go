@@ -19,14 +19,12 @@ import (
 // cell must produce a byte-identical canonical Report (fault accounting and
 // timings excluded — see Canonical).
 type RunConfig struct {
-	// Workers is katara.Options.Workers: 1 serial, >1 pooled, -1 resolves
-	// to GOMAXPROCS.
+	// Workers is katara.Options.Workers, the run's parallelism: 1 serial,
+	// >1 fanned out over that many contiguous ranges per stage, -1 resolves
+	// to GOMAXPROCS. The invariant `parallel(T, N) ≡ serial(T)` —
+	// byte-identical canonical reports for every parallelism — rides on the
+	// matrix comparison.
 	Workers int
-	// Shards is katara.Options.Shards: row-range shards for annotation
-	// coverage and repair retrieval (0 or 1 unsharded). The invariant
-	// `sharded(T, N) ≡ unsharded(T)` — byte-identical canonical reports
-	// for every shard count — rides on the matrix comparison.
-	Shards int
 	// Faults routes crowd deliveries through a seeded FaultInjector
 	// (abandonment + transient failures, zero latency) with retry enabled.
 	Faults bool
@@ -51,9 +49,6 @@ type RunConfig struct {
 
 func (c RunConfig) String() string {
 	s := fmt.Sprintf("workers=%d faults=%v telemetry=%v", c.Workers, c.Faults, c.Telemetry)
-	if c.Shards > 1 {
-		s += fmt.Sprintf(" shards=%d", c.Shards)
-	}
 	if c.BudgetQuestions > 0 {
 		s += fmt.Sprintf(" budget=%d degrade=%v", c.BudgetQuestions, c.Degrade)
 	}
@@ -66,43 +61,31 @@ func (c RunConfig) String() string {
 	return s
 }
 
-// Matrix returns the differential configurations for one seed: worker
-// counts {1, 4, GOMAXPROCS} (deduplicated after resolution — on a
-// single-core host GOMAXPROCS collapses into 1) crossed with fault
-// injection on/off and telemetry on/off.
-func Matrix() []RunConfig {
+// parallelisms returns the parallelism axis of the matrix: {1, 2, 4,
+// GOMAXPROCS}, deduplicated after resolution (on a single-core host
+// GOMAXPROCS collapses into 1).
+func parallelisms() []int {
 	seen := map[int]bool{}
-	var workers []int
-	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		if w < 1 {
-			w = 1
-		}
+	var out []int
+	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		if !seen[w] {
 			seen[w] = true
-			workers = append(workers, w)
+			out = append(out, w)
 		}
 	}
+	return out
+}
+
+// Matrix returns the differential configurations for one seed: every
+// parallelism crossed with fault injection on/off and telemetry on/off.
+func Matrix() []RunConfig {
 	var out []RunConfig
-	for _, w := range workers {
+	for _, w := range parallelisms() {
 		for _, faults := range []bool{false, true} {
 			for _, tel := range []bool{false, true} {
 				out = append(out, RunConfig{Workers: w, Faults: faults, Telemetry: tel})
 			}
 		}
-	}
-	// Shard cells prove `sharded(T, N) ≡ unsharded(T)` byte-identically
-	// against the serial baseline. Not a full cross-product — the shard
-	// fan-out only touches the pure KB-coverage and repair-retrieval loops,
-	// so {1 (above), 4, GOMAXPROCS} with telemetry (to also prove the
-	// shard-pipeline merge does not perturb results) carries the invariant.
-	seenShards := map[int]bool{1: true}
-	for _, sh := range []int{4, runtime.GOMAXPROCS(0)} {
-		if sh < 2 || seenShards[sh] {
-			continue
-		}
-		seenShards[sh] = true
-		out = append(out, RunConfig{Workers: 1, Shards: sh, Telemetry: true})
-		out = append(out, RunConfig{Workers: 1, Shards: sh})
 	}
 	return out
 }
@@ -171,7 +154,6 @@ func (s *Scenario) NewCleaner(cfg RunConfig, incremental bool, preAdds []katara.
 	opts := katara.Options{
 		Seed:    1,
 		Workers: cfg.Workers,
-		Shards:  cfg.Shards,
 		// Small per-list caps keep the rank-join search space within
 		// ExhaustiveTopK's refusal bound so invariant 1 stays checkable.
 		MaxCandidates:    4,
@@ -280,7 +262,7 @@ func RunSeed(seed int64) (*SeedResult, error) {
 	for _, cfg := range []RunConfig{
 		{Workers: 1, DedupOff: true},
 		{Workers: 4, Faults: true, Telemetry: true, DedupOff: true},
-		{Workers: 1, Shards: 4, Telemetry: true, DedupOff: true},
+		{Workers: 2, Telemetry: true, DedupOff: true},
 	} {
 		res.Configs++
 		r, _, rerr := sc.Run(cfg)
@@ -309,18 +291,20 @@ func RunSeed(seed int64) (*SeedResult, error) {
 
 	// Provenance differential: recording the decision lineage must not
 	// perturb the pipeline — every recording cell matches the non-recording
-	// baseline byte-identically on Canonical — and the lineage journals of a
-	// serial and a sharded serial recording run must themselves be
-	// byte-identical (the shard-order Child/Merge is deterministic). Pooled
-	// workers race for crowd question IDs, so the workers=4 cell only
-	// carries the lint + replay contracts, not journal byte-equality. Each
+	// baseline byte-identically on Canonical — and at every parallelism the
+	// lineage journal is byte-identical to the serial recording run's with
+	// the same fault setting (the range-order Child/Merge is deterministic).
+	// Journals are compared within a fault setting, not across: injected
+	// faults add retries and abandonments to the recorded questions. Each
 	// recording run's lineage must lint and replay: checkProvenance.
-	var wantJournal []byte
-	for _, cfg := range []RunConfig{
-		{Workers: 1, Provenance: true},
-		{Workers: 1, Shards: 4, Telemetry: true, Provenance: true},
-		{Workers: 4, Faults: true, Provenance: true},
-	} {
+	var provCells []RunConfig
+	for _, faults := range []bool{false, true} {
+		for _, w := range parallelisms() {
+			provCells = append(provCells, RunConfig{Workers: w, Faults: faults, Telemetry: w > 1, Provenance: true})
+		}
+	}
+	wantJournal := map[bool][]byte{}
+	for _, cfg := range provCells {
 		res.Configs++
 		r, _, rerr := sc.Run(cfg)
 		if err := sameOutcome(rep, err, r, rerr); err != nil {
@@ -336,12 +320,9 @@ func RunSeed(seed int64) (*SeedResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("config %s: %w", cfg, err)
 		}
-		if cfg.Workers != 1 {
-			continue
-		}
-		if wantJournal == nil {
-			wantJournal = journal
-		} else if !bytes.Equal(wantJournal, journal) {
+		if serial, ok := wantJournal[cfg.Faults]; !ok {
+			wantJournal[cfg.Faults] = journal
+		} else if !bytes.Equal(serial, journal) {
 			return res, fmt.Errorf("config %s: provenance journal differs from the serial recording run", cfg)
 		}
 	}
@@ -362,7 +343,7 @@ func RunSeed(seed int64) (*SeedResult, error) {
 	res.Erroneous = len(erroneousRows(rep))
 
 	// Incremental differential: chained Clean+Append sessions across the
-	// worker/shard/dedup configurations, ApplyKBDelta vs merged-KB rebuild,
+	// parallelism/dedup configurations, ApplyKBDelta vs merged-KB rebuild,
 	// and a mixed Clean→delta→Append chain — all must match the batch run
 	// over the merged inputs on CanonicalSemantic (see checkIncremental).
 	if err := checkIncremental(sc, res, rep); err != nil {

@@ -13,7 +13,7 @@ import (
 
 // checkIncremental is the incremental ≡ batch differential: a session that
 // Cleans a prefix and Appends the rest — in one or several increments, across
-// worker/shard/dedup configurations — must produce the same cumulative report
+// parallelism/dedup configurations — must produce the same cumulative report
 // as one batch Clean of the merged table; and a session that absorbs a KB
 // delta via ApplyKBDelta must match a rebuild from the merged KB. Reports are
 // compared on CanonicalSemantic: replaying the validation memo legitimately
@@ -42,7 +42,7 @@ func checkIncremental(sc *Scenario, res *SeedResult, base *katara.Report) error 
 
 	for _, cfg := range []RunConfig{
 		{Workers: 1},
-		{Workers: 4, Shards: 4, Telemetry: true},
+		{Workers: 4, Telemetry: true},
 		{Workers: 1, DedupOff: true},
 	} {
 		for _, splits := range splitSets {

@@ -3,7 +3,7 @@
 // document byte-identical to the same job run uninterrupted — and once
 // terminal, further restarts must serve that document verbatim without ever
 // re-executing the pipeline. This is the jobs-layer extension of the
-// differential matrix: crash/replay joins workers/shards/faults/telemetry in
+// differential matrix: crash/replay joins workers/faults/telemetry in
 // the list of things that may never change a report.
 package propcheck
 

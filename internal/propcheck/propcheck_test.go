@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -78,28 +79,19 @@ func TestCanonicalStable(t *testing.T) {
 	}
 }
 
-// TestMatrixShape pins the differential matrix: the worker axis carries 1
-// and 4 (GOMAXPROCS deduplicated in) crossed with both boolean axes, plus
-// two cells (telemetry on/off) per distinct shard count in
-// {4, GOMAXPROCS} — the `sharded ≡ unsharded` invariant.
+// TestMatrixShape pins the differential matrix: the parallelism axis
+// carries 1, 2 and 4 (GOMAXPROCS deduplicated in) crossed with both boolean
+// axes — the `parallel ≡ serial` invariant.
 func TestMatrixShape(t *testing.T) {
 	m := Matrix()
 	workers := map[int]bool{}
-	shards := map[int]bool{}
 	for _, cfg := range m {
 		workers[cfg.Workers] = true
-		if cfg.Shards > 1 {
-			shards[cfg.Shards] = true
-		}
 	}
-	if !workers[1] || !workers[4] {
-		t.Fatalf("matrix misses required worker counts: %+v", m)
+	if !workers[1] || !workers[2] || !workers[4] || !workers[runtime.GOMAXPROCS(0)] {
+		t.Fatalf("matrix misses required parallelism values: %+v", m)
 	}
-	if !shards[4] {
-		t.Fatalf("matrix misses shard cells: %+v", m)
-	}
-	if len(m) != len(workers)*4+len(shards)*2 {
-		t.Fatalf("matrix has %d cells for %d worker counts and %d shard counts",
-			len(m), len(workers), len(shards))
+	if len(m) != len(workers)*4 {
+		t.Fatalf("matrix has %d cells for %d parallelism values", len(m), len(workers))
 	}
 }

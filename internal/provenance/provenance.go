@@ -132,7 +132,7 @@ type DriftEvent struct {
 // Recorder accumulates one run's evidence lineage. The zero value is ready
 // to use; nil means disabled. Methods are safe for concurrent use, but
 // question IDs are only assigned by the recorder the crowd asks through
-// (questions are issued serially by the orchestrating goroutine); shard
+// (questions are issued serially by the orchestrating goroutine); fan-out
 // children record tuple/repair evidence for disjoint unit ranges and merge
 // back deterministically.
 type Recorder struct {
@@ -409,9 +409,9 @@ func (r *Recorder) RecordRepair(unit, considered int, cands []Candidate) {
 	r.repairs[unit] = &RepairRecord{Unit: unit, Considered: considered, Candidates: cands}
 }
 
-// Child returns a recorder for one shard of a parallel stage. Children
-// record tuple/repair evidence for their shard's unit range; question IDs
-// stay with the parent (crowd interaction is serial).
+// Child returns a recorder for one range of a parallel stage's fan-out.
+// Children record tuple/repair evidence for their range's units; question
+// IDs stay with the parent (crowd interaction is serial).
 func (r *Recorder) Child() *Recorder {
 	if r == nil {
 		return nil
@@ -419,9 +419,9 @@ func (r *Recorder) Child() *Recorder {
 	return NewRecorder()
 }
 
-// Merge folds a shard child's evidence back into r. Units are disjoint
-// across shards (each row range belongs to exactly one shard), so merging
-// children in shard order is deterministic regardless of completion order.
+// Merge folds a fan-out child's evidence back into r. Units are disjoint
+// across ranges, so merging children in range order is deterministic
+// regardless of completion order.
 func (r *Recorder) Merge(child *Recorder) {
 	if r == nil || child == nil {
 		return

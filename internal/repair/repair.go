@@ -8,9 +8,8 @@ package repair
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"katara/internal/fanout"
 	"katara/internal/pattern"
 	"katara/internal/rdf"
 	"katara/internal/similarity"
@@ -50,10 +49,10 @@ type Options struct {
 	// also be weighted with confidences on data values"). Missing columns
 	// cost 1.
 	Weights map[int]float64
-	// Workers shards instance-graph enumeration across a worker pool by
-	// root resource; <= 1 enumerates serially. Shards merge in root order
-	// and truncate at MaxGraphs, so the index is identical for every
-	// worker count.
+	// Workers splits instance-graph enumeration into that many contiguous
+	// ranges of root resources; <= 1 enumerates serially. Ranges merge in
+	// root order and truncate at MaxGraphs, so the index is identical for
+	// every worker count.
 	Workers int
 	// Telemetry receives the GraphsEnumerated / RepairsGenerated counters;
 	// nil disables instrumentation.
@@ -111,8 +110,8 @@ func (ix *Index) NumGraphs() int { return len(ix.Graphs) }
 // WithTelemetry returns a shallow view of the index whose retrieval
 // telemetry (repair-topk histogram/spans, RepairsGenerated) lands in tel
 // instead of the pipeline the index was built with. Graphs and inverted
-// lists are shared read-only — this is the per-shard handle of a row-range
-// sharded retrieval fan-out, each shard recording into its own pipeline.
+// lists are shared read-only — this is the per-range handle of the
+// retrieval fan-out, each range recording into its own pipeline.
 func (ix *Index) WithTelemetry(tel *telemetry.Pipeline) *Index {
 	cp := *ix
 	cp.opts.Telemetry = tel
@@ -262,7 +261,11 @@ func (ix *Index) align(tuple []string, g *InstanceGraph) (Repair, int) {
 }
 
 // enumerate materialises the instance graphs of p, fanning the root
-// resources out over workers goroutines when workers > 1.
+// resources out over workers contiguous ranges. Each range enumerates its
+// roots exactly like the serial loop, capped at maxGraphs; the ranges then
+// concatenate in root order and truncate at maxGraphs. A range's output is a
+// prefix of the serial output restricted to its roots, so the merged prefix
+// is exactly the serial output for any worker count.
 func enumerate(kb *rdf.Store, p *pattern.Pattern, maxGraphs, workers int) []InstanceGraph {
 	cols := p.Columns()
 	if len(cols) == 0 {
@@ -273,58 +276,35 @@ func enumerate(kb *rdf.Store, p *pattern.Pattern, maxGraphs, workers int) []Inst
 	// columns fall back to full instance scans.
 	order, via := traversalPlan(kb, p, cols)
 	roots := candidatesFor(kb, p, order[0], nil, nil)
-
-	if workers > 1 && len(roots) >= 2*workers {
-		return enumerateParallel(kb, p, order, via, roots, maxGraphs, workers)
+	if fanout.Splits(len(roots), workers) {
+		// The workers only read the KB: force its lazily-memoised hierarchy
+		// closures up front.
+		kb.WarmClosures()
 	}
-	var out []InstanceGraph
-	for _, root := range roots {
-		e := &enumerator{kb: kb, p: p, order: order, via: via, max: maxGraphs - len(out)}
-		if maxGraphs == 0 {
-			e.max = 0
-		}
-		out = append(out, e.fromRoot(root)...)
-		if maxGraphs > 0 && len(out) >= maxGraphs {
-			break
-		}
-	}
-	return out
-}
-
-// enumerateParallel shards enumeration by root resource: each worker claims
-// roots through an atomic cursor and runs the same depth-first expansion as
-// the serial path, capped per root at maxGraphs. Per-root results merge in
-// root order and truncate at maxGraphs — since a per-root cap of maxGraphs
-// can only over-produce relative to the serial cursor, the merged prefix is
-// exactly the serial output for any worker count. The workers only read the
-// KB, so its lazily-memoised hierarchy closures are forced up front.
-func enumerateParallel(kb *rdf.Store, p *pattern.Pattern, order []int, via map[int]*edgeRef, roots []rdf.ID, maxGraphs, workers int) []InstanceGraph {
-	kb.WarmClosures()
-	perRoot := make([][]InstanceGraph, len(roots))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(roots) {
-					return
-				}
-				e := &enumerator{kb: kb, p: p, order: order, via: via, max: maxGraphs}
-				perRoot[i] = e.fromRoot(roots[i])
+	perRange := make([][]InstanceGraph, max(1, workers))
+	fanout.Run("repair-enumerate", len(roots), workers, nil, nil, func(part fanout.Part) {
+		var out []InstanceGraph
+		for _, root := range roots[part.Lo:part.Hi] {
+			e := &enumerator{kb: kb, p: p, order: order, via: via, max: maxGraphs - len(out)}
+			if maxGraphs == 0 {
+				e.max = 0
 			}
-		}()
-	}
-	wg.Wait()
-	var out []InstanceGraph
-	for _, gs := range perRoot {
-		out = append(out, gs...)
+			out = append(out, e.fromRoot(root)...)
+			if maxGraphs > 0 && len(out) >= maxGraphs {
+				break
+			}
+		}
+		perRange[part.Index] = out
+	})
+	out := perRange[0]
+	for _, gs := range perRange[1:] {
 		if maxGraphs > 0 && len(out) >= maxGraphs {
-			out = out[:maxGraphs]
 			break
 		}
+		out = append(out, gs...)
+	}
+	if maxGraphs > 0 && len(out) > maxGraphs {
+		out = out[:maxGraphs]
 	}
 	return out
 }

@@ -151,8 +151,8 @@ func (h *Histogram) Max() time.Duration {
 	return time.Duration(h.maxNS.Load())
 }
 
-// Merge adds o's observations into h — the shard-combining operation for
-// histograms kept per worker. o may be nil.
+// Merge adds o's observations into h — the range-combining operation for
+// histograms kept per fan-out range. o may be nil.
 func (h *Histogram) Merge(o *Histogram) {
 	if h == nil || o == nil {
 		return

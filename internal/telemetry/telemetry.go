@@ -1,8 +1,8 @@
 // Package telemetry instruments the KATARA pipeline: wall-clock timers for
 // the pipeline stages (discover → validate → annotate → repair), monotonic
 // counters for the quantities the paper's cost model cares about (crowd
-// questions, KB lookups, instance graphs enumerated), and a pluggable
-// Tracer hook for live observation.
+// questions, KB lookups, instance graphs enumerated), latency histograms
+// and a span journal for live observation.
 //
 // The instrument is a *Pipeline. A nil *Pipeline is the disabled instrument:
 // every method is safe to call on it and does nothing, without allocating,
@@ -13,9 +13,9 @@
 //	tel.EndStage(telemetry.StageAnnotate, start)
 //	tel.Inc(telemetry.CrowdQuestions)
 //
-// Counters use atomics, so one Pipeline may be shared by the worker pools of
-// the parallel stages (discovery sharding, annotation coverage fan-out,
-// repair index construction).
+// Counters use atomics, so one Pipeline may be shared across goroutines; the
+// parallel stages' fan-out ranges record into child pipelines that Merge
+// folds back after the join.
 package telemetry
 
 import (
@@ -39,7 +39,7 @@ const (
 	// KBLookups counts knowledge-base probes: per-cell label resolutions
 	// during candidate generation (Q_types/Q_rels) and per-tuple coverage
 	// evaluations during annotation. Parallel runs may probe more than
-	// serial ones (per-shard caches, speculative coverage precompute).
+	// serial ones (per-range caches, speculative coverage precompute).
 	KBLookups
 	// GraphsEnumerated counts instance graphs materialised into repair
 	// indexes (§6.2) — zero when cleaning an error-free table.
@@ -153,17 +153,6 @@ func (s Stage) String() string {
 	}
 }
 
-// Tracer observes stage boundaries as they happen. Implementations must be
-// fast and safe for use from the goroutine running the pipeline (stages are
-// entered and left by the orchestrating goroutine only, never by pool
-// workers).
-type Tracer interface {
-	// StageStart is called when the pipeline enters s.
-	StageStart(s Stage)
-	// StageEnd is called when the pipeline leaves s after d.
-	StageEnd(s Stage, d time.Duration)
-}
-
 // Pipeline accumulates one run's instrumentation. The zero value is ready to
 // use; nil means disabled.
 type Pipeline struct {
@@ -171,7 +160,6 @@ type Pipeline struct {
 	stageNS  [numStages]atomic.Int64
 	stageN   [numStages]atomic.Int64
 	hists    [numHists]Histogram
-	tracer   Tracer // optional; no-op when nil
 
 	// Span journal (trace.go). journal is attached before the run; the
 	// scope stack tracks pushed spans (run root, stages) so leaf spans from
@@ -189,12 +177,8 @@ type Pipeline struct {
 	stageSpans    [numStages]Span
 }
 
-// New returns an enabled Pipeline with the no-op tracer.
+// New returns an enabled Pipeline.
 func New() *Pipeline { return &Pipeline{} }
-
-// NewTraced returns an enabled Pipeline reporting stage boundaries to t
-// (nil t behaves like New).
-func NewTraced(t Tracer) *Pipeline { return &Pipeline{tracer: t} }
 
 // Inc adds 1 to counter c.
 func (p *Pipeline) Inc(c Counter) { p.Add(c, 1) }
@@ -217,7 +201,7 @@ func (p *Pipeline) Get(c Counter) int64 {
 
 // StartStage marks entry into s and returns the start time to hand back to
 // EndStage. Disabled pipelines return the zero Time. Stages are entered and
-// left by the orchestrating goroutine only (the Tracer contract); when a
+// left by the orchestrating goroutine only, never by fan-out workers; when a
 // journal is attached each stage also becomes a scoped span, so
 // sub-operation spans nest under it.
 func (p *Pipeline) StartStage(s Stage) time.Time {
@@ -230,9 +214,6 @@ func (p *Pipeline) StartStage(s Stage) time.Time {
 	p.curStagePlus1.Store(int32(s) + 1)
 	if p.journal != nil {
 		p.stageSpans[s] = p.PushSpan(s.String())
-	}
-	if p.tracer != nil {
-		p.tracer.StageStart(s)
 	}
 	return time.Now()
 }
@@ -263,9 +244,6 @@ func (p *Pipeline) EndStage(s Stage, start time.Time) {
 	}
 	p.curStagePlus1.Store(cur)
 	p.spanMu.Unlock()
-	if p.tracer != nil {
-		p.tracer.StageEnd(s, d)
-	}
 }
 
 // CurrentStage returns the innermost active stage's name, or "" when the
@@ -283,12 +261,12 @@ func (p *Pipeline) CurrentStage() string {
 }
 
 // Merge folds o's counters, stage accumulators and histograms into p — the
-// shard-combining operation: each row-range shard of a sharded run records
-// into its own Pipeline, and the orchestrator merges them into the run's
-// pipeline once the fan-out joins. Span/journal state is not merged (shard
-// pipelines carry no journal). Safe when either side is nil or when o is
-// still being written by other goroutines (all state is atomic), though the
-// orchestrator merges only after its shards join.
+// range-combining operation: each range of a parallel stage's fan-out
+// records into its own Pipeline, and the fan-out merges them into the run's
+// pipeline once it joins. Span/journal state is not merged (range pipelines
+// carry no journal). Safe when either side is nil or when o is still being
+// written by other goroutines (all state is atomic), though the fan-out
+// merges only after its ranges join.
 func (p *Pipeline) Merge(o *Pipeline) {
 	if p == nil || o == nil {
 		return

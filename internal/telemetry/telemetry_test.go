@@ -82,30 +82,6 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 }
 
-type recordingTracer struct {
-	starts, ends []Stage
-}
-
-func (r *recordingTracer) StageStart(s Stage)                { r.starts = append(r.starts, s) }
-func (r *recordingTracer) StageEnd(s Stage, d time.Duration) { r.ends = append(r.ends, s) }
-
-func TestTracerSeesStageBoundaries(t *testing.T) {
-	tr := &recordingTracer{}
-	p := NewTraced(tr)
-	for _, s := range []Stage{StageDiscover, StageValidate, StageAnnotate, StageRepair} {
-		p.EndStage(s, p.StartStage(s))
-	}
-	want := []Stage{StageDiscover, StageValidate, StageAnnotate, StageRepair}
-	if len(tr.starts) != len(want) || len(tr.ends) != len(want) {
-		t.Fatalf("tracer saw %d starts / %d ends, want %d", len(tr.starts), len(tr.ends), len(want))
-	}
-	for i, s := range want {
-		if tr.starts[i] != s || tr.ends[i] != s {
-			t.Fatalf("boundary %d = start %v / end %v, want %v", i, tr.starts[i], tr.ends[i], s)
-		}
-	}
-}
-
 func TestSnapshotString(t *testing.T) {
 	p := New()
 	p.Add(CrowdQuestions, 12)

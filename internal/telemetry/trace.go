@@ -8,7 +8,7 @@
 //
 // Concurrency model: *scoped* spans (the run root and the pipeline stages)
 // are pushed and popped by the orchestrating goroutine only — the same
-// contract the Tracer interface already documents. *Leaf* spans
+// contract StartStage documents. *Leaf* spans
 // (StartSpan) may be created and ended from any goroutine; their parent is
 // whatever scoped span is current at creation time.
 //
@@ -184,7 +184,7 @@ func (s *Span) End() {
 
 // SetJournal attaches a span journal; nil detaches. Must be called before
 // the run starts (span creation races with journal swaps are not
-// synchronised, matching the Tracer contract).
+// synchronised).
 func (p *Pipeline) SetJournal(j *Journal) {
 	if p == nil {
 		return

@@ -69,8 +69,6 @@ type (
 	ValidationOracle = validation.Oracle
 	// FactOracle supplies ground truth for simulated fact verification.
 	FactOracle = annotation.FactOracle
-	// Tracer observes pipeline stage boundaries live (Options.Tracer).
-	Tracer = telemetry.Tracer
 	// TelemetryPipeline is the full instrumentation pipeline: counters,
 	// stage timers, latency histograms, spans. Construct with NewTelemetry
 	// and pass via Options.Pipeline when the caller needs to observe the run
@@ -213,27 +211,23 @@ type Options struct {
 	// "the cost can also be weighted with confidences on data values").
 	// Missing columns cost 1; default nil = unit costs everywhere.
 	RepairWeights map[int]float64
-	// Workers fans the embarrassingly parallel stages (candidate
-	// generation, per-tuple KB coverage, instance-graph enumeration,
-	// per-row top-k retrieval) out over this many goroutines. 0 or 1 runs
-	// serially; negative uses GOMAXPROCS. Results are identical for every
-	// value — crowd interaction always stays serial in row order.
+	// Workers is the run's parallelism: candidate generation, per-tuple KB
+	// coverage, instance-graph enumeration and per-row top-k retrieval each
+	// split their units into this many contiguous ranges, run on their own
+	// goroutines with per-range telemetry and provenance merged in range
+	// order. 0 or 1 runs serially; negative uses GOMAXPROCS. Reports and
+	// provenance journals are byte-identical for every value — crowd
+	// interaction always stays serial in row order.
 	Workers int
-	// Shards splits annotation coverage and repair retrieval into this many
-	// contiguous row-range shards, each with its own telemetry pipeline
-	// merged after the fan-out joins (see CleanShardedContext). 0 or 1 runs
-	// unsharded; negative uses GOMAXPROCS. Reports are byte-identical for
-	// every shard count — the propcheck `sharded ≡ unsharded` invariant.
+	// Shards is an alias of Workers kept for existing callers: the run uses
+	// the larger of the two (after resolving negatives to GOMAXPROCS).
 	Shards int
 	// Telemetry enables per-run instrumentation: Report.Timings carries
 	// stage wall-clocks and pipeline counters (default off; disabled
 	// instrumentation adds no overhead).
 	Telemetry bool
-	// Tracer streams stage boundaries as they happen; setting it implies
-	// Telemetry.
-	Tracer Tracer
 	// Pipeline, when non-nil, is the caller-owned instrumentation pipeline
-	// the run records into, taking precedence over Tracer and Telemetry.
+	// the run records into, taking precedence over Telemetry.
 	// Supplying it lets the caller attach a span journal or serve live
 	// /metrics while the run is in flight; Report.Timings still carries the
 	// end-of-run snapshot.
@@ -322,13 +316,17 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Workers < 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards < 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
+	o.Workers = max(parallelism(o.Workers), parallelism(o.Shards))
 	return o
+}
+
+// parallelism resolves a Workers/Shards value: negative means GOMAXPROCS,
+// and anything below 1 runs serially.
+func parallelism(n int) int {
+	if n < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(n, 1)
 }
 
 // trustingFacts is the nil-FactOracle policy: every missing fact is assumed
@@ -394,27 +392,7 @@ func (c *Cleaner) KB() *KB { return c.kb }
 
 // DiscoverPatterns returns the top-k table patterns for t (§4).
 func (c *Cleaner) DiscoverPatterns(t *Table) []*Pattern {
-	cands := c.candidates(t)
-	return discovery.TopK(cands, c.opts.TopK)
-}
-
-func (c *Cleaner) candidates(t *Table) *discovery.Candidates {
-	return c.generate(t, nil)
-}
-
-func (c *Cleaner) generate(t *Table, tel *telemetry.Pipeline) *discovery.Candidates {
-	dopts := discovery.Options{
-		Threshold:     c.opts.Threshold,
-		MaxCandidates: c.opts.MaxCandidates,
-		MaxRows:       c.opts.MaxRows,
-		MinSupport:    c.opts.MinSupport,
-		Telemetry:     tel,
-		Resolver:      c.resolver,
-	}
-	if c.opts.Workers > 1 {
-		return discovery.GenerateParallel(t, c.stats, dopts, c.opts.Workers)
-	}
-	return discovery.Generate(t, c.stats, dopts)
+	return discovery.TopK(c.generate(t, c.stats, c.resolver, nil), c.opts.TopK)
 }
 
 // ValidatePattern selects one pattern from candidates via the crowd (§5).
@@ -456,16 +434,11 @@ func (c *Cleaner) validatePattern(ctx context.Context, t *Table, candidates []*P
 
 // Annotate labels every tuple of t against pattern p (§6.1).
 func (c *Cleaner) Annotate(t *Table, p *Pattern) *annotation.Result {
-	return c.annotate(context.Background(), t, p, nil)
+	return c.annotator(context.Background(), p, nil).Annotate(t)
 }
 
-func (c *Cleaner) annotate(ctx context.Context, t *Table, p *Pattern, tel *telemetry.Pipeline) *annotation.Result {
-	return c.annotator(ctx, p, tel).Annotate(t)
-}
-
-// annotator assembles the §6.1 annotator for one run; shared by the
-// unsharded path (Annotate) and the shard orchestrator (EvaluateCoverage +
-// AnnotateWith).
+// annotator assembles the §6.1 annotator for one run at the run's
+// parallelism; shared by Annotate, runClean and the incremental delta pass.
 func (c *Cleaner) annotator(ctx context.Context, p *Pattern, tel *telemetry.Pipeline) *annotation.Annotator {
 	oracle := c.opts.FactOracle
 	if oracle == nil {
@@ -489,11 +462,7 @@ func (c *Cleaner) annotator(ctx context.Context, p *Pattern, tel *telemetry.Pipe
 
 // Repairs generates top-k possible repairs for the given rows of t (§6.2).
 func (c *Cleaner) Repairs(t *Table, p *Pattern, rows []int) map[int][]Repair {
-	return c.repairs(t, p, rows, nil)
-}
-
-func (c *Cleaner) repairs(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline) map[int][]Repair {
-	return c.repairsSharded(t, p, rows, tel, 1)
+	return c.repairs(t, p, rows, nil, nil, nil)
 }
 
 // Report is the outcome of an end-to-end Clean run.
@@ -516,7 +485,7 @@ type Report struct {
 	// policy; its zero value means the run completed normally.
 	Degraded DegradeReport
 	// Timings holds the run's stage wall-clocks and pipeline counters; nil
-	// unless Options.Telemetry (or Options.Tracer) is set.
+	// unless Options.Telemetry (or Options.Pipeline) is set.
 	Timings *Timings
 	// Provenance is the run's evidence-lineage recorder; nil unless
 	// Options.Provenance was set.
@@ -554,11 +523,10 @@ func (c *Cleaner) Clean(t *Table) (*Report, error) {
 // Exhausting either never aborts the run: the configured
 // graceful-degradation policies take over (top-scored pattern, trust-KB or
 // mark-unknown annotation, skipped repairs) and Report.Degraded records
-// exactly which decisions degraded. Execution fans out across
-// Options.Shards row-range shards (see CleanShardedContext); the report is
-// identical for every shard count.
+// exactly which decisions degraded. The parallel stages fan out at
+// Options.Workers; the report is identical for every value.
 func (c *Cleaner) CleanContext(ctx context.Context, t *Table) (*Report, error) {
-	return c.runClean(ctx, t, c.opts.Shards)
+	return c.runClean(ctx, t)
 }
 
 // BestKB picks, among several KBs, the one whose top discovered pattern

@@ -73,7 +73,7 @@ func main() {
 	}
 	write(os.Args[2], map[string]any{
 		"table":  tableDoc{Name: "smoke", Columns: recs[0], Rows: recs[1:]},
-		"params": map[string]any{"shards": 2},
+		"params": map[string]any{"workers": 2},
 	})
 	write(os.Args[3], map[string]any{"rows": recs[1:6]})
 	bad := make([]string, len(recs[1])+1)

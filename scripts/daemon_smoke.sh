@@ -62,7 +62,7 @@ echo "daemon-smoke: kload burst ($JOBS jobs, $CONCURRENCY concurrent)"
 "$WORK/kload" \
     -addr "$ADDR" \
     -in "$WORK/RelationalTables/Soccer.dirty.csv" \
-    -jobs "$JOBS" -concurrency "$CONCURRENCY" -shards 4
+    -jobs "$JOBS" -concurrency "$CONCURRENCY" -workers 4
 
 # Post-burst exposition must still be promlint-clean and carry both the
 # pipeline and the daemon job-accounting families.

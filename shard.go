@@ -1,145 +1,63 @@
-// Row-range sharded execution: the job/shard orchestration extracted from
-// CleanContext so one machine can clean the paper's full-scale tables (§2
-// clamped Person to 5K rows because 316K "needed a 30-machine cluster").
+// Pipeline orchestration: runClean drives discover → validate → annotate →
+// repair for CleanContext, fanning the embarrassingly parallel stages out at
+// the run's one parallelism value (Options.Workers) through internal/fanout.
 //
 // The split follows the stages' data dependencies:
 //
-//   - pattern discovery runs ONCE over the table (its own MaxRows cap is the
-//     sample the paper describes) — sharding never changes the pattern;
+//   - candidate generation collects per-row KB evidence over contiguous row
+//     ranges, then scores the whole table once — the pattern never depends
+//     on the parallelism;
 //   - pattern validation runs ONCE — it is crowd-serial by construction;
 //   - annotation's step-1 KB coverage (§6.1) is a pure function of the
-//     read-only KB and one tuple, so it fans out across N contiguous
-//     row-range shards; step 2 (crowd consultation + enrichment) stays
-//     serial in global row order, fed the precomputed coverage;
-//   - repair index construction runs ONCE (deterministic), then per-row
-//     top-k retrieval fans out across row-range shards of the erroneous
-//     rows; the result map is keyed by row, so the merge is order-free.
+//     read-only KB and one tuple, so it fans out across contiguous ranges;
+//     step 2 (crowd consultation + enrichment) stays serial in global row
+//     order, fed the precomputed coverage;
+//   - repair index construction fans instance-graph enumeration out by root
+//     resource and merges in root order, then per-row top-k retrieval fans
+//     out across ranges of the erroneous rows; the result map is keyed by
+//     row, so the merge is order-free.
 //
-// Each shard records into its own telemetry.Pipeline; the orchestrator
-// merges them into the run's pipeline (counters, stage timers and the
-// mergeable latency histograms) after the fan-out joins. Because everything
-// the crowd, the budget accounting and KB enrichment can observe happens in
-// the same serial order for every shard count, reports are byte-identical
-// across shard counts — the propcheck `sharded ≡ unsharded` invariant
-// (DESIGN.md §13).
+// Each range records into its own child telemetry pipeline and provenance
+// recorder, merged in range order after the fan-out joins. Because
+// everything the crowd, the budget accounting and KB enrichment can observe
+// happens in the same serial order at every parallelism, reports and
+// provenance journals are byte-identical across parallelism values — the
+// propcheck matrix invariant (DESIGN.md §13).
 package katara
 
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
-	"katara/internal/annotation"
 	"katara/internal/crowd"
 	"katara/internal/discovery"
-	"katara/internal/pattern"
+	"katara/internal/fanout"
+	"katara/internal/kbstats"
 	"katara/internal/provenance"
 	"katara/internal/repair"
+	"katara/internal/resolve"
 	"katara/internal/table"
 	"katara/internal/telemetry"
 )
 
-// PanicError is a panic recovered from a shard goroutine, carrying the
-// original goroutine's stack. The orchestrator re-raises it on the calling
-// goroutine after the fan-out barrier joins — so a panic in one shard never
-// leaks a goroutine or deadlocks the merge, and callers that isolate panics
-// (the job server) can preserve the true origin stack instead of the
-// re-raise site's.
-type PanicError struct {
-	Value any
-	Stack string
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("panic in shard worker: %v", e.Value)
-}
-
-// ShardPanicHook is a test seam: when non-nil it runs at the top of every
-// shard goroutine with the shard index, letting tests inject a panic inside
-// a real shard worker. Exported because the job-server tests live in a
-// package that cannot be imported from here; never set outside tests.
-var ShardPanicHook func(shard int)
-
-// runShardGuarded runs one shard's work with panic capture: the first
-// panicking shard parks a *PanicError in first, the rest are dropped, and
-// the goroutine returns normally so the WaitGroup barrier always joins.
-func runShardGuarded(first *atomic.Pointer[PanicError], shard int, f func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			first.CompareAndSwap(nil, &PanicError{Value: r, Stack: string(debug.Stack())})
-		}
-	}()
-	if h := ShardPanicHook; h != nil {
-		h(shard)
-	}
-	f()
-}
-
-// rethrow re-raises a captured shard panic on the caller, after the barrier.
-func rethrow(first *atomic.Pointer[PanicError]) {
-	if pe := first.Load(); pe != nil {
-		panic(pe)
-	}
-}
-
-// CleanSharded is Clean with annotation coverage and repair retrieval fanned
-// out across shards row-range shards (0 or 1 = unsharded, negative =
-// GOMAXPROCS). The report is byte-identical to Clean's for every shard
-// count.
-func (c *Cleaner) CleanSharded(t *Table, shards int) (*Report, error) {
-	return c.CleanShardedContext(context.Background(), t, shards)
-}
-
-// CleanShardedContext is CleanContext with an explicit shard count,
-// overriding Options.Shards for this run.
-func (c *Cleaner) CleanShardedContext(ctx context.Context, t *Table, shards int) (*Report, error) {
-	return c.runClean(ctx, t, shards)
-}
-
 // runClean is the pipeline orchestrator: telemetry/budget/deadline setup,
-// discover → validate → annotate → repair with the annotate/repair stages
-// sharded across row ranges, and the end-of-run accounting.
-func (c *Cleaner) runClean(ctx context.Context, t *Table, shards int) (*Report, error) {
+// discover → validate → annotate → repair, and the end-of-run accounting.
+func (c *Cleaner) runClean(ctx context.Context, t *Table) (*Report, error) {
 	if t == nil || t.NumRows() == 0 {
 		return nil, fmt.Errorf("katara: empty table")
 	}
-	shards = resolveShards(shards)
 	if c.opts.Incremental {
 		// Snapshot the pristine KB and open a fresh session before the
 		// pipeline can enrich anything; captureSession below records the
 		// outcome Append/ApplyKBDelta extend.
-		c.beginIncremental(t, shards)
+		c.beginIncremental(t)
 	}
-	var tel *telemetry.Pipeline
-	switch {
-	case c.opts.Pipeline != nil:
-		tel = c.opts.Pipeline
-	case c.opts.Tracer != nil:
-		tel = telemetry.NewTraced(c.opts.Tracer)
-	case c.opts.Telemetry:
-		tel = telemetry.New()
-	}
-	c.crowd.SetTelemetry(tel)
-	defer c.crowd.SetTelemetry(nil)
-	c.resolver.SetTelemetry(tel)
-	defer c.resolver.SetTelemetry(nil)
 	// Evidence lineage (Options.Provenance): the recorder is reset per run
 	// and attached to the crowd so every question's votes are captured.
 	rec := c.opts.Provenance
 	rec.Reset()
-	c.crowd.SetProvenance(rec)
-	defer c.crowd.SetProvenance(nil)
-	if c.opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.Deadline)
-		defer cancel()
-	}
-	if c.opts.Budget > 0 || c.opts.BudgetAssignments > 0 {
-		c.crowd.SetBudget(crowd.NewBudget(c.opts.Budget, c.opts.BudgetAssignments))
-		defer c.crowd.SetBudget(nil)
-	}
+	ctx, tel, done := c.startRun(ctx)
+	defer done()
 
 	// The resolver cache outlives individual runs; diff its counters so the
 	// run's snapshot reports only this run's hits and misses.
@@ -150,7 +68,7 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table, shards int) (*Report, 
 	root := tel.PushSpan("clean")
 	root.SetStr("table", t.Name)
 	root.SetInt("rows", int64(t.NumRows()))
-	root.SetInt("shards", int64(shards))
+	root.SetInt("workers", int64(c.opts.Workers))
 
 	// Distinct-signature view (Options.Dedup, default on): built fresh per
 	// run — never cached on the Table, whose Rows callers mutate directly
@@ -175,7 +93,7 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table, shards int) (*Report, 
 	}
 
 	start := tel.StartStage(telemetry.StageDiscover)
-	cands := c.generate(t, tel)
+	cands := c.generate(t, c.stats, c.resolver, tel)
 	candidates := discovery.TopK(cands, c.opts.TopK)
 	tel.EndStage(telemetry.StageDiscover, start)
 	if len(candidates) == 0 {
@@ -205,7 +123,15 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table, shards int) (*Report, 
 	}
 	tel.EndStage(telemetry.StageValidate, start)
 	start = tel.StartStage(telemetry.StageAnnotate)
-	res := c.annotateSharded(ctx, t, p, tel, shards, in)
+	ann := c.annotator(ctx, p, tel)
+	ann.Interned = in
+	if c.opts.Incremental && c.session != nil {
+		// Carry the memo state (questions, coverage, seen facts) on the
+		// session so a later Append's delta pass continues where this run
+		// left off.
+		ann.Session = c.session.ann
+	}
+	res := ann.Annotate(t)
 	tel.EndStage(telemetry.StageAnnotate, start)
 	rep.Pattern = p
 	rep.Annotations = res.Tuples
@@ -217,7 +143,7 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table, shards int) (*Report, 
 		tel.Inc(telemetry.DegradedDecisions)
 	} else {
 		start = tel.StartStage(telemetry.StageRepair)
-		rep.Repairs = c.repairsShardedProv(t, p, res.Errors(), tel, shards, in, rec)
+		rep.Repairs = c.repairs(t, p, res.Errors(), tel, in, rec)
 		tel.EndStage(telemetry.StageRepair, start)
 	}
 	rep.Crowd = c.crowd.Stats()
@@ -235,132 +161,52 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table, shards int) (*Report, 
 	return rep, nil
 }
 
-// resolveShards normalizes a shard count: 0 and 1 mean unsharded, negative
-// means GOMAXPROCS (via Options.withDefaults' convention).
-func resolveShards(shards int) int {
-	if shards < 0 {
-		shards = Options{Shards: shards}.withDefaults().Shards
+// startRun attaches the run's instruments — the telemetry pipeline (the
+// caller's Options.Pipeline, a fresh one under Options.Telemetry, or nil) and
+// the provenance recorder — to the crowd and resolver, and applies the
+// deadline and crowd budget. The returned func detaches them again.
+func (c *Cleaner) startRun(ctx context.Context) (context.Context, *telemetry.Pipeline, func()) {
+	tel := c.opts.Pipeline
+	if tel == nil && c.opts.Telemetry {
+		tel = telemetry.New()
 	}
-	if shards < 1 {
-		shards = 1
+	cr, res := c.crowd, c.resolver
+	cr.SetTelemetry(tel)
+	res.SetTelemetry(tel)
+	cr.SetProvenance(c.opts.Provenance)
+	cancel := context.CancelFunc(func() {})
+	if c.opts.Deadline > 0 {
+		ctx, cancel = context.WithTimeout(ctx, c.opts.Deadline)
 	}
-	return shards
-}
-
-// shardRange is one contiguous row range [Lo, Hi).
-type shardRange struct{ Lo, Hi int }
-
-// shardRanges splits n rows into at most shards contiguous ranges of
-// near-equal size (the first n%shards ranges take one extra row). Empty
-// ranges are never produced.
-func shardRanges(n, shards int) []shardRange {
-	if shards > n {
-		shards = n
+	budget := c.opts.Budget > 0 || c.opts.BudgetAssignments > 0
+	if budget {
+		cr.SetBudget(crowd.NewBudget(c.opts.Budget, c.opts.BudgetAssignments))
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	out := make([]shardRange, 0, shards)
-	base, extra := n/shards, n%shards
-	lo := 0
-	for i := 0; i < shards; i++ {
-		size := base
-		if i < extra {
-			size++
+	return ctx, tel, func() {
+		if budget {
+			cr.SetBudget(nil)
 		}
-		if size == 0 {
-			continue
-		}
-		out = append(out, shardRange{Lo: lo, Hi: lo + size})
-		lo += size
+		cancel()
+		cr.SetProvenance(nil)
+		res.SetTelemetry(nil)
+		cr.SetTelemetry(nil)
 	}
-	return out
 }
 
-// shardPipelines returns one child pipeline per range when the run is
-// instrumented, or all-nil children when it is not (nil *Pipeline is the
-// disabled instrument).
-func shardPipelines(tel *telemetry.Pipeline, n int) []*telemetry.Pipeline {
-	children := make([]*telemetry.Pipeline, n)
-	if tel == nil {
-		return children
-	}
-	for i := range children {
-		children[i] = telemetry.New()
-	}
-	return children
+// generate runs candidate generation (§4.1) over t against stats and
+// resolver, fanned out at the run's parallelism.
+func (c *Cleaner) generate(t *Table, stats *kbstats.Stats, resolver *resolve.Cache, tel *telemetry.Pipeline) *discovery.Candidates {
+	return discovery.GenerateParallel(t, stats, discovery.Options{
+		Threshold:     c.opts.Threshold,
+		MaxCandidates: c.opts.MaxCandidates,
+		MaxRows:       c.opts.MaxRows,
+		MinSupport:    c.opts.MinSupport,
+		Telemetry:     tel,
+		Resolver:      resolver,
+	}, c.opts.Workers)
 }
 
-// annotateSharded is the sharded §6.1 stage: step-1 KB coverage fans out
-// across contiguous shards (each with its own telemetry pipeline, merged
-// after the join), then the crowd-serial step 2 consumes the precomputed
-// coverage in global row order. With an interned view the shard unit is the
-// distinct signature group — each group's representative is evaluated once
-// and the Match fanned out to every duplicate row — otherwise it is the raw
-// row range. For shards <= 1 it falls back to the unsharded annotator
-// (whose Workers pool remains available, itself group-aware under dedup).
-func (c *Cleaner) annotateSharded(ctx context.Context, t *Table, p *Pattern, tel *telemetry.Pipeline, shards int, in *table.Interned) *annotation.Result {
-	ann := c.annotator(ctx, p, tel)
-	ann.Interned = in
-	if c.opts.Incremental && c.session != nil {
-		// Carry the memo state (questions, coverage, seen facts) on the
-		// session so a later Append's delta pass continues where this run
-		// left off.
-		ann.Session = c.session.ann
-	}
-	n := t.NumRows()
-	units := n
-	if in != nil {
-		units = in.NumGroups()
-	}
-	if shards <= 1 || units < 2*shards {
-		return ann.Annotate(t)
-	}
-	// Coverage workers only read the KB: force the lazily-memoised
-	// hierarchy closures before the fan-out.
-	c.kb.WarmClosures()
-	matches := make([]*pattern.Match, n)
-	ranges := shardRanges(units, shards)
-	children := shardPipelines(tel, len(ranges))
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[PanicError]
-	for i, rg := range ranges {
-		wg.Add(1)
-		go func(shard int, rg shardRange, child *telemetry.Pipeline) {
-			defer wg.Done()
-			runShardGuarded(&panicked, shard, func() {
-				if in != nil {
-					ann.EvaluateCoverageGroups(t, in.Groups(), rg.Lo, rg.Hi, matches, child)
-				} else {
-					ann.EvaluateCoverage(t, rg.Lo, rg.Hi, matches, child)
-				}
-			})
-		}(i, rg, children[i])
-	}
-	wg.Wait()
-	rethrow(&panicked)
-	for _, child := range children {
-		tel.Merge(child)
-	}
-	return ann.AnnotateWith(t, matches)
-}
-
-// repairsSharded is repairsShardedDedup without an interned view — the
-// public Repairs sub-API path, which takes caller-chosen row lists and
-// never dedups.
-func (c *Cleaner) repairsSharded(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline, shards int) map[int][]Repair {
-	return c.repairsShardedProv(t, p, rows, tel, shards, nil, nil)
-}
-
-// repairsShardedDedup is repairsShardedProv without provenance recording —
-// kept as the dedup-aware entry point for tests.
-func (c *Cleaner) repairsShardedDedup(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline, shards int, in *table.Interned) map[int][]Repair {
-	return c.repairsShardedProv(t, p, rows, tel, shards, in, nil)
-}
-
-// repairCandidates converts a ranked repair list to its provenance record —
-// shared by the batch retrieval paths below and the incremental
-// sessionRepairs path.
+// repairCandidates converts a ranked repair list to its provenance record.
 func repairCandidates(reps []Repair) []provenance.Candidate {
 	cands := make([]provenance.Candidate, len(reps))
 	for j, r := range reps {
@@ -373,19 +219,9 @@ func repairCandidates(reps []Repair) []provenance.Candidate {
 	return cands
 }
 
-// repairsShardedProv is the sharded §6.2 stage: the index is built once
-// (deterministic for every worker and shard count), then top-k retrieval
-// fans out across shards of the erroneous-row list, each shard recording
-// into its own telemetry pipeline through a shallow index view. With an
-// interned view, duplicate erroneous rows collapse onto one representative
-// per distinct signature — TopK is a pure function of the tuple's values
-// and the read-only index, so the ranked list is computed once and shared
-// by every duplicate. The merge is a map fill keyed by row — order-free.
-// With a provenance recorder, every ranked unit's candidate list is
-// captured: sharded retrieval records into per-shard child recorders merged
-// back in shard order (units are disjoint across shards, so the merged
-// state is deterministic regardless of completion order).
-func (c *Cleaner) repairsShardedProv(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline, shards int, in *table.Interned, rec *provenance.Recorder) map[int][]Repair {
+// repairs is the batch §6.2 stage: build the index once, then rank the
+// given rows against it. nil when the pattern has no relationships.
+func (c *Cleaner) repairs(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline, in *table.Interned, rec *provenance.Recorder) map[int][]Repair {
 	if len(p.Edges) == 0 {
 		return nil // no relationships: repairs are undefined (§7.4)
 	}
@@ -396,143 +232,78 @@ func (c *Cleaner) repairsShardedProv(t *Table, p *Pattern, rows []int, tel *tele
 		// the rest of the pipeline.
 		return out
 	}
+	c.rankRepairs(c.buildRepairIndex(p, tel), t, rows, in, tel, rec, out)
+	return out
+}
+
+// buildRepairIndex enumerates the instance graphs of p (deterministic at
+// every parallelism) and builds the inverted lists, timed as the
+// build-index stage.
+func (c *Cleaner) buildRepairIndex(p *Pattern, tel *telemetry.Pipeline) *repair.Index {
 	start := tel.StartStage(telemetry.StageBuildIndex)
-	ix := repair.BuildIndex(c.kb, p, repair.Options{
+	defer tel.EndStage(telemetry.StageBuildIndex, start)
+	return repair.BuildIndex(c.kb, p, repair.Options{
 		MaxGraphs: c.opts.RepairMaxGraphs,
 		Weights:   c.opts.RepairWeights,
 		Workers:   c.opts.Workers,
 		Telemetry: tel,
 	})
-	tel.EndStage(telemetry.StageBuildIndex, start)
+}
 
-	// lookup holds the rows actually ranked (one representative per distinct
-	// signature under dedup, every in-range row otherwise, first-occurrence
-	// order either way); slot maps each input row to its lookup index, -1
-	// for out-of-range rows.
-	lookup := make([]int, 0, len(rows))
-	slot := make([]int, len(rows))
-	if in != nil && in.NumRows() == t.NumRows() {
-		seen := make(map[int]int)
-		for i, row := range rows {
-			if row < 0 || row >= t.NumRows() {
-				slot[i] = -1
-				continue
-			}
-			g := in.GroupOf(row)
-			li, ok := seen[g]
-			if !ok {
-				li = len(lookup)
-				seen[g] = li
-				lookup = append(lookup, row)
-			}
-			slot[i] = li
-		}
-	} else {
-		for i, row := range rows {
-			if row < 0 || row >= t.NumRows() {
-				slot[i] = -1
-				continue
-			}
-			slot[i] = len(lookup)
-			lookup = append(lookup, row)
-		}
+// rankRepairs fills out with the top-k repairs of every in-range row of
+// rows against ix — shared by the batch stage and incremental sessions.
+// With an interned view of t, duplicate rows collapse onto one ranking per
+// distinct signature: TopK is a pure function of the tuple's values and the
+// read-only index, so the ranked list is computed once and shared by every
+// duplicate. Ranking fans out over contiguous ranges of the distinct rows,
+// each recording into its own child pipeline (through a shallow index view)
+// and child provenance recorder; the provenance record is the ranked
+// candidate list per decision unit (the signature group under dedup, the row
+// otherwise).
+func (c *Cleaner) rankRepairs(ix *repair.Index, t *Table, rows []int, in *table.Interned, tel *telemetry.Pipeline, rec *provenance.Recorder, out map[int][]Repair) {
+	if in != nil && in.NumRows() != t.NumRows() {
+		in = nil
 	}
-
-	// Provenance: record the ranked candidate list per decision unit (the
-	// signature group under dedup, the row itself otherwise). Conversions
-	// are built only when recording is on — the disabled path stays
-	// allocation-free.
 	unitOf := func(row int) int {
-		if in != nil && in.NumRows() == t.NumRows() {
+		if in != nil {
 			return in.GroupOf(row)
 		}
 		return row
 	}
-	toCands := repairCandidates
-
-	perRow := make([][]Repair, len(lookup))
-	switch {
-	case shards > 1 && len(lookup) >= 2:
-		ranges := shardRanges(len(lookup), shards)
-		children := shardPipelines(tel, len(ranges))
-		var provChildren []*provenance.Recorder
-		if rec.Enabled() {
-			provChildren = make([]*provenance.Recorder, len(ranges))
-			for i := range provChildren {
-				provChildren[i] = rec.Child()
-			}
+	// lookup holds the rows actually ranked (the first row of each decision
+	// unit, in first-occurrence order); slot maps each input row to its
+	// lookup index, -1 for out-of-range rows.
+	lookup := make([]int, 0, len(rows))
+	slot := make([]int, len(rows))
+	seen := make(map[int]int)
+	for i, row := range rows {
+		if row < 0 || row >= t.NumRows() {
+			slot[i] = -1
+			continue
 		}
-		var wg sync.WaitGroup
-		var panicked atomic.Pointer[PanicError]
-		for i, rg := range ranges {
-			wg.Add(1)
-			go func(shard int, rg shardRange, child *telemetry.Pipeline) {
-				defer wg.Done()
-				runShardGuarded(&panicked, shard, func() {
-					ixs := ix.WithTelemetry(child)
-					for i := rg.Lo; i < rg.Hi; i++ {
-						reps, considered := ixs.TopKStats(t.Rows[lookup[i]], c.opts.RepairK)
-						perRow[i] = reps
-						if provChildren != nil {
-							provChildren[shard].RecordRepair(unitOf(lookup[i]), considered, toCands(reps))
-						}
-					}
-				})
-			}(i, rg, children[i])
+		u := unitOf(row)
+		li, ok := seen[u]
+		if !ok {
+			li = len(lookup)
+			seen[u] = li
+			lookup = append(lookup, row)
 		}
-		wg.Wait()
-		rethrow(&panicked)
-		for _, child := range children {
-			tel.Merge(child)
-		}
-		// Units are disjoint across shards, so merging children in shard
-		// order yields the same recorder state regardless of which
-		// goroutine finished first.
-		for _, pc := range provChildren {
-			rec.Merge(pc)
-		}
-	case c.opts.Workers > 1 && len(lookup) >= 2*c.opts.Workers:
-		// Per-row retrieval is independent and the index is read-only:
-		// work-steal across the worker pool, keyed by lookup index. The
-		// recorder is mutex-guarded and repair records are keyed by unit,
-		// so direct recording is race-free and order-independent.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var panicked atomic.Pointer[PanicError]
-		for w := 0; w < c.opts.Workers; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				runShardGuarded(&panicked, worker, func() {
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(lookup) {
-							return
-						}
-						reps, considered := ix.TopKStats(t.Rows[lookup[i]], c.opts.RepairK)
-						perRow[i] = reps
-						if rec.Enabled() {
-							rec.RecordRepair(unitOf(lookup[i]), considered, toCands(reps))
-						}
-					}
-				})
-			}(w)
-		}
-		wg.Wait()
-		rethrow(&panicked)
-	default:
-		for i, row := range lookup {
-			reps, considered := ix.TopKStats(t.Rows[row], c.opts.RepairK)
-			perRow[i] = reps
-			if rec.Enabled() {
-				rec.RecordRepair(unitOf(row), considered, toCands(reps))
-			}
-		}
+		slot[i] = li
 	}
+	perRow := make([][]Repair, len(lookup))
+	fanout.Run("repair-rank", len(lookup), c.opts.Workers, tel, rec, func(part fanout.Part) {
+		ixp := ix.WithTelemetry(part.Tel)
+		for i := part.Lo; i < part.Hi; i++ {
+			reps, considered := ixp.TopKStats(t.Rows[lookup[i]], c.opts.RepairK)
+			perRow[i] = reps
+			if part.Prov.Enabled() {
+				part.Prov.RecordRepair(unitOf(lookup[i]), considered, repairCandidates(reps))
+			}
+		}
+	})
 	for i, row := range rows {
 		if slot[i] >= 0 {
 			out[row] = perRow[slot[i]]
 		}
 	}
-	return out
 }

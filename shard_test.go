@@ -49,8 +49,8 @@ func stripTimings(r *Report) *Report {
 	return &cp
 }
 
-// TestShardedMatchesUnsharded is the root-level `sharded(T, N) ≡
-// unsharded(T)` invariant: for every shard count the full report — pattern,
+// TestShardedMatchesUnsharded is the root-level `parallel(T, N) ≡
+// serial(T)` invariant: for every parallelism the full report — pattern,
 // annotations, enrichment facts, repairs, crowd accounting, degradation
 // flags — is identical. (The propcheck harness re-proves this byte-for-byte
 // on canonical serializations; this test keeps the property one `go test ./`
@@ -66,7 +66,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		t.Fatal("fixture produced no repairs; the invariant would be vacuous")
 	}
 	for _, shards := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0), 97} {
-		got, err := newCleaner(Options{Telemetry: true}).CleanSharded(dirty, shards)
+		got, err := newCleaner(Options{Workers: shards, Telemetry: true}).Clean(dirty)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -88,8 +88,8 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardsOptionWired: Options.Shards drives CleanContext the same way an
-// explicit CleanSharded count does, and negative means GOMAXPROCS.
+// TestShardsOptionWired: Options.Shards is an alias of Workers — it drives
+// the run the same way, and negative means GOMAXPROCS.
 func TestShardsOptionWired(t *testing.T) {
 	dirty, newCleaner := shardFixture(t, 200)
 	want, err := newCleaner(Options{}).Clean(dirty)
@@ -127,45 +127,6 @@ func TestShardedDeadlineDegrades(t *testing.T) {
 	}
 }
 
-// TestShardRanges checks the row partitioner: full cover, contiguity,
-// near-equal balance, and sane clamping at the edges.
-func TestShardRanges(t *testing.T) {
-	cases := []struct {
-		n, shards, want int
-	}{
-		{10, 3, 3}, {10, 1, 1}, {10, 10, 10}, {3, 8, 3},
-		{1, 4, 1}, {10, 0, 1}, {10, -2, 1}, {1000, 7, 7},
-	}
-	for _, c := range cases {
-		ranges := shardRanges(c.n, c.shards)
-		if len(ranges) != c.want {
-			t.Errorf("shardRanges(%d, %d) = %d ranges, want %d", c.n, c.shards, len(ranges), c.want)
-			continue
-		}
-		lo := 0
-		for _, rg := range ranges {
-			if rg.Lo != lo || rg.Hi <= rg.Lo {
-				t.Fatalf("shardRanges(%d, %d): bad range %+v at lo=%d", c.n, c.shards, rg, lo)
-			}
-			lo = rg.Hi
-		}
-		if lo != c.n {
-			t.Errorf("shardRanges(%d, %d) covers %d rows", c.n, c.shards, lo)
-		}
-		min, max := c.n, 0
-		for _, rg := range ranges {
-			if s := rg.Hi - rg.Lo; s < min {
-				min = s
-			} else if s > max {
-				max = s
-			}
-		}
-		if max > 0 && max-min > 1 {
-			t.Errorf("shardRanges(%d, %d): imbalance min=%d max=%d", c.n, c.shards, min, max)
-		}
-	}
-}
-
 // TestShardedPersonScale pushes a sharded clean over a table an order of
 // magnitude beyond the default workload — the single-machine stand-in for
 // the paper's 316K-row Person run that originally needed a 30-machine
@@ -175,8 +136,7 @@ func TestShardedPersonScale(t *testing.T) {
 		t.Skip("large sharded run skipped with -short")
 	}
 	dirty, newCleaner := shardFixture(t, 20000)
-	rep, err := newCleaner(Options{Workers: runtime.GOMAXPROCS(0)}).
-		CleanSharded(dirty, runtime.GOMAXPROCS(0))
+	rep, err := newCleaner(Options{Workers: runtime.GOMAXPROCS(0)}).Clean(dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
