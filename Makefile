@@ -15,12 +15,18 @@ BENCH_TIME ?= 200ms
 # pathological regression (dedup silently off, per-row KB scans) trips it.
 FULLSCALE_CEILING ?= 120s
 
+# bench-compare: the base revision, workload and seed range (at least ten
+# seeds: one alternating base/change pair each) of a same-machine A/B.
+BASE ?= HEAD
+WORKLOAD ?= person316k
+SEEDS ?= 111-120
+
 # Fuzz budget per target for fuzz-smoke, and where the coverage profile lands.
 FUZZTIME ?= 30s
 COVER_OUT ?= coverage.out
 
-.PHONY: all build vet test race bench bench-smoke bench-save bench-test obs-smoke \
-	daemon-smoke chaos-smoke append-smoke fuzz-smoke cover cover-check check
+.PHONY: all build vet test race bench bench-smoke bench-save bench-test bench-compare \
+	obs-smoke daemon-smoke chaos-smoke append-smoke fuzz-smoke cover cover-check check
 
 all: check
 
@@ -52,6 +58,12 @@ bench-smoke:
 # run every workload at tiny sizes, traced and untraced (~10s).
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Same-machine A/B of the benchmark of record, the working tree against
+# $(BASE): alternating 25 s pairs over $(SEEDS), then `bench/run.sh compare`
+# (see scripts/bench_compare.sh; about a minute per pair on person316k).
+bench-compare:
+	./scripts/bench_compare.sh $(BASE) $(WORKLOAD) $(SEEDS)
 
 # Record the benchmark trajectory point: parse `go test -json` output into
 # $(BENCH_OUT) (see DESIGN.md §10 for how to read it).

@@ -63,7 +63,9 @@ type Fact struct {
 	Object  string   // cell value, when !IsType
 }
 
-// TupleAnnotation is the per-tuple outcome.
+// TupleAnnotation is the per-tuple outcome. Duplicate rows of one signature
+// (and the step-1 Match they were decided from) share NodeByKB, EdgeByKB,
+// PathByKB and NewFacts: treat them as read-only, like Report.Repairs.
 type TupleAnnotation struct {
 	Row   int
 	Label Label
@@ -186,8 +188,9 @@ type Annotator struct {
 	// out over that many contiguous ranges; <= 1 evaluates serially. Crowd
 	// questions are always issued serially in row order, so question
 	// budgets, majority votes and enrichment stay deterministic: results are
-	// identical for every worker count. Once enrichment mutates the KB,
-	// precomputed coverage is stale and later rows are re-evaluated serially.
+	// identical for every worker count. Precomputed coverage survives
+	// enrichment: each Match carries the footprint it read, and only Matches
+	// an enrichment could have changed are re-evaluated, serially.
 	Workers int
 	// Telemetry receives the TuplesAnnotated / KBLookups / CrowdQuestions
 	// counters; nil disables instrumentation.
@@ -196,15 +199,19 @@ type Annotator struct {
 	// KB.MatchLabel calls — typically the resolve.Cache shared with discovery
 	// and repair. It must resolve against the same KB; enrichment mutations
 	// are picked up through the store's label generation, so cached coverage
-	// stays consistent with direct evaluation.
+	// stays consistent with direct evaluation. It also makes revalidating a
+	// Match after a label was minted cheap (one memo probe per typed value);
+	// without it such Matches are re-evaluated.
 	Resolver pattern.LabelSource
 	// Interned, when non-nil, is the distinct-signature view of the table
 	// being annotated (it must have been built from the same rows). Step-1
 	// KB coverage is then evaluated once per distinct signature and fanned
-	// out to duplicate rows, and crowd questions are memoized so one
-	// question answers every duplicate. Annotation outcomes are identical
-	// with or without it; only the question count (and therefore crowd cost)
-	// drops. The memo lives for one Annotate/AnnotateWith call.
+	// out to duplicate rows, crowd questions are memoized so one question
+	// answers every duplicate, and a signature's verdict is decided once and
+	// copied to later duplicates while its Match stays exact. Annotation
+	// outcomes are identical with or without it; only the question count
+	// (and therefore crowd cost) drops. The memo lives for one
+	// Annotate/AnnotateWith call, or for the Session when one is attached.
 	Interned *table.Interned
 
 	// Prov records each tuple's evidence lineage — the KB facts that
@@ -234,6 +241,13 @@ type Annotator struct {
 	// recorded under; negative while recording is off (disabled recorder,
 	// or a duplicate row whose unit already carries a settled record).
 	provUnit int
+
+	// cov is the coverage bookkeeping of the running pass; enrichment logs
+	// its KB mutations there.
+	cov *coverage
+	// asks counts crowd checks (memo hits included), so a verdict knows how
+	// many deduplicated questions a replay stands for.
+	asks int
 }
 
 // questionKey identifies one crowd check for the dedup memo.
@@ -256,7 +270,72 @@ type memoAnswer struct {
 type Session struct {
 	qmemo     map[questionKey]memoAnswer
 	seenFacts map[string]bool
-	covMemo   []*pattern.Match
+	cov       *coverage
+}
+
+// coverage is the step-1 bookkeeping of one pass (or one session): the
+// per-signature memo, plus the log of the annotator's own KB mutations that
+// decides whether a memoised or precomputed Match is still exact (see
+// pattern.Match.Current).
+type coverage struct {
+	kb *rdf.Store
+	// known is the store's NumTriples when the annotator last looked: a
+	// different count at the start of a pass means the KB changed outside
+	// the annotator (a KB delta between session passes).
+	known int
+	// grown logs every triple the annotator added.
+	grown pattern.Growth
+	// groups is the per-signature memo, indexed by group (dedup only).
+	groups []groupMemo
+}
+
+// groupMemo is one signature's memoised coverage and verdict.
+type groupMemo struct {
+	m *pattern.Match
+	// checked / checkedLabels are the store's NumTriples and LabelGen when
+	// m was last confirmed exact, so each KB state is checked once per
+	// signature, not once per row.
+	checked       int
+	checkedLabels uint64
+	// v is the verdict decided from m, shared by every later duplicate
+	// while m stays exact; nil when none is reusable.
+	v *verdict
+}
+
+// verdict is one signature's decided annotation, replayed for duplicate
+// rows: the TupleAnnotation (Row aside), its Table 5 contribution and the
+// number of crowd checks the decision made — all answered from the question
+// memo when a duplicate re-decides, so they count as deduplicated questions.
+type verdict struct {
+	ta   TupleAnnotation
+	bd   Breakdown
+	asks int
+}
+
+// newCoverage returns empty bookkeeping for kb.
+func newCoverage(kb *rdf.Store) *coverage {
+	return &coverage{kb: kb, known: kb.NumTriples()}
+}
+
+// exact reports whether m still equals a fresh evaluation of tuple. g is
+// the signature memo holding m, or nil for a precomputed Match.
+func (a *Annotator) exact(m *pattern.Match, g *groupMemo, tuple []string, threshold float64) bool {
+	now, labelGen := a.KB.NumTriples(), a.KB.LabelGen()
+	fp := &m.Footprint
+	if fp.Triples == now || g != nil && g.checked == now {
+		return true
+	}
+	labelsMoved := fp.LabelGen != labelGen && (g == nil || g.checkedLabels != labelGen)
+	if labelsMoved && a.Resolver == nil {
+		return false // re-resolving through the store costs a full evaluation
+	}
+	if !m.Current(a.Pattern, a.KB, a.labels(), tuple, threshold, &a.cov.grown, labelsMoved) {
+		return false
+	}
+	if g != nil {
+		g.checked, g.checkedLabels = now, labelGen
+	}
+	return true
 }
 
 // labels returns the label-resolution source: the shared resolver when
@@ -282,10 +361,7 @@ func (a *Annotator) Annotate(tbl *table.Table) *Result {
 // KB.WarmClosures() before fanning out: the lazily-memoised hierarchy
 // closures must not be forced by racing workers.
 func (a *Annotator) EvaluateCoverage(tbl *table.Table, lo, hi int, out []*pattern.Match, tel *telemetry.Pipeline) {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = similarity.DefaultThreshold
-	}
+	threshold := a.threshold()
 	labels := a.labels()
 	if hi > tbl.NumRows() {
 		hi = tbl.NumRows()
@@ -305,10 +381,7 @@ func (a *Annotator) EvaluateCoverage(tbl *table.Table, lo, hi int, out []*patter
 // read-only. Disjoint group ranges may run concurrently, exactly like
 // EvaluateCoverage's row ranges.
 func (a *Annotator) EvaluateCoverageGroups(tbl *table.Table, groups []table.Group, lo, hi int, out []*pattern.Match, tel *telemetry.Pipeline) {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = similarity.DefaultThreshold
-	}
+	threshold := a.threshold()
 	labels := a.labels()
 	if hi > len(groups) {
 		hi = len(groups)
@@ -330,8 +403,10 @@ func (a *Annotator) EvaluateCoverageGroups(tbl *table.Table, groups []table.Grou
 // regardless of how matches was produced, which is the determinism
 // argument: a parallel run fans only the KB-pure coverage evaluation out
 // and feeds this same serial pass, so its report is byte-identical to the
-// serial run's. Once enrichment mutates the KB the precomputed coverage
-// is stale and later rows are re-evaluated inline.
+// serial run's. Enrichment does not discard the precomputed coverage: a
+// Match is used while its footprint shows no enrichment could have changed
+// it (pattern.Match.Current), and re-evaluated inline otherwise — so every
+// row sees exactly the coverage a fresh evaluation would give it.
 func (a *Annotator) AnnotateWith(tbl *table.Table, matches []*pattern.Match) *Result {
 	return a.AnnotateRange(tbl, matches, 0, tbl.NumRows())
 }
@@ -341,11 +416,20 @@ func (a *Annotator) AnnotateWith(tbl *table.Table, matches []*pattern.Match) *Re
 // with the Session carrying the base run's memo state so the pass is
 // observationally the suffix of one batch run over the merged table.
 func (a *Annotator) AnnotateRange(tbl *table.Table, matches []*pattern.Match, lo, hi int) *Result {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = similarity.DefaultThreshold
+	threshold := a.threshold()
+	if hi > tbl.NumRows() {
+		hi = tbl.NumRows()
 	}
 	res := &Result{}
+	if n := hi - lo; n > 0 {
+		// A session's later passes append their tuples to this pass's (they
+		// become the cumulative report's annotations): leave the headroom
+		// append's own growth would, so a small Append does not copy them all.
+		if a.Session != nil {
+			n += n / 4
+		}
+		res.Tuples = make([]TupleAnnotation, 0, n)
+	}
 	seenFacts := map[string]bool{}
 	if a.Session != nil {
 		if a.Session.seenFacts == nil {
@@ -353,37 +437,44 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, matches []*pattern.Match, lo
 		}
 		seenFacts = a.Session.seenFacts
 	}
-	enriched := false // KB mutated: precomputed coverage is stale
-	// Dedup mode: coverage memoized per distinct signature (invalidated
-	// whenever enrichment mutates the KB — a changed KB can change any
-	// signature's coverage) and crowd answers memoized per question for the
-	// duration of the pass (or the session, when one is attached). Outcomes
-	// are identical either way; only the question count drops.
+	// Coverage bookkeeping lives for the pass, or for the session when one
+	// is attached. A session whose KB moved between passes without the
+	// annotator (a KB delta) drops its memo: every memoised Match predates
+	// that change, which the mutation log cannot see.
+	cov := newCoverage(a.KB)
+	if a.Session != nil {
+		if s := a.Session.cov; s != nil && s.kb == a.KB {
+			cov = s
+			if n := a.KB.NumTriples(); n != cov.known {
+				cov.known = n
+				clear(cov.groups)
+			}
+		}
+		a.Session.cov = cov
+	}
+	a.cov = cov
+	defer func() { a.cov, cov.known = nil, a.KB.NumTriples() }()
+	// Dedup mode: coverage and verdicts memoized per distinct signature, and
+	// crowd answers memoized per question for the duration of the pass (or
+	// the session, when one is attached). Outcomes are identical either way;
+	// only the question count drops.
 	in := a.Interned
 	if in != nil && in.NumRows() != tbl.NumRows() {
 		in = nil // view built from different rows: ignore it
 	}
-	var covMemo []*pattern.Match
 	if in != nil {
+		if len(cov.groups) < in.NumGroups() {
+			cov.groups = append(cov.groups, make([]groupMemo, in.NumGroups()-len(cov.groups))...)
+		}
 		if a.Session != nil {
-			if len(a.Session.covMemo) < in.NumGroups() {
-				grown := make([]*pattern.Match, in.NumGroups())
-				copy(grown, a.Session.covMemo)
-				a.Session.covMemo = grown
-			}
-			covMemo = a.Session.covMemo
 			if a.Session.qmemo == nil {
 				a.Session.qmemo = make(map[questionKey]memoAnswer)
 			}
 			a.qmemo = a.Session.qmemo
 		} else {
-			covMemo = make([]*pattern.Match, in.NumGroups())
 			a.qmemo = make(map[questionKey]memoAnswer)
 		}
 		defer func() { a.qmemo = nil }()
-	}
-	if hi > tbl.NumRows() {
-		hi = tbl.NumRows()
 	}
 	a.provUnit = -1
 	for row := lo; row < hi; row++ {
@@ -391,44 +482,52 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, matches []*pattern.Match, lo
 		// annotateTuple (serially, on this goroutine) attach as its children.
 		tStart := a.Telemetry.StartTimer()
 		tSpan := a.Telemetry.PushSpan("annotate-tuple")
-		var m *pattern.Match
-		if matches != nil && !enriched {
-			m = matches[row]
+		var g *groupMemo
+		unit := row
+		if in != nil {
+			unit = in.GroupOf(row)
+			g = &cov.groups[unit]
 		}
-		gi := -1
-		if m == nil && in != nil {
-			gi = in.GroupOf(row)
-			m = covMemo[gi]
-		}
-		if m == nil {
-			a.Telemetry.Inc(telemetry.KBLookups)
-			m = pattern.EvaluateWith(a.Pattern, a.KB, a.labels(), tbl.Rows[row], threshold)
-			if gi >= 0 {
-				covMemo[gi] = m
-			}
-		}
+		m := a.match(g, matches, tbl, row, threshold)
 		// Provenance is recorded once per decision unit: the first row of a
 		// signature group writes the unit's evidence, duplicates share it on
 		// read. A degraded record is retried — degradation is a property of
 		// the run's remaining budget, not of the signature.
 		a.provUnit = -1
-		if a.Prov.Enabled() {
-			unit := row
-			if in != nil {
-				unit = in.GroupOf(row)
-			}
-			if a.Prov.BeginTuple(unit) {
-				a.provUnit = unit
-			}
+		if a.Prov.BeginTuple(unit) {
+			a.provUnit = unit
 		}
-		ta, applied := a.annotateTuple(tbl, row, m)
-		if a.provUnit >= 0 {
-			a.Prov.RecordVerdict(a.provUnit, ta.Label.String(), ta.Degraded, m.Full)
-		}
-		if applied {
-			enriched = true
-			// The KB changed: every memoized coverage verdict is stale.
-			clear(covMemo)
+		var ta TupleAnnotation
+		if g != nil && g.v != nil && a.provUnit < 0 {
+			// A duplicate of a decided signature whose Match is still exact:
+			// re-deciding would ask only memoised questions and reach the
+			// same verdict, so replay it.
+			ta = g.v.ta
+			ta.Row = row
+			res.Breakdown.add(g.v.bd)
+			a.Telemetry.Add(telemetry.CrowdQuestionsDeduped, int64(g.v.asks))
+		} else {
+			asks := a.asks
+			ta = a.annotateTuple(tbl, row, m)
+			if a.provUnit >= 0 {
+				a.Prov.RecordVerdict(a.provUnit, ta.Label.String(), ta.Degraded, m.Full)
+			}
+			bd := a.tally(ta)
+			res.Breakdown.add(bd)
+			for _, f := range ta.NewFacts {
+				k := factKey(f)
+				if !seenFacts[k] {
+					seenFacts[k] = true
+					res.NewFacts = append(res.NewFacts, f)
+				}
+			}
+			// Degraded verdicts depend on the remaining budget, and an
+			// enriching verdict was decided against a KB it then changed:
+			// neither is replayed.
+			enriching := a.Enrich && ta.Label == ValidatedByCrowd && len(ta.NewFacts) > 0
+			if g != nil && !ta.Degraded && !enriching {
+				g.v = &verdict{ta: ta, bd: bd, asks: a.asks - asks}
+			}
 		}
 		tSpan.SetInt("row", int64(row))
 		tSpan.SetStr("label", ta.Label.String())
@@ -440,53 +539,88 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, matches []*pattern.Match, lo
 			a.Telemetry.Inc(telemetry.DegradedDecisions)
 		}
 		res.Tuples = append(res.Tuples, ta)
-		for _, f := range ta.NewFacts {
-			k := factKey(f)
-			if !seenFacts[k] {
-				seenFacts[k] = true
-				res.NewFacts = append(res.NewFacts, f)
-			}
-		}
-		// Table 5 accounting. Unknown tuples are excluded: nothing about
-		// them was established by either the KB or the crowd.
-		if ta.Label == Unknown {
-			continue
-		}
-		for _, n := range a.Pattern.Nodes {
-			if n.Type == rdf.NoID {
-				continue
-			}
-			switch {
-			case ta.NodeByKB[n.Column]:
-				res.Breakdown.TypeKB++
-			case ta.Label == Erroneous:
-				res.Breakdown.TypeError++
-			default:
-				res.Breakdown.TypeCrowd++
-			}
-		}
-		for i := range a.Pattern.Edges {
-			switch {
-			case ta.EdgeByKB[i]:
-				res.Breakdown.RelKB++
-			case ta.Label == Erroneous:
-				res.Breakdown.RelError++
-			default:
-				res.Breakdown.RelCrowd++
-			}
-		}
-		for i := range a.Pattern.Paths {
-			switch {
-			case ta.PathByKB[i]:
-				res.Breakdown.RelKB++
-			case ta.Label == Erroneous:
-				res.Breakdown.RelError++
-			default:
-				res.Breakdown.RelCrowd++
-			}
-		}
 	}
 	return res
+}
+
+// threshold resolves the label-similarity threshold.
+func (a *Annotator) threshold() float64 {
+	if a.Threshold == 0 {
+		return similarity.DefaultThreshold
+	}
+	return a.Threshold
+}
+
+// match returns row's step-1 coverage: the signature's memoised Match, or
+// else the precomputed one, while it is still exact; a fresh evaluation
+// otherwise, which replaces the signature's memo and drops its verdict.
+func (a *Annotator) match(g *groupMemo, matches []*pattern.Match, tbl *table.Table, row int, threshold float64) *pattern.Match {
+	tuple := tbl.Rows[row]
+	if g != nil && g.m != nil && a.exact(g.m, g, tuple, threshold) {
+		return g.m
+	}
+	var m *pattern.Match
+	if matches != nil && matches[row] != nil && (g == nil || matches[row] != g.m) &&
+		a.exact(matches[row], nil, tuple, threshold) {
+		m = matches[row]
+	} else {
+		a.Telemetry.Inc(telemetry.KBLookups)
+		m = pattern.EvaluateWith(a.Pattern, a.KB, a.labels(), tuple, threshold)
+	}
+	if g != nil {
+		*g = groupMemo{m: m, checked: a.KB.NumTriples(), checkedLabels: a.KB.LabelGen()}
+	}
+	return m
+}
+
+// tally returns ta's Table 5 contribution. Unknown tuples contribute
+// nothing: nothing about them was established by either the KB or the
+// crowd.
+func (a *Annotator) tally(ta TupleAnnotation) Breakdown {
+	var b Breakdown
+	if ta.Label == Unknown {
+		return b
+	}
+	for _, n := range a.Pattern.Nodes {
+		if n.Type == rdf.NoID {
+			continue
+		}
+		switch {
+		case ta.NodeByKB[n.Column]:
+			b.TypeKB++
+		case ta.Label == Erroneous:
+			b.TypeError++
+		default:
+			b.TypeCrowd++
+		}
+	}
+	rel := func(byKB bool) {
+		switch {
+		case byKB:
+			b.RelKB++
+		case ta.Label == Erroneous:
+			b.RelError++
+		default:
+			b.RelCrowd++
+		}
+	}
+	for i := range a.Pattern.Edges {
+		rel(ta.EdgeByKB[i])
+	}
+	for i := range a.Pattern.Paths {
+		rel(ta.PathByKB[i])
+	}
+	return b
+}
+
+// add accumulates o into b.
+func (b *Breakdown) add(o Breakdown) {
+	b.TypeKB += o.TypeKB
+	b.TypeCrowd += o.TypeCrowd
+	b.TypeError += o.TypeError
+	b.RelKB += o.RelKB
+	b.RelCrowd += o.RelCrowd
+	b.RelError += o.RelError
 }
 
 // ctx resolves the annotator's context.
@@ -511,6 +645,7 @@ func (a *Annotator) ctx() context.Context {
 // memoized original on a memo hit; 0 when provenance is disabled) and memo
 // reports a memo hit.
 func (a *Annotator) ask(prompt string, holds bool) (confirmed, degraded bool, qid int64, memo bool) {
+	a.asks++
 	if a.qmemo != nil {
 		if ans, ok := a.qmemo[questionKey{prompt, holds}]; ok {
 			a.Telemetry.Inc(telemetry.CrowdQuestionsDeduped)
@@ -616,23 +751,23 @@ func (a *Annotator) precomputeMatches(tbl *table.Table) []*pattern.Match {
 }
 
 // annotateTuple runs §6.1's two steps for one tuple, with the step-1 KB
-// coverage m already evaluated (possibly by the worker pool). The second
-// return reports whether enrichment actually mutated the KB.
-func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) (TupleAnnotation, bool) {
-	ta := TupleAnnotation{Row: row, NodeByKB: map[int]bool{}}
-	tuple := tbl.Rows[row]
-
-	for col, ok := range m.NodeOK {
-		ta.NodeByKB[col] = ok
+// coverage m already evaluated (possibly by the worker pool). The KB
+// coverage flags are m's own, shared read-only; EdgeByKB is copied before a
+// recheck clears an entry.
+func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) TupleAnnotation {
+	ta := TupleAnnotation{
+		Row:      row,
+		NodeByKB: m.NodeOK,
+		EdgeByKB: nonEmpty(m.EdgeOK),
+		PathByKB: nonEmpty(m.PathOK),
 	}
-	ta.EdgeByKB = append([]bool(nil), m.EdgeOK...)
-	ta.PathByKB = append([]bool(nil), m.PathOK...)
+	tuple := tbl.Rows[row]
 	if a.provUnit >= 0 {
 		a.recordKBEvidence(tuple, m)
 	}
 	if m.Full {
 		ta.Label = ValidatedByKB
-		return ta, false
+		return ta
 	}
 
 	// Step 2: validation by KB + crowd for each missing node and edge. The
@@ -749,6 +884,9 @@ func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) (
 
 			if confirmed, _ := confirm("recheck", e.From, e.To, prompt, holds); !confirmed && !unknown {
 				allConfirmed = false
+				if &ta.EdgeByKB[0] == &m.EdgeOK[0] {
+					ta.EdgeByKB = append([]bool(nil), m.EdgeOK...)
+				}
 				ta.EdgeByKB[i] = false
 			}
 		}
@@ -757,24 +895,29 @@ func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) (
 	if unknown {
 		ta.Label = Unknown
 		ta.NewFacts = nil // nothing about the tuple was established
-		return ta, false
+		return ta
 	}
 
-	applied := false
 	if allConfirmed {
 		ta.Label = ValidatedByCrowd
 		if a.Enrich {
 			for _, f := range ta.NewFacts {
-				if a.apply(f) {
-					applied = true
-				}
+				a.apply(f)
 			}
 		}
 	} else {
 		ta.Label = Erroneous
 		ta.NewFacts = nil // facts from an erroneous tuple are not trusted
 	}
-	return ta, applied
+	return ta
+}
+
+// nonEmpty returns s, or nil when s is empty.
+func nonEmpty(s []bool) []bool {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 func pathLabel(kb *rdf.Store, props []rdf.ID) string {
@@ -785,37 +928,37 @@ func pathLabel(kb *rdf.Store, props []rdf.ID) string {
 	return strings.Join(parts, " then ")
 }
 
-// apply adds a confirmed fact to the KB, minting resources as needed, and
-// reports whether the KB actually changed (a duplicate fact leaves it
-// untouched). Multi-hop path facts are not applied: asserting the chain
-// would require inventing the intermediate resource, which is §9's open
-// "extending the structure of the KBs" problem.
-func (a *Annotator) apply(f Fact) bool {
+// apply adds a confirmed fact to the KB, minting resources as needed.
+// Multi-hop path facts are not applied: asserting the chain would require
+// inventing the intermediate resource, which is §9's open "extending the
+// structure of the KBs" problem.
+func (a *Annotator) apply(f Fact) {
 	if len(f.Path) > 0 {
-		return false
+		return
 	}
 	kb := a.KB
-	subj, minted := a.resourceFor(f.Subject)
+	subj := a.resourceFor(f.Subject)
 	if f.IsType {
-		return kb.Add(subj, kb.TypeID, f.Type) || minted
+		a.add(subj, kb.TypeID, f.Type)
+		return
 	}
-	obj, mintedObj := a.resourceFor(f.Object)
-	return kb.Add(subj, f.Prop, obj) || minted || mintedObj
+	a.add(subj, f.Prop, a.resourceFor(f.Object))
 }
 
 // resourceFor finds the best existing resource labelled like value, or mints
-// a new one carrying the value as its label. The second return reports
-// whether a resource was minted — a KB mutation in its own right, since the
-// new exact-match label changes later MatchLabel results.
-func (a *Annotator) resourceFor(value string) (rdf.ID, bool) {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = similarity.DefaultThreshold
-	}
-	if hits := a.labels().MatchLabel(value, threshold); len(hits) > 0 {
-		return hits[0].Resource, false
+// a new one carrying the value as its label.
+func (a *Annotator) resourceFor(value string) rdf.ID {
+	if hits := a.labels().MatchLabel(value, a.threshold()); len(hits) > 0 {
+		return hits[0].Resource
 	}
 	r := a.KB.Res("enriched:" + similarity.Normalize(value))
-	a.KB.AddFact(a.KB.Term(r), rdf.IRI(rdf.IRILabel), rdf.Lit(value))
-	return r, true
+	a.add(r, a.KB.LabelID, a.KB.Literal(value))
+	return r
+}
+
+// add inserts one enrichment triple and logs it for coverage revalidation.
+func (a *Annotator) add(s, p, o rdf.ID) {
+	if a.KB.Add(s, p, o) && a.cov != nil {
+		a.cov.grown.Added(a.KB, s, p, o)
+	}
 }

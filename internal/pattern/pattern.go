@@ -293,6 +293,25 @@ type Match struct {
 	Full bool
 	// Assignment is one witnessing resource assignment when Full.
 	Assignment map[int]rdf.ID
+	// Footprint records what the evaluation read from the KB, so a holder
+	// can tell whether later KB growth could have changed the Match (see
+	// Current).
+	Footprint Footprint
+}
+
+// Footprint is the KB state a Match was evaluated against: the store's
+// triple count and label generation at evaluation time, and the label hits
+// each typed node's cell value resolved to. Every resource whose triples the
+// evaluation read is an in-band hit of some typed node (or an untyped
+// node's literal), so the hits bound what a KB mutation must touch to
+// change the Match.
+type Footprint struct {
+	Triples  int
+	LabelGen uint64
+	// Hits is indexed like Pattern.Nodes; nil for untyped nodes and for
+	// columns beyond the tuple. The slices may be shared with a resolver
+	// memo: read-only.
+	Hits [][]rdf.LabelMatch
 }
 
 // Partial reports whether the tuple partially matches: at least one node or
@@ -348,29 +367,26 @@ func EvaluateWith(p *Pattern, kb *rdf.Store, labels LabelSource, tuple []string,
 		Candidates: make(map[int][]rdf.ID, len(p.Nodes)),
 		NodeOK:     make(map[int]bool, len(p.Nodes)),
 		EdgeOK:     make([]bool, len(p.Edges)),
+		Footprint: Footprint{
+			Triples:  kb.NumTriples(),
+			LabelGen: kb.LabelGen(),
+			Hits:     make([][]rdf.LabelMatch, len(p.Nodes)),
+		},
 	}
-	for _, n := range p.Nodes {
+	for i, n := range p.Nodes {
 		if n.Column >= len(tuple) {
 			continue
 		}
 		val := tuple[n.Column]
 		var cands []rdf.ID
 		if n.Type == rdf.NoID {
-			if id := kb.LookupTerm(rdf.Lit(val)); id != rdf.NoID {
-				cands = []rdf.ID{id}
-			} else if id := kb.LookupTerm(rdf.Lit(similarity.Normalize(val))); id != rdf.NoID {
+			if id := literalOf(kb, val); id != rdf.NoID {
 				cands = []rdf.ID{id}
 			}
 		} else {
 			hits := labels.MatchLabel(val, threshold)
-			best := 0.0
-			if len(hits) > 0 {
-				best = hits[0].Score
-			}
-			for _, hit := range hits {
-				if hit.Score < best-matchBand {
-					break // hits are sorted by score
-				}
+			m.Footprint.Hits[i] = hits
+			for _, hit := range inBand(hits) {
 				if kb.HasType(hit.Resource, n.Type) {
 					cands = append(cands, hit.Resource)
 				}
@@ -385,6 +401,119 @@ func EvaluateWith(p *Pattern, kb *rdf.Store, labels LabelSource, tuple []string,
 	evaluatePaths(p, kb, m)
 	m.Full, m.Assignment = consistentAssignment(p, kb, m)
 	return m
+}
+
+// literalOf resolves an untyped cell value to the KB literal it names, or
+// rdf.NoID.
+func literalOf(kb *rdf.Store, val string) rdf.ID {
+	if id := kb.LookupTerm(rdf.Lit(val)); id != rdf.NoID {
+		return id
+	}
+	return kb.LookupTerm(rdf.Lit(similarity.Normalize(val)))
+}
+
+// inBand returns the prefix of the score-sorted hits within matchBand of
+// the best one.
+func inBand(hits []rdf.LabelMatch) []rdf.LabelMatch {
+	for i, hit := range hits {
+		if hit.Score < hits[0].Score-matchBand {
+			return hits[:i]
+		}
+	}
+	return hits
+}
+
+// Growth logs triples added to a store at the granularity Match evaluation
+// reads them: a resource's asserted types, the triples between one subject
+// and one object, and the class and property hierarchies. Each entry is the
+// store's NumTriples right after the latest such addition. The zero value
+// is ready to use.
+type Growth struct {
+	types  map[rdf.ID]int
+	pairs  map[[2]rdf.ID]int
+	schema int
+}
+
+// Added logs the triple (s, p, o), just added to kb.
+func (g *Growth) Added(kb *rdf.Store, s, p, o rdf.ID) {
+	if g.pairs == nil {
+		g.types, g.pairs = make(map[rdf.ID]int), make(map[[2]rdf.ID]int)
+	}
+	n := kb.NumTriples()
+	g.pairs[[2]rdf.ID{s, o}] = n
+	switch p {
+	case kb.TypeID:
+		g.types[s] = n
+	case kb.SubClassOfID, kb.SubPropertyOfID:
+		g.schema = n
+	}
+}
+
+// Current reports whether m still equals EvaluateWith(p, kb, labels, tuple,
+// threshold). The caller vouches that every triple added to kb since m was
+// evaluated is logged in grown. Evaluation reads the types of in-band hits,
+// the triples between edge candidates and the hierarchies, so the Match is
+// current while none of those grew after m.Footprint.Triples and, when
+// labelsMoved (the store's label generation changed), every typed value
+// still resolves to the recorded hits and every untyped value to the same
+// literal. Path patterns read intermediate resources the footprint does not
+// record, so their Matches are never reported current.
+func (m *Match) Current(p *Pattern, kb *rdf.Store, labels LabelSource, tuple []string, threshold float64, grown *Growth, labelsMoved bool) bool {
+	fp := &m.Footprint
+	since := fp.Triples
+	if len(p.Paths) > 0 || len(fp.Hits) != len(p.Nodes) || grown.schema > since {
+		return false
+	}
+	for i, n := range p.Nodes {
+		if n.Column >= len(tuple) {
+			continue
+		}
+		val := tuple[n.Column]
+		if n.Type == rdf.NoID {
+			if labelsMoved {
+				cands, id := m.Candidates[n.Column], literalOf(kb, val)
+				if (id == rdf.NoID) != (len(cands) == 0) || (id != rdf.NoID && id != cands[0]) {
+					return false
+				}
+			}
+			continue
+		}
+		hits := fp.Hits[i]
+		if labelsMoved && !sameHits(labels.MatchLabel(val, threshold), hits) {
+			return false
+		}
+		for _, hit := range inBand(hits) {
+			if grown.types[hit.Resource] > since {
+				return false
+			}
+		}
+	}
+	for _, e := range p.Edges {
+		for _, s := range m.Candidates[e.From] {
+			for _, o := range m.Candidates[e.To] {
+				if grown.pairs[[2]rdf.ID{s, o}] > since {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// sameHits reports whether two label resolutions are identical.
+func sameHits(a, b []rdf.LabelMatch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func edgeHolds(kb *rdf.Store, e Edge, subs, objs []rdf.ID) bool {

@@ -257,6 +257,11 @@ func RunSeed(seed int64) (*SeedResult, error) {
 	// degradation — while asking at least as many questions as the deduped
 	// baseline; and the dedup-off cells must agree with each other
 	// byte-identically on the full Canonical, question count included.
+	// With the matrix this is also the footprint differential on every
+	// seed: dedup-on at parallelism 4 (coverage precomputed per signature,
+	// kept across enrichment by its footprint, verdicts replayed for
+	// duplicates) equals dedup-off at parallelism 1 (every row evaluated
+	// fresh) on CanonicalSemantic.
 	semWant := CanonicalSemantic(rep)
 	var wantOff []byte
 	for _, cfg := range []RunConfig{

@@ -33,6 +33,10 @@ func (s *Store) LabelOf(x ID) string {
 	return DisplayName(s.terms[x].Value)
 }
 
+// displaySpaces turns IRI word separators into spaces. A Replacer is safe
+// for concurrent use and builds its lookup table once, so it is shared.
+var displaySpaces = strings.NewReplacer("_", " ", "#", " ")
+
 // DisplayName derives a readable name from an IRI per §5.1.
 func DisplayName(iri string) string {
 	if i := strings.LastIndexByte(iri, '/'); i >= 0 {
@@ -41,8 +45,7 @@ func DisplayName(iri string) string {
 	if i := strings.LastIndexByte(iri, ':'); i >= 0 {
 		iri = iri[i+1:]
 	}
-	iri = strings.NewReplacer("_", " ", "#", " ").Replace(iri)
-	return strings.TrimSpace(iri)
+	return strings.TrimSpace(displaySpaces.Replace(iri))
 }
 
 // ResourcesLabeled returns the resources whose normalised label equals the

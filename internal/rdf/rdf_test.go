@@ -224,12 +224,24 @@ func TestLabels(t *testing.T) {
 	}
 }
 
+// TestDisplayName pins the §5.1 fallback labels, which reach crowd prompts
+// and the repair index whenever a resource has no rdfs:label.
 func TestDisplayName(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"http://yago-knowledge.org/resource/hasCapital", "hasCapital"},
 		{"http://yago-knowledge.org/resource/wordnet_capital_10851850", "wordnet capital 10851850"},
 		{"y:hasCapital", "hasCapital"},
 		{"plain", "plain"},
+		{"", ""},
+		{"http://dbpedia.org/ontology/Person#name", "Person name"},
+		{"http://example.org/ns#", "ns"},
+		{"http://example.org/", ""},
+		{"http://example.org/_leading_and_trailing_", "leading and trailing"},
+		{"urn:x:y_z", "y z"},
+		{"a:b/c", "c"},
+		{"a/b:c_d#e", "c d e"},
+		{"enriched:s africa", "s africa"},
+		{"double__underscore", "double  underscore"},
 	}
 	for _, c := range cases {
 		if got := DisplayName(c.in); got != c.want {
