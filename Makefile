@@ -65,10 +65,11 @@ bench-test:
 bench-compare:
 	./scripts/bench_compare.sh $(BASE) $(WORKLOAD) $(SEEDS)
 
-# Record the benchmark trajectory point: parse `go test -json` output into
-# $(BENCH_OUT) (see DESIGN.md §10 for how to read it).
+# Record the benchmark trajectory point: five runs of every benchmark, parsed
+# from `go test -json` output into one record of medians and ns/op quartiles
+# per benchmark in $(BENCH_OUT) (see DESIGN.md §10 for how to read it).
 bench-save:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCH_TIME) -json ./... \
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCH_TIME) -count 5 -json ./... \
 		| $(GO) run ./cmd/benchsave -out $(BENCH_OUT)
 
 # Native-fuzz burst on every checked-in target: each must survive FUZZTIME

@@ -2,16 +2,17 @@
 // benchmark snapshot file — the BENCH_*.json trajectory points referenced in
 // DESIGN.md. Typical use is via the Makefile:
 //
-//	make bench-save            # writes BENCH_3.json
+//	make bench-save            # writes BENCH_10.json
 //
 // which runs
 //
-//	go test -run '^$' -bench=. -benchmem -benchtime=200ms -json ./... \
-//	    | go run ./cmd/benchsave -out BENCH_3.json
+//	go test -run '^$' -bench=. -benchmem -benchtime=200ms -count 5 -json ./... \
+//	    | go run ./cmd/benchsave -out BENCH_10.json
 //
 // test2json splits test output into per-event fragments that can break a
 // benchmark result line mid-number, so the tool re-joins output per package
-// before extracting result lines.
+// before extracting result lines. A benchmark that ran several times
+// (-count N) becomes one record of medians with its ns/op quartiles.
 package main
 
 import (
@@ -48,6 +49,13 @@ type Benchmark struct {
 	// e.g. the latency percentiles ("p50-ns/op", "p99-ns/op") the telemetry
 	// benchmarks emit — keyed by unit.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Runs is the number of result lines (go test -count N) this record
+	// aggregates. Iterations, the per-op figures and Metrics are then the
+	// medians over those runs, and NsPerOpQ1/NsPerOpQ3 the ns/op quartiles
+	// as Python's statistics.quantiles(n=4) computes them (two runs or more).
+	Runs      int     `json:"runs"`
+	NsPerOpQ1 float64 `json:"ns_per_op_q1,omitempty"`
+	NsPerOpQ3 float64 `json:"ns_per_op_q3,omitempty"`
 }
 
 // Snapshot is the file format: run metadata plus every benchmark result.
@@ -109,6 +117,7 @@ func main() {
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 	}
 	sort.Strings(pkgs)
+	var results []Benchmark
 	for _, pkg := range pkgs {
 		for _, m := range benchLine.FindAllStringSubmatch(perPkg[pkg].String(), -1) {
 			b := Benchmark{Package: pkg, Name: m[1]}
@@ -131,9 +140,10 @@ func main() {
 				}
 				b.Metrics[p[2]] = v
 			}
-			snap.Benchmarks = append(snap.Benchmarks, b)
+			results = append(results, b)
 		}
 	}
+	snap.Benchmarks = aggregate(results)
 	if len(snap.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchsave: no benchmark results found in input")
 		os.Exit(1)
@@ -169,4 +179,88 @@ func splitProcs(name string) (string, int) {
 		return name, 0
 	}
 	return name[:i], n
+}
+
+// aggregate folds the results of one (package, name, procs) benchmark —
+// the N lines of a -count N run — into one record of medians, keeping the
+// order in which benchmarks first appear.
+func aggregate(results []Benchmark) []Benchmark {
+	type key struct {
+		pkg, name string
+		procs     int
+	}
+	var order []key
+	groups := map[key][]Benchmark{}
+	for _, b := range results {
+		k := key{b.Package, b.Name, b.Procs}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		runs := groups[k]
+		field := func(f func(Benchmark) float64) []float64 {
+			xs := make([]float64, len(runs))
+			for i, b := range runs {
+				xs[i] = f(b)
+			}
+			return xs
+		}
+		ns := field(func(b Benchmark) float64 { return b.NsPerOp })
+		agg := Benchmark{
+			Package:     k.pkg,
+			Name:        k.name,
+			Procs:       k.procs,
+			Iterations:  int64(median(field(func(b Benchmark) float64 { return float64(b.Iterations) }))),
+			NsPerOp:     median(ns),
+			BytesPerOp:  median(field(func(b Benchmark) float64 { return b.BytesPerOp })),
+			AllocsPerOp: median(field(func(b Benchmark) float64 { return b.AllocsPerOp })),
+			Runs:        len(runs),
+		}
+		if len(runs) >= 2 {
+			agg.NsPerOpQ1, agg.NsPerOpQ3 = quartiles(ns)
+		}
+		units := map[string][]float64{}
+		for _, b := range runs {
+			for u, v := range b.Metrics {
+				units[u] = append(units[u], v)
+			}
+		}
+		for u, xs := range units {
+			if agg.Metrics == nil {
+				agg.Metrics = map[string]float64{}
+			}
+			agg.Metrics[u] = median(xs)
+		}
+		out = append(out, agg)
+	}
+	return out
+}
+
+// median is the middle value of xs (the mean of the two middle ones for an
+// even count); xs is sorted in place and must not be empty.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// quartiles returns the first and third quartiles of xs exactly as Python's
+// statistics.quantiles(xs, n=4) computes them (the "exclusive" method), the
+// spread bench/run.sh compare reports. xs (at least two values) is sorted in
+// place.
+func quartiles(xs []float64) (q1, q3 float64) {
+	sort.Float64s(xs)
+	n := len(xs)
+	q := func(i int) float64 {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := i*(n+1) - j*4
+		return (xs[j-1]*float64(4-delta) + xs[j]*float64(delta)) / 4
+	}
+	return q(1), q(3)
 }

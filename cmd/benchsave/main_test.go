@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -82,5 +83,64 @@ func TestMainParsesStream(t *testing.T) {
 	}
 	if b.Metrics["p50-ns/op"] != 3.5 {
 		t.Fatalf("custom metric not captured: %+v", b.Metrics)
+	}
+}
+
+// TestAggregate: the lines of a -count N run become one record of medians
+// with the ns/op quartiles of statistics.quantiles(n=4); distinct
+// (package, name, procs) keys stay apart, in first-appearance order.
+func TestAggregate(t *testing.T) {
+	run := func(name string, procs int, ns, bytes, allocs float64, metrics map[string]float64) Benchmark {
+		return Benchmark{Package: "p", Name: name, Procs: procs, Iterations: int64(ns), NsPerOp: ns,
+			BytesPerOp: bytes, AllocsPerOp: allocs, Metrics: metrics}
+	}
+	for _, tc := range []struct {
+		name string
+		in   []Benchmark
+		want []Benchmark
+	}{
+		{
+			name: "single run keeps its values",
+			in:   []Benchmark{run("BenchmarkA", 8, 100, 64, 2, nil)},
+			want: []Benchmark{{Package: "p", Name: "BenchmarkA", Procs: 8, Iterations: 100, NsPerOp: 100,
+				BytesPerOp: 64, AllocsPerOp: 2, Runs: 1}},
+		},
+		{
+			// statistics.quantiles([90, 100, 110, 120, 130], n=4) == [95, 110, 125]
+			name: "odd count takes the middle run",
+			in: []Benchmark{
+				run("BenchmarkA", 8, 120, 70, 3, map[string]float64{"p50-ns/op": 9}),
+				run("BenchmarkA", 8, 100, 64, 2, map[string]float64{"p50-ns/op": 7}),
+				run("BenchmarkA", 8, 130, 64, 2, map[string]float64{"p50-ns/op": 8}),
+				run("BenchmarkA", 8, 90, 80, 2, map[string]float64{"p50-ns/op": 6}),
+				run("BenchmarkA", 8, 110, 64, 2, map[string]float64{"p50-ns/op": 5}),
+			},
+			want: []Benchmark{{Package: "p", Name: "BenchmarkA", Procs: 8, Iterations: 110, NsPerOp: 110,
+				BytesPerOp: 64, AllocsPerOp: 2, Metrics: map[string]float64{"p50-ns/op": 7},
+				Runs: 5, NsPerOpQ1: 95, NsPerOpQ3: 125}},
+		},
+		{
+			// statistics.quantiles([10, 20, 30, 40], n=4) == [12.5, 25, 37.5]
+			name: "even count averages the middle runs; keys stay apart",
+			in: []Benchmark{
+				run("BenchmarkB", 8, 40, 0, 0, nil),
+				run("BenchmarkA", 8, 5, 0, 0, nil),
+				run("BenchmarkB", 8, 10, 0, 0, nil),
+				run("BenchmarkB", 4, 7, 0, 0, nil),
+				run("BenchmarkB", 8, 30, 0, 0, nil),
+				run("BenchmarkB", 8, 20, 0, 0, nil),
+			},
+			want: []Benchmark{
+				{Package: "p", Name: "BenchmarkB", Procs: 8, Iterations: 25, NsPerOp: 25, Runs: 4, NsPerOpQ1: 12.5, NsPerOpQ3: 37.5},
+				{Package: "p", Name: "BenchmarkA", Procs: 8, Iterations: 5, NsPerOp: 5, Runs: 1},
+				{Package: "p", Name: "BenchmarkB", Procs: 4, Iterations: 7, NsPerOp: 7, Runs: 1},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := aggregate(tc.in); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("aggregate:\n got  %+v\n want %+v", got, tc.want)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -135,4 +136,51 @@ func TestCloneIsDeep(t *testing.T) {
 	if len(clone.MatchLabel("Naples", 0.7)) != 0 {
 		t.Fatal("clone's label index leaked the original's new label")
 	}
+}
+
+// TestCloneExactLabelIndexMatchesDirectBuild: the fuzzy label index keeps
+// per-entry data beside the labels (distinct-trigram counts) that the
+// lookup's verify kernel reads. A CloneExact
+// snapshot — and that snapshot after a reserved burst of new labels — must
+// resolve a fixed query set exactly as a store built directly from the same
+// labels does, over ASCII, non-ASCII and over-64-byte labels.
+func TestCloneExactLabelIndexMatchesDirectBuild(t *testing.T) {
+	base := []string{
+		"Rome", "Roma", "Romania", "São Paulo", "Zürich", "Malmö", "Cape Town",
+		"Royal Academy of Dramatic Art and Music of the United Kingdom of Great Britain",
+	}
+	burst := []string{
+		"Zurich", "Sao Paulo", "Malmo", "Romano",
+		"Royal Academy of Dramatic Art and Music of the United Kingdom of Great Britian",
+	}
+	queries := []string{
+		"rome", "romania", "sao paulo", "são paolo", "zurich", "zürich", "malmo",
+		"cape towne", "royal academy of dramatic art and music of the united kingdom of great britan",
+	}
+	build := func(labels []string) *Store {
+		s := New()
+		for i, l := range labels {
+			s.AddFact(IRI(fmt.Sprintf("ex:r%d", i)), IRI(IRILabel), Lit(l))
+		}
+		return s
+	}
+	same := func(stage string, got, want *Store) {
+		t.Helper()
+		for _, q := range queries {
+			g, w := got.MatchLabelNorm(q, 0.7), want.MatchLabelNorm(q, 0.7)
+			if len(w) == 0 {
+				t.Fatalf("query %q resolves nothing; the check needs hits", q)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: MatchLabelNorm(%q) = %v, direct build gives %v", stage, q, g, w)
+			}
+		}
+	}
+	clone := build(base).CloneExact()
+	same("CloneExact", clone, build(base))
+	clone.fuzzy.Grow(len(burst))
+	for i, l := range burst {
+		clone.AddFact(IRI(fmt.Sprintf("ex:r%d", len(base)+i)), IRI(IRILabel), Lit(l))
+	}
+	same("CloneExact after Grow + Add", clone, build(append(append([]string(nil), base...), burst...)))
 }

@@ -1,6 +1,9 @@
 package rdf
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file implements the RDFS reasoning KATARA needs: transitive closure
 // over rdfs:subClassOf and rdfs:subPropertyOf, type membership with
@@ -51,7 +54,7 @@ func transitiveClosure(edges map[ID][]ID) map[ID][]ID {
 
 // sortDedupe sorts ids ascending and removes duplicates in place.
 func sortDedupe(ids []ID) []ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return dedupe(ids)
 }
 
@@ -139,7 +142,7 @@ func (s *Store) InstancesOf(c ID) []ID {
 	for _, cl := range classes {
 		out = append(out, s.Subjects(s.TypeID, cl)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return dedupe(out)
 }
 
@@ -160,7 +163,7 @@ func (s *Store) Classes() []ID {
 	for c := range set {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

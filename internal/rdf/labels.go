@@ -1,7 +1,8 @@
 package rdf
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"katara/internal/similarity"
@@ -92,11 +93,11 @@ func (s *Store) MatchLabelNorm(norm string, threshold float64) []LabelMatch {
 	for r, sc := range best {
 		out = append(out, LabelMatch{Resource: r, Score: sc})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b LabelMatch) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return out[i].Resource < out[j].Resource
+		return cmp.Compare(a.Resource, b.Resource)
 	})
 	return out
 }

@@ -11,6 +11,7 @@ package rdf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"katara/internal/similarity"
@@ -261,7 +262,7 @@ func (s *Store) PredicatesBetween(sub, obj ID) []ID {
 			out = append(out, po.p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return dedupe(out)
 }
 
@@ -271,7 +272,7 @@ func (s *Store) PredicatesOf(sub ID) []ID {
 	for _, po := range s.sp[sub] {
 		out = append(out, po.p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return dedupe(out)
 }
 
@@ -292,14 +293,14 @@ func (s *Store) ForEachTriple(f func(Triple)) {
 	for p := range s.pso {
 		preds = append(preds, p)
 	}
-	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+	slices.Sort(preds)
 	for _, p := range preds {
 		bySubj := s.pso[p]
 		subs := make([]ID, 0, len(bySubj))
 		for su := range bySubj {
 			subs = append(subs, su)
 		}
-		sort.Slice(subs, func(i, j int) bool { return subs[i] < subs[j] })
+		slices.Sort(subs)
 		for _, su := range subs {
 			for _, o := range bySubj[su] {
 				f(Triple{S: su, P: p, O: o})
@@ -394,7 +395,7 @@ func (s *Store) SubjectsWithPredicate(p ID) []ID {
 	for su := range bySubj {
 		out = append(out, su)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -404,7 +405,7 @@ func (s *Store) Predicates() []ID {
 	for p := range s.pso {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

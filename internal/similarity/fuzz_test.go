@@ -1,36 +1,51 @@
 package similarity
 
 import (
-	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // fuzzIndex is a fixed index covering the label shapes the trigram lookup
-// has to handle: short strings, shared prefixes, duplicates, unicode,
-// punctuation and the empty string.
+// and its verify kernel have to handle: short strings, shared prefixes,
+// duplicates, punctuation, the empty string, non-ASCII labels and labels
+// over 64 bytes (both take the Jaro scan instead of the 64-bit position
+// mask), and a long run of one repeated character (many equal symbols in
+// one mask word, and a wide Levenshtein band).
 func fuzzIndex() *Index {
 	ix := NewIndex()
-	for _, s := range []string{
-		"Rome", "Roma", "Romania", "romanian", "Madrid", "Paris",
-		"Pretoria", "Cape Town", "S. Africa", "South Africa",
-		"UK", "United Kingdom", "Côte d'Ivoire",
-		"Johannesburg", "Johannesburg", "Johannesburgh",
-		"", "banana",
-	} {
+	for _, s := range fuzzLabels {
 		ix.Add(s)
 	}
 	return ix
 }
 
+var fuzzLabels = []string{
+	"Rome", "Roma", "Romania", "romanian", "Madrid", "Paris",
+	"Pretoria", "Cape Town", "S. Africa", "South Africa",
+	"UK", "United Kingdom", "Côte d'Ivoire",
+	"Johannesburg", "Johannesburg", "Johannesburgh",
+	"", "banana",
+	"Royal Academy of Dramatic Art and Music of the United Kingdom of Great Britain",
+	"Royal Academy of Dramatic Art and Music of the United Kingdom of Great Britian",
+	strings.Repeat("a", 70), strings.Repeat("a", 40) + "b",
+	"São Paulo", "Zürich", "Zurich", "Łódź", "Malmö", "Ñuñoa", "Αθήνα",
+}
+
 // FuzzSimilarityLookup feeds arbitrary queries through Index.Lookup and
 // checks it against the reference scorer: no panic, Normalize idempotent,
-// results sorted best-first with ascending-id tie-breaks and no duplicate
-// ids, every hit's score within [threshold, 1] and equal to the reference
-// Score of the query against the stored value, and the whole call
-// deterministic.
+// and, at several thresholds and with the relaxed filter bound, exactly the
+// hits referenceLookup computes from the naive scorers over every stored
+// value — the same ids (every value that clears the trigram filter and
+// scores at least the threshold is returned, nothing else is), the same
+// scores bit for bit, best first with ascending-id tie-breaks — and the
+// whole call deterministic.
 func FuzzSimilarityLookup(f *testing.F) {
 	ix := fuzzIndex()
+	values := make([]string, ix.Len())
+	for id := range values {
+		values[id] = ix.Value(int32(id))
+	}
 	f.Add("Rome")
 	f.Add("rome ")
 	f.Add("Pretorria")
@@ -47,34 +62,24 @@ func FuzzSimilarityLookup(f *testing.F) {
 		if again := Normalize(n); again != n {
 			t.Fatalf("Normalize not idempotent: %q -> %q -> %q", q, n, again)
 		}
-		hits := ix.Lookup(q, DefaultThreshold)
-		seen := map[int32]bool{}
-		for i, h := range hits {
-			if h.ID < 0 || int(h.ID) >= ix.Len() {
-				t.Fatalf("hit %d: id %d out of range", i, h.ID)
+		for _, threshold := range []float64{0.3, DefaultThreshold, 0.9} {
+			hits := ix.Lookup(q, threshold)
+			if want := referenceLookup(values, q, threshold, false); !sameHits(hits, want) {
+				t.Fatalf("Lookup(%q, %v):\n got  %v\n want %v (reference)", q, threshold, hits, want)
 			}
-			if seen[h.ID] {
-				t.Fatalf("hit %d: duplicate id %d", i, h.ID)
+			relaxed := ix.LookupNormalizedRelaxed(n, threshold)
+			if want := referenceLookup(values, q, threshold, true); !sameHits(relaxed, want) {
+				t.Fatalf("LookupNormalizedRelaxed(%q, %v):\n got  %v\n want %v (reference)", n, threshold, relaxed, want)
 			}
-			seen[h.ID] = true
-			if h.Score < DefaultThreshold || h.Score > 1 {
-				t.Fatalf("hit %d: score %v outside [%v, 1]", i, h.Score, DefaultThreshold)
+			if again := ix.Lookup(q, threshold); !reflect.DeepEqual(hits, again) {
+				t.Fatalf("Lookup(%q) is not deterministic:\n%v\nvs\n%v", q, hits, again)
 			}
-			if ref := Score(q, ix.Value(h.ID)); math.Abs(h.Score-ref) > 1e-12 {
-				t.Fatalf("hit %d (%q): lookup score %v != reference Score %v", i, ix.Value(h.ID), h.Score, ref)
-			}
-			if i > 0 {
-				prev := hits[i-1]
-				if h.Score > prev.Score {
-					t.Fatalf("hit %d: score %v after %v — not best-first", i, h.Score, prev.Score)
-				}
-				if h.Score == prev.Score && h.ID <= prev.ID {
-					t.Fatalf("hit %d: tie at %v not broken by ascending id", i, h.Score)
-				}
-			}
-		}
-		if again := ix.Lookup(q, DefaultThreshold); !reflect.DeepEqual(hits, again) {
-			t.Fatalf("Lookup(%q) is not deterministic:\n%v\nvs\n%v", q, hits, again)
 		}
 	})
+}
+
+// sameHits reports whether two hit lists are identical, an empty list and
+// nil alike.
+func sameHits(a, b []Candidate) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }

@@ -1,15 +1,17 @@
 package similarity
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"unicode/utf8"
 )
 
 // Index is a trigram inverted index over a set of strings, used for fuzzy
 // label lookup: given a query, it retrieves candidate ids whose indexed
-// string shares trigrams with the query, then verifies with Score. This is
-// the stand-in for the paper's Lucene (LARQ) index.
+// string shares trigrams with the query, then verifies each candidate with
+// the composite score (kernel.go). This is the stand-in for the paper's
+// Lucene (LARQ) index.
 //
 // Lookup is the hot path of entity resolution: every pipeline stage funnels
 // cell values through it (directly or via the resolve cache), so it runs on
@@ -34,6 +36,7 @@ type scratch struct {
 	touched []int32 // ids with counts[id] != 0, for sparse reset
 	runes   []rune  // padded rune window of the current string
 	gram    []byte  // UTF-8 encoding of the current trigram window
+	kern    kernel  // the verify kernel's buffers
 }
 
 // NewIndex returns an empty index.
@@ -159,13 +162,14 @@ func (ix *Index) LookupNormalized(n string, threshold float64) []Candidate {
 }
 
 // LookupNormalizedRelaxed is LookupNormalized with the trigram filter bound
-// forced down to a single shared trigram. Because Score is symmetric and the
-// standard bound is keyed on the QUERY's trigram count, the relaxed probe
-// with the roles swapped is a provable superset: any indexed string that a
-// forward LookupNormalized(v) would surface for some value v shares at least
-// one trigram with v, so probing with the indexed string finds v's trigrams
-// too. The resolve cache uses this for reverse invalidation — given a newly
-// indexed label, find every memoised value the label could now match.
+// forced down to a single shared trigram. Because the score is symmetric
+// and the standard bound is keyed on the QUERY's trigram count, the relaxed
+// probe with the roles swapped is a provable superset: any indexed string
+// that a forward LookupNormalized(v) would surface for some value v shares
+// at least one trigram with v, so probing with the indexed string finds v's
+// trigrams too. The resolve cache uses this for reverse invalidation — given
+// a newly indexed label, find every memoised value the label could now
+// match.
 func (ix *Index) LookupNormalizedRelaxed(n string, threshold float64) []Candidate {
 	return ix.lookupNormalized(n, threshold, true)
 }
@@ -209,48 +213,37 @@ func (ix *Index) lookupNormalized(n string, threshold float64, relaxed bool) []C
 	if minShared < 1 || relaxed {
 		minShared = 1
 	}
+	// Decode the query once for the verify kernel: its runes are the padded
+	// window's interior.
+	sc.kern.q = append(sc.kern.q[:0], sc.runes[2:len(sc.runes)-1]...)
+	sc.kern.qASCII = isASCII(n)
 	for _, id := range sc.touched {
 		shared := sc.counts[id]
 		sc.counts[id] = 0
 		v := ix.values[id]
-		if shared < minShared || v == n {
-			continue // below the filter bound, or already emitted as exact
+		if shared < minShared || v == n || n == "" || v == "" {
+			continue // below the filter bound, already emitted as exact, or empty
 		}
-		if s := ix.scoreAgainst(n, qGrams, shared, id); s >= threshold {
+		// The trigram Jaccard term comes from the posting counts: shared
+		// distinct trigrams over the union of both distinct-trigram sets.
+		jac := float64(shared) / float64(qGrams+ix.gramN[id]-shared)
+		if s := sc.kern.verify(v, jac, threshold); s >= threshold {
 			out = append(out, Candidate{ID: id, Score: s})
 		}
 	}
 	sc.touched = sc.touched[:0]
 	ix.pool.Put(sc)
-	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Score != out[j].Score {
-				return out[i].Score > out[j].Score
-			}
-			return out[i].ID < out[j].ID
-		})
-	}
+	sortCandidates(out)
 	return out
 }
 
-// scoreAgainst is Score specialised for the lookup loop: both strings are
-// already normalised and unequal, and the trigram Jaccard term is computed
-// from the posting counts (shared distinct trigrams, with the per-id set
-// size recorded at Add time) instead of rebuilding trigram sets, so the
-// verify step allocates no maps.
-func (ix *Index) scoreAgainst(n string, qGrams, shared int32, id int32) float64 {
-	v := ix.values[id]
-	if n == "" || v == "" {
-		return 0
-	}
-	s := JaroWinkler(n, v)
-	if l := LevenshteinSim(n, v); l > s {
-		s = l
-	}
-	if union := qGrams + ix.gramN[id] - shared; union > 0 {
-		if t := float64(shared) / float64(union); t > s {
-			s = t
+// sortCandidates orders hits best first, ties by ascending id — a total
+// order, since ids are distinct.
+func sortCandidates(out []Candidate) {
+	slices.SortFunc(out, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-	}
-	return s
+		return cmp.Compare(a.ID, b.ID)
+	})
 }

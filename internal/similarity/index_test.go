@@ -1,7 +1,10 @@
 package similarity
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -99,19 +102,56 @@ func TestLookupAllocationLean(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
 	}
-	ix := NewIndex()
-	for _, s := range []string{"Rome", "Madrid", "Paris", "Berlin", "Lisbon", "Vienna"} {
-		ix.Add(s)
+	// The hit index: 300 variants of one name, some non-ASCII and some over
+	// 64 bytes (both take the Jaro scan, the rest the position mask), so one
+	// lookup verifies both Jaro paths hundreds of times.
+	var hitEntries []string
+	for i := 0; i < 300; i++ {
+		e := fmt.Sprintf("port elizabeth %c%d", 'a'+i%26, i)
+		switch {
+		case i%10 == 0:
+			e += " élan"
+		case i%15 == 1:
+			e += strings.Repeat(" metropolitan", 5)
+		}
+		hitEntries = append(hitEntries, e)
 	}
-	ix.Lookup("Rome", DefaultThreshold) // warm the scratch pool
-	// A miss touches the whole filter path (padding, trigram encoding,
-	// posting scans) but produces no output; the only per-call allocation
-	// left is Normalize building the query's canonical form.
-	allocs := testing.AllocsPerRun(100, func() {
-		ix.Lookup("Zanzibar", DefaultThreshold)
-	})
-	if allocs > 1 {
-		t.Errorf("miss lookup allocates %.1f per op, want <= 1 (query Normalize)", allocs)
+	for _, tc := range []struct {
+		name    string
+		entries []string
+		query   string
+		// allocs: the query's Normalize, plus the result slice on a hit —
+		// nothing per verified candidate.
+		allocs   float64
+		minCands int
+	}{
+		// A miss touches the whole filter path (padding, trigram encoding,
+		// posting scans) but produces no output.
+		{"miss", []string{"Rome", "Madrid", "Paris", "Berlin", "Lisbon", "Vienna"}, "Zanzibar", 1, 0},
+		{"hit", hitEntries, "Port Elizabeth", 2, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := NewIndex()
+			for _, s := range tc.entries {
+				ix.Add(s)
+			}
+			// Candidates the lookup verifies: every entry that clears the
+			// trigram filter (any score passes a -Inf threshold).
+			values := make([]string, ix.Len())
+			for id := range values {
+				values[id] = ix.Value(int32(id))
+			}
+			if n := len(referenceLookup(values, tc.query, math.Inf(-1), false)); n < tc.minCands {
+				t.Fatalf("%d candidates clear the filter, want >= %d", n, tc.minCands)
+			}
+			ix.Lookup(tc.query, DefaultThreshold) // warm the scratch pool
+			allocs := testing.AllocsPerRun(100, func() {
+				ix.Lookup(tc.query, DefaultThreshold)
+			})
+			if allocs > tc.allocs {
+				t.Errorf("lookup allocates %.1f per op, want <= %v", allocs, tc.allocs)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package similarity
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -202,6 +201,24 @@ func TestIndexOrdering(t *testing.T) {
 func TestIndexLookupMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	words := []string{"rome", "roma", "romania", "madrid", "milan", "munich", "paris", "prague", "pretoria"}
+	// Extra shapes for the verify kernel's Jaro scan (the position mask
+	// takes the rest): non-ASCII words, and words that repeat into labels
+	// over 64 bytes.
+	shapes := append(words, "münchen", "praha", "zürich", "são paulo", "ñuñoa")
+	randomLabel := func() string {
+		w := shapes[rng.Intn(len(shapes))]
+		switch rng.Intn(4) {
+		case 0:
+			w += string(rune('a' + rng.Intn(26)))
+		case 1:
+			w += " " + shapes[rng.Intn(len(shapes))]
+		case 2:
+			for len(w) <= 64 {
+				w += " " + shapes[rng.Intn(len(shapes))]
+			}
+		}
+		return w
+	}
 	ix := NewIndex()
 	var stored []string
 	for i := 0; i < 200; i++ {
@@ -209,6 +226,11 @@ func TestIndexLookupMatchesBruteForce(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			w += string(rune('a' + rng.Intn(26)))
 		}
+		stored = append(stored, Normalize(w))
+		ix.Add(w)
+	}
+	for i := 0; i < 200; i++ {
+		w := randomLabel()
 		stored = append(stored, Normalize(w))
 		ix.Add(w)
 	}
@@ -226,21 +248,17 @@ func TestIndexLookupMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-}
-
-func BenchmarkScore(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Score("Johannesburg Metropolitan", "johannesburg metro")
+	// Past the filter the kernel is exact: every lookup returns exactly the
+	// reference scorer's hits, with bit-identical scores.
+	queries := append([]string(nil), words...)
+	for i := 0; i < 60; i++ {
+		queries = append(queries, randomLabel())
 	}
-}
-
-func BenchmarkIndexLookup(b *testing.B) {
-	ix := NewIndex()
-	for i := 0; i < 10000; i++ {
-		ix.Add("entity " + strings.Repeat("x", i%17) + "suffix")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Lookup("entity xxxxsuffix", DefaultThreshold)
+	for _, q := range queries {
+		for _, threshold := range []float64{0.5, DefaultThreshold, 0.85} {
+			if got, want := ix.Lookup(q, threshold), referenceLookup(stored, q, threshold, false); !sameHits(got, want) {
+				t.Fatalf("Lookup(%q, %v):\n got  %v\n want %v", q, threshold, got, want)
+			}
+		}
 	}
 }

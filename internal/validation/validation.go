@@ -84,6 +84,14 @@ type Validator struct {
 	Missed bool
 
 	ambCache map[[2]rdf.ID]float64
+	extCache map[extKey][]rdf.ID // candidate -> its extension, see extension
+}
+
+// extKey names a candidate's extension: a type's instances, or a
+// property's subjects when pair is set.
+type extKey struct {
+	id   rdf.ID
+	pair bool
 }
 
 // AnswerMemo is a memo of crowd plurality decisions, keyed on the variable
@@ -146,6 +154,7 @@ func (v *Validator) defaults() {
 	}
 	if v.ambCache == nil {
 		v.ambCache = make(map[[2]rdf.ID]float64)
+		v.extCache = make(map[extKey][]rdf.ID)
 	}
 }
 
@@ -610,14 +619,7 @@ func (val *Validator) overlap(a, b rdf.ID, isPair bool) float64 {
 	if v, ok := val.ambCache[key]; ok {
 		return v
 	}
-	var setA, setB []rdf.ID
-	if isPair {
-		setA = val.KB.SubjectsWithPredicate(a)
-		setB = val.KB.SubjectsWithPredicate(b)
-	} else {
-		setA = val.KB.InstancesOf(a)
-		setB = val.KB.InstancesOf(b)
-	}
+	setA, setB := val.extension(a, isPair), val.extension(b, isPair)
 	inter, union := 0, 0
 	i, j := 0, 0
 	for i < len(setA) && j < len(setB) {
@@ -642,6 +644,25 @@ func (val *Validator) overlap(a, b rdf.ID, isPair bool) float64 {
 	}
 	val.ambCache[key] = v
 	return v
+}
+
+// extension returns a candidate's sorted extension — type instances, or
+// subject entities for a relationship — computed once per candidate: every
+// pair of a domain needs both extensions, so without the memo each is
+// rebuilt (and re-sorted) once per pair it takes part in.
+func (val *Validator) extension(id rdf.ID, isPair bool) []rdf.ID {
+	key := extKey{id, isPair}
+	if ext, ok := val.extCache[key]; ok {
+		return ext
+	}
+	var ext []rdf.ID
+	if isPair {
+		ext = val.KB.SubjectsWithPredicate(id)
+	} else {
+		ext = val.KB.InstancesOf(id)
+	}
+	val.extCache[key] = ext
+	return ext
 }
 
 // prompt renders a §5.1-style question with k_t sampled tuples for context.
