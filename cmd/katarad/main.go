@@ -1,7 +1,7 @@
 // Command katarad serves cleaning as a service: a long-running daemon that
 // loads one knowledge base at startup and accepts concurrent cleaning jobs
 // over HTTP/JSON. Each job cleans its submitted table against a private
-// clone of the pristine KB through the pipeline, with per-job
+// copy-on-write share of the pristine KB through the pipeline, with per-job
 // budgets, deadlines and live progress.
 //
 // Usage:

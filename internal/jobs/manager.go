@@ -119,9 +119,13 @@ type RunFunc func(ctx context.Context, kb *katara.KB, tbl *katara.Table, p Param
 
 // Config configures a Manager.
 type Config struct {
-	// KB is the pristine knowledge base. Every job runs against its own
-	// clone: annotation enrichment mutates the store, and jobs must not
-	// observe each other's enrichment (or corrupt each other's repairs).
+	// KB is the pristine knowledge base. Annotation enrichment mutates the
+	// store, and jobs must not observe each other's enrichment (or corrupt
+	// each other's repairs), so every job runs against its own copy. The
+	// default runner re-interns KB once, on the first job, and gives each
+	// job a copy-on-write share of that copy (rdf.Store.CloneExact): a job
+	// pays one copy of the indexes at its first enrichment write. KB itself
+	// is never written, and the manager drops it once the copy exists.
 	KB *katara.KB
 	// MaxConcurrent bounds jobs running at once (default 4).
 	MaxConcurrent int
@@ -198,6 +202,11 @@ type Manager struct {
 	retained      map[string]*katara.Cleaner
 	retainedOrder []string
 	maxSessions   int
+	// pristine is the default runner's one re-interned copy of Config.KB,
+	// built by the first job (pristineOnce); each job's cleaner starts from
+	// a CloneExact share of it.
+	pristine     *katara.KB
+	pristineOnce sync.Once
 
 	submitted, completed, failed, cancelled, rejected int64
 	panics, requeued, poisoned, appended              int64
@@ -213,9 +222,6 @@ func NewManager(cfg Config) *Manager {
 		cfg.MaxQueue = 64
 	}
 	realRunner := cfg.Run == nil
-	if cfg.Run == nil {
-		cfg.Run = runClean
-	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 4
 	}
@@ -354,10 +360,11 @@ func (m *Manager) Recovery() RecoveryStats {
 	return m.recovery
 }
 
-// buildCleaner assembles the real per-job cleaner: a clone of the pristine
-// KB (per-job enrichment isolation), provenance recording (the audit layer
-// is part of the service contract), and an incremental session so a later
-// append can extend the run instead of re-cleaning everything.
+// buildCleaner assembles the real per-job cleaner: a copy-on-write share of
+// kb (per-job enrichment isolation at the cost of one copy at the job's
+// first enrichment write), provenance recording (the audit layer is part of
+// the service contract), and an incremental session so a later append can
+// extend the run instead of re-cleaning everything.
 func buildCleaner(kb *katara.KB, p Params, pipe *telemetry.Pipeline) *katara.Cleaner {
 	opts := p.Options()
 	opts.Pipeline = pipe
@@ -371,13 +378,21 @@ func buildCleaner(kb *katara.KB, p Params, pipe *telemetry.Pipeline) *katara.Cle
 			SpamRate:      p.FaultRate * 0.25,
 		})
 	}
-	return katara.NewCleaner(kb.Clone(), katara.TrustingCrowd(), opts)
+	return katara.NewCleaner(kb.CloneExact(), katara.TrustingCrowd(), opts)
 }
 
-// runClean is the real RunFunc: build the per-job cleaner and run the
-// pipeline.
-func runClean(ctx context.Context, kb *katara.KB, tbl *katara.Table, p Params, pipe *telemetry.Pipeline) (*katara.Report, error) {
-	return buildCleaner(kb, p, pipe).CleanContext(ctx, tbl)
+// pristineKB returns the KB every job's cleaner shares, building it on first
+// use so daemon boot does no extra work. It is re-interned (Clone, not
+// CloneExact) because result documents depend on term IDs: Clone assigns
+// them exactly as the per-job Clone of Config.KB that these shares replace,
+// so results stay byte-identical across versions and journal replays.
+// Config.KB is dropped afterwards, so an idle daemon holds one copy.
+func (m *Manager) pristineKB() *katara.KB {
+	m.pristineOnce.Do(func() {
+		m.pristine = m.cfg.KB.Clone()
+		m.cfg.KB = nil
+	})
+	return m.pristine
 }
 
 // Submit validates, registers, durably journals and enqueues a job. It
@@ -676,7 +691,7 @@ func (m *Manager) execute(job *Job) (*katara.Report, error) {
 		if !m.realRunner {
 			return m.cfg.Run(job.ctx, m.cfg.KB, job.table, job.params, job.pipe)
 		}
-		cl := buildCleaner(m.cfg.KB, job.params, job.pipe)
+		cl := buildCleaner(m.pristineKB(), job.params, job.pipe)
 		rep, err := cl.CleanContext(job.ctx, job.table)
 		if err == nil {
 			m.retain(job.id, cl)
@@ -694,12 +709,12 @@ func (m *Manager) execute(job *Job) (*katara.Report, error) {
 		return rep, err
 	}
 	// Slow path: session evicted or lost to a restart. Re-execute the chain —
-	// root Clean, then every delta in order — against a fresh KB clone.
+	// root Clean, then every delta in order — against a fresh KB share.
 	root, deltas, err := m.chain(job)
 	if err != nil {
 		return nil, err
 	}
-	cl := buildCleaner(m.cfg.KB, job.params, job.pipe)
+	cl := buildCleaner(m.pristineKB(), job.params, job.pipe)
 	rep, err := cl.CleanContext(job.ctx, root)
 	for _, delta := range deltas {
 		if err != nil {

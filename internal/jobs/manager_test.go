@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"katara"
+	"katara/internal/rdf"
 	"katara/internal/table"
 	"katara/internal/telemetry"
 	"katara/internal/workload"
@@ -88,6 +91,70 @@ func TestJobHappyPath(t *testing.T) {
 	doc2, _ := json.Marshal(BuildResult("x", StateDone, rep2).Report)
 	if !bytes.Equal(doc1, doc2) {
 		t.Fatal("identical submissions produced different report documents")
+	}
+}
+
+// runClean is a RunFunc that runs the real pipeline: a cleaner built as the
+// manager's default runner builds one, on a share of kb.
+func runClean(ctx context.Context, kb *katara.KB, tbl *katara.Table, p Params, pipe *telemetry.Pipeline) (*katara.Report, error) {
+	return buildCleaner(kb, p, pipe).CleanContext(ctx, tbl)
+}
+
+// kbFingerprint renders what any write to a KB would change: its term count,
+// label generation and triple stream by ID.
+func kbFingerprint(kb *katara.KB) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "terms=%d labelGen=%d\n", kb.NumTerms(), kb.LabelGen())
+	kb.ForEachTriple(func(t rdf.Triple) { fmt.Fprintf(&b, "%d %d %d\n", t.S, t.P, t.O) })
+	return b.String()
+}
+
+// TestJobsShareOneKBCopy: enriching jobs, run two at a time, start from
+// copy-on-write shares of the manager's one re-interned KB. Config.KB is
+// never written, and every result document equals the one a cleaner on a
+// private kb.Clone() with the job's options produces — the per-job clone
+// the shares replace.
+func TestJobsShareOneKBCopy(t *testing.T) {
+	kb, dirty := fixture(t, 120)
+	want := kbFingerprint(kb)
+	m := NewManager(Config{KB: kb, MaxConcurrent: 2, MaxQueue: 16})
+	defer m.Close()
+
+	params := []Params{{}, {Workers: 2}, {RepairK: 2}}
+	var ids []string
+	for i := 0; i < 2*len(params); i++ {
+		id, err := m.Submit(dirty, params[i%len(params)])
+		if err != nil {
+			t.Fatalf("Submit #%d: %v", i, err)
+		}
+		ids = append(ids, id)
+	}
+	for i, id := range ids {
+		if st := waitJob(t, m, id); st.State != StateDone {
+			t.Fatalf("job %s: state %s (err %q), want done", id, st.State, st.Error)
+		}
+		doc, _, _, err := m.Result(id)
+		if err != nil {
+			t.Fatalf("Result(%s): %v", id, err)
+		}
+		if doc.Report.NewFacts == 0 {
+			t.Fatalf("job %s enriched nothing; the check needs jobs that write their KB", id)
+		}
+		opts := params[i%len(params)].Options()
+		opts.Provenance = katara.NewProvenance()
+		opts.Incremental = true
+		ref, err := katara.NewCleaner(kb.Clone(), katara.TrustingCrowd(), opts).Clean(dirty)
+		if err != nil {
+			t.Fatalf("reference clean: %v", err)
+		}
+		got, _ := json.Marshal(doc)
+		wantDoc, _ := json.Marshal(BuildResult(id, StateDone, ref))
+		if !bytes.Equal(got, wantDoc) {
+			t.Errorf("job %s: result document differs from a cleaner on its own kb.Clone()", id)
+		}
+	}
+	if kbFingerprint(kb) != want {
+		t.Error("Config.KB was written by the jobs")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package jobs is the cleaning-as-a-service layer: validated job
 // parameters, a bounded-concurrency job manager that runs each submitted
-// table through the pipeline against a per-job clone of a pristine
-// KB, and the HTTP/JSON surface cmd/katarad mounts.
+// table through the pipeline against a per-job copy-on-write share of a
+// pristine KB, and the HTTP/JSON surface cmd/katarad mounts.
 //
 // The package sits above the root katara API (it imports it, never the
 // reverse) so the library keeps zero knowledge of the service boundary.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -122,19 +123,189 @@ func TestReadAPIDoesNotMutateSharedSlices(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	s := buildAliasKB()
-	clone := s.Clone()
-	before := renderTriples(clone)
-	// Mutating the original must not leak into the clone through any shared
-	// backing array.
-	s.AddFact(IRI("ex:Italy"), IRI("ex:hasCity"), IRI("ex:Naples"))
-	s.AddFact(IRI("ex:Naples"), IRI(IRILabel), Lit("Naples"))
-	if got := renderTriples(clone); !reflect.DeepEqual(got, before) {
-		t.Fatalf("clone changed when original was mutated:\ngot  %v\nwant %v", got, before)
+// storeView renders everything a write could change, by term value and by
+// ID: the term table and lookups of the terms the clone tests add, the
+// triple stream, subject descriptions, the counters, the label log, label
+// resolution and the subclass closure. It only looks terms up, so reading a
+// view writes nothing.
+func storeView(s *Store) []string {
+	out := renderTriples(s)
+	for id := 0; id < s.NumTerms(); id++ {
+		out = append(out, fmt.Sprintf("term %d = %s", id, s.Term(ID(id))))
 	}
-	if len(clone.MatchLabel("Naples", 0.7)) != 0 {
-		t.Fatal("clone's label index leaked the original's new label")
+	for _, term := range []Term{IRI("ex:Italy"), IRI("ex:Milan"), IRI("ex:Capital"), IRI("ex:Place"), IRI("ex:Naples"), Lit("Naples"), IRI("ex:Region")} {
+		id := s.LookupTerm(term)
+		out = append(out, fmt.Sprintf("lookup %s = %d", term, id))
+		if id == NoID {
+			continue
+		}
+		for _, tr := range s.Description(id) {
+			out = append(out, fmt.Sprintf("describe %s: %s %s", term, s.Term(tr.P), s.Term(tr.O)))
+		}
+		for _, p := range s.Predicates() {
+			for _, su := range s.Subjects(p, id) {
+				out = append(out, fmt.Sprintf("subject of %s %s: %s", s.Term(p), term, s.Term(su)))
+			}
+		}
+	}
+	labels, ok := s.LabelsSince(0)
+	out = append(out, fmt.Sprintf("triples=%d labelGen=%d labelsSince0=%q,%v",
+		s.NumTriples(), s.LabelGen(), labels, ok))
+	render := func(ids []ID) []string {
+		var r []string
+		for _, id := range ids {
+			r = append(r, s.Term(id).String())
+		}
+		return r
+	}
+	for _, q := range []string{"Rome", "Naples"} {
+		var hits []string
+		for _, m := range s.MatchLabel(q, 0.7) {
+			hits = append(hits, fmt.Sprintf("%s:%v", s.Term(m.Resource), m.Score))
+		}
+		out = append(out, fmt.Sprintf("match %s = %v, labeled %v", q, hits, render(s.ResourcesLabeled(q))))
+	}
+	for _, c := range []string{"ex:Capital", "ex:City", "ex:Place"} {
+		if id := s.LookupTerm(IRI(c)); id != NoID {
+			out = append(out, fmt.Sprintf("super %s = %v", c, render(s.SuperClasses(id))))
+		}
+	}
+	return out
+}
+
+// TestCloneIsDeep: after Clone or CloneExact, writing either store leaves
+// the other reading exactly as before — no backing array, map, label index
+// or closure memo leaks between them. Each kind of write enrichment makes
+// is the first write on a fresh pair, so each write path is the one that
+// must give the writer its own indexes.
+func TestCloneIsDeep(t *testing.T) {
+	id := func(s *Store, iri string) ID { return s.LookupTerm(IRI(iri)) }
+	writes := []struct {
+		name   string
+		write  func(*Store)
+		landed func(*Store) bool
+	}{
+		{"existing-key", func(s *Store) { s.AddFact(IRI("ex:Milan"), IRI(IRIType), IRI("ex:Capital")) },
+			func(s *Store) bool { return s.Has(id(s, "ex:Milan"), s.TypeID, id(s, "ex:Capital")) }},
+		{"new-term", func(s *Store) { s.Res("ex:Naples") },
+			func(s *Store) bool { return id(s, "ex:Naples") != NoID }},
+		{"new-label", func(s *Store) { s.AddFact(IRI("ex:Milan"), IRI(IRILabel), Lit("Rome")) },
+			func(s *Store) bool { return len(s.ResourcesLabeled("Rome")) == 2 }},
+		{"subClassOf", func(s *Store) { s.AddFact(IRI("ex:Place"), IRI(IRISubClassOf), IRI("ex:Italy")) },
+			func(s *Store) bool { return s.IsSubClassOf(id(s, "ex:Capital"), id(s, "ex:Italy")) }},
+	}
+	for _, c := range []struct {
+		name  string
+		clone func(*Store) *Store
+	}{
+		{"Clone", (*Store).Clone},
+		{"CloneExact", (*Store).CloneExact},
+	} {
+		for _, w := range writes {
+			for _, writeClone := range []bool{false, true} {
+				side := "source"
+				if writeClone {
+					side = "clone"
+				}
+				t.Run(c.name+"/"+w.name+"/write-"+side, func(t *testing.T) {
+					src := buildAliasKB()
+					src.WarmClosures()
+					clone := c.clone(src)
+					written, kept := src, clone
+					if writeClone {
+						written, kept = clone, src
+					}
+					before := storeView(kept)
+					w.write(written)
+					if got := storeView(kept); !reflect.DeepEqual(got, before) {
+						t.Fatalf("unwritten store changed:\ngot  %q\nwant %q", got, before)
+					}
+					if !w.landed(written) {
+						t.Fatal("the write did not land on the written store")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCloneExactIsConstantCost pins the copy-on-write snapshot: CloneExact
+// allocates the new Store and nothing else, whatever the store's size, a
+// duplicate Add on a share copies nothing, and a share pays its copy once.
+func TestCloneExactIsConstantCost(t *testing.T) {
+	for _, n := range []int{10, 5000} {
+		s := New()
+		for i := 0; i < n; i++ {
+			s.AddFact(IRI(fmt.Sprintf("ex:r%d", i)), IRI(IRILabel), Lit(fmt.Sprintf("label %d", i)))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.CloneExact() }); allocs > 2 {
+			t.Errorf("CloneExact of a %d-label store: %.0f allocs, want <= 2", n, allocs)
+		}
+		r0, label := s.Res("ex:r0"), s.Literal("label 0")
+		if allocs := testing.AllocsPerRun(100, func() { s.CloneExact().Add(r0, s.LabelID, label) }); allocs > 2 {
+			t.Errorf("duplicate Add on a share of a %d-label store: %.0f allocs, want <= 2", n, allocs)
+		}
+		share := s.CloneExact()
+		share.AddFact(IRI("ex:new"), IRI(IRILabel), Lit("new label"))
+		if share.shared.Load() {
+			t.Errorf("a share of a %d-label store still shares after its first write, so every write copies", n)
+		}
+	}
+}
+
+// enrichAlias writes the kinds of change enrichment makes: a triple on an
+// existing key, new terms, a new label and a subClassOf triple.
+func enrichAlias(s *Store, tag string) {
+	s.AddFact(IRI("ex:Milan"), IRI(IRIType), IRI("ex:Capital"))
+	s.AddFact(IRI("ex:Italy"), IRI("ex:hasCity"), IRI("ex:Naples"+tag))
+	s.AddFact(IRI("ex:Naples"+tag), IRI(IRILabel), Lit("Naples"+tag))
+	s.AddFact(IRI("ex:Place"), IRI(IRISubClassOf), IRI("ex:Region"+tag))
+}
+
+// TestCloneExactConcurrentShares: goroutines each take CloneExact of one
+// quiescent store at once, read their share, enrich it, take a second share,
+// and keep writing. The second share reads as of the moment it was taken,
+// every copy ends as the same writes applied sequentially to a fresh build
+// would leave it, and the source is unchanged.
+func TestCloneExactConcurrentShares(t *testing.T) {
+	src := buildAliasKB()
+	src.WarmClosures()
+	want := storeView(src)
+	const workers = 6
+	type result struct{ fresh, share, final []string }
+	results := make([]result, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cp := src.CloneExact()
+			results[g].fresh = storeView(cp)
+			enrichAlias(cp, fmt.Sprint(g))
+			share := cp.CloneExact()
+			cp.AddFact(IRI("ex:Rome"), IRI(IRILabel), Lit(fmt.Sprintf("Roma %d", g)))
+			results[g].share = storeView(share)
+			results[g].final = storeView(cp)
+		}(g)
+	}
+	wg.Wait()
+
+	if got := storeView(src); !reflect.DeepEqual(got, want) {
+		t.Fatalf("source changed under concurrent shares:\ngot  %q\nwant %q", got, want)
+	}
+	for g, r := range results {
+		seq := buildAliasKB()
+		if !reflect.DeepEqual(r.fresh, storeView(seq)) {
+			t.Errorf("worker %d: fresh share differs from the source", g)
+		}
+		enrichAlias(seq, fmt.Sprint(g))
+		if !reflect.DeepEqual(r.share, storeView(seq)) {
+			t.Errorf("worker %d: second share differs from a sequential build", g)
+		}
+		seq.AddFact(IRI("ex:Rome"), IRI(IRILabel), Lit(fmt.Sprintf("Roma %d", g)))
+		if !reflect.DeepEqual(r.final, storeView(seq)) {
+			t.Errorf("worker %d: enriched copy differs from a sequential build", g)
+		}
 	}
 }
 
@@ -178,6 +349,7 @@ func TestCloneExactLabelIndexMatchesDirectBuild(t *testing.T) {
 	}
 	clone := build(base).CloneExact()
 	same("CloneExact", clone, build(base))
+	clone.own() // Grow writes the index, which the clone shares until then
 	clone.fuzzy.Grow(len(burst))
 	for i, l := range burst {
 		clone.AddFact(IRI(fmt.Sprintf("ex:r%d", len(base)+i)), IRI(IRILabel), Lit(l))

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"katara/internal/similarity"
 )
@@ -102,6 +103,18 @@ type Store struct {
 	// flush.
 	labelLog     []string
 	labelLogBase uint64
+
+	// shared is set on both sides of a CloneExact: the two stores share
+	// terms, lookup, pso, pos, sp, labelIndex, fuzzy, fuzzyIDs and labelLog
+	// until one of them writes, and own gives the writer private copies.
+	// Intern (on a new term) and Add are the only methods that write those
+	// indexes, so they are the only callers of own; the parsers and
+	// ReadSnapshot write through them, and ensureClosures writes only this
+	// store's closure memo. Any new write path must call own first. Atomic
+	// because several goroutines may take CloneExact of one quiescent store
+	// at once; the shared indexes are never written again, so a reader of
+	// one store never races the writer of another.
+	shared atomic.Bool
 }
 
 // maxLabelLog bounds the label log; above it the older half is dropped.
@@ -133,6 +146,7 @@ func (s *Store) Intern(t Term) ID {
 	if id, ok := s.lookup[t]; ok {
 		return id
 	}
+	s.own()
 	id := ID(len(s.terms))
 	s.terms = append(s.terms, t)
 	s.lookup[t] = id
@@ -174,6 +188,12 @@ func (s *Store) LabelGen() uint64 { return s.labelGen }
 // Add inserts the triple (sub, pred, obj). Duplicate triples are ignored.
 // It returns true if the triple was new.
 func (s *Store) Add(sub, pred, obj ID) bool {
+	if s.shared.Load() {
+		if s.Has(sub, pred, obj) {
+			return false // a duplicate copies nothing
+		}
+		s.own()
+	}
 	bySubj := s.pso[pred]
 	if bySubj == nil {
 		bySubj = make(map[ID][]ID)
@@ -331,7 +351,7 @@ func (s *Store) Clone() *Store {
 	return out
 }
 
-// CloneExact returns a deep copy of the store that PRESERVES term IDs — the
+// CloneExact returns a copy of the store that PRESERVES term IDs — the
 // clone interns exactly the same terms at exactly the same IDs and holds
 // exactly the same triples, so IDs (and any structure built on them:
 // patterns, label matches, repair graphs) are interchangeable between the
@@ -339,16 +359,21 @@ func (s *Store) Clone() *Store {
 // because enrichment only appends terms, the snapshot's terms stay a prefix
 // of the live store's and every snapshot ID remains valid in both.
 //
-// Hierarchy closures are left cold (they rebuild lazily on first use);
-// everything else — including the label log and all generation counters — is
-// copied, so caches keyed on generations resume seamlessly.
+// The copy is copy-on-write: it costs O(1) and shares the source's indexes
+// until either store is first written, and that write copies them for the
+// writer. Hierarchy closures are left cold (they rebuild lazily on first
+// use); everything else — including the label log and all generation
+// counters — is carried over, so caches keyed on generations resume
+// seamlessly. Several goroutines may take CloneExact of one store at once
+// while nothing writes it.
 func (s *Store) CloneExact() *Store {
+	s.shared.Store(true)
 	out := &Store{
-		terms:           append([]Term(nil), s.terms...),
-		lookup:          make(map[Term]ID, len(s.lookup)),
-		pso:             cloneIndex(s.pso),
-		pos:             cloneIndex(s.pos),
-		sp:              make(map[ID][]pair, len(s.sp)),
+		terms:           s.terms,
+		lookup:          s.lookup,
+		pso:             s.pso,
+		pos:             s.pos,
+		sp:              s.sp,
 		ntriples:        s.ntriples,
 		TypeID:          s.TypeID,
 		LabelID:         s.LabelID,
@@ -356,22 +381,45 @@ func (s *Store) CloneExact() *Store {
 		SubPropertyOfID: s.SubPropertyOfID,
 		gen:             s.gen,
 		labelGen:        s.labelGen,
-		labelIndex:      make(map[string][]ID, len(s.labelIndex)),
-		fuzzy:           s.fuzzy.Clone(),
-		fuzzyIDs:        append([]ID(nil), s.fuzzyIDs...),
-		labelLog:        append([]string(nil), s.labelLog...),
+		labelIndex:      s.labelIndex,
+		fuzzy:           s.fuzzy,
+		fuzzyIDs:        s.fuzzyIDs,
+		labelLog:        s.labelLog,
 		labelLogBase:    s.labelLogBase,
 	}
-	for t, id := range s.lookup {
-		out.lookup[t] = id
-	}
-	for su, pairs := range s.sp {
-		out.sp[su] = append([]pair(nil), pairs...)
-	}
-	for norm, ids := range s.labelIndex {
-		out.labelIndex[norm] = append([]ID(nil), ids...)
-	}
+	out.shared.Store(true)
 	return out
+}
+
+// own gives a store that shares its indexes since a CloneExact private deep
+// copies of them, so it can write without touching the other store. It is a
+// no-op on a store that shares nothing.
+func (s *Store) own() {
+	if !s.shared.Load() {
+		return
+	}
+	lookup := make(map[Term]ID, len(s.lookup))
+	for t, id := range s.lookup {
+		lookup[t] = id
+	}
+	sp := make(map[ID][]pair, len(s.sp))
+	for su, pairs := range s.sp {
+		sp[su] = append([]pair(nil), pairs...)
+	}
+	labelIndex := make(map[string][]ID, len(s.labelIndex))
+	for norm, ids := range s.labelIndex {
+		labelIndex[norm] = append([]ID(nil), ids...)
+	}
+	s.terms = append([]Term(nil), s.terms...)
+	s.lookup = lookup
+	s.pso = cloneIndex(s.pso)
+	s.pos = cloneIndex(s.pos)
+	s.sp = sp
+	s.labelIndex = labelIndex
+	s.fuzzy = s.fuzzy.Clone()
+	s.fuzzyIDs = append([]ID(nil), s.fuzzyIDs...)
+	s.labelLog = append([]string(nil), s.labelLog...)
+	s.shared.Store(false)
 }
 
 // cloneIndex deep-copies a pso/pos-shaped two-level index.

@@ -119,7 +119,7 @@ func (ix *Index) Grow(n int) {
 
 // Clone returns a deep copy of the index with identical ids — lookups on the
 // clone return exactly the same candidates as on the original. Used by
-// rdf.Store.CloneExact to snapshot the fuzzy label index.
+// rdf.Store to copy the fuzzy label index it shared since a CloneExact.
 func (ix *Index) Clone() *Index {
 	out := NewIndex()
 	out.values = append([]string(nil), ix.values...)

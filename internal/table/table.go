@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"regexp"
+	"strings"
 )
 
 // Table is a named relation. Column headers may be opaque ("A", "B", ...) —
@@ -110,7 +112,13 @@ func (t *Table) ColumnValues(col int) []string {
 	return out
 }
 
-// ReadCSV parses a table from CSV. The first record is the header.
+// crRun matches a run of CRs that ends a line inside a quoted field.
+var crRun = regexp.MustCompile("\r+\n")
+
+// ReadCSV parses a table from CSV. The first record is the header. Inside a
+// quoted field, every run of CRs before an LF reads as the LF: encoding/csv
+// drops only the last CR of such a run, so without this each write/read
+// cycle would shed one more CR.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -120,6 +128,13 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 	}
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("table: %s: empty input", name)
+	}
+	for _, rec := range recs {
+		for i, f := range rec {
+			if strings.Contains(f, "\r\n") {
+				rec[i] = crRun.ReplaceAllString(f, "\n")
+			}
+		}
 	}
 	t := New(name, recs[0]...)
 	for i, rec := range recs[1:] {

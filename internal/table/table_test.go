@@ -75,6 +75,39 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCSVCollapsesCRRuns: inside a quoted field, a run of CRs before an
+// LF reads as the LF, in the header as in the rows, while CRs that end no
+// line stay. One read is then a fixpoint of the write/read cycle.
+func TestReadCSVCollapsesCRRuns(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"\"x\r\ny\"", "x\ny"},
+		{"\"x\r\r\r\ny\"", "x\ny"},
+		{"\"\r\r\r\r\n\"", "\n"},
+		{"\"x\ry\"", "x\ry"},
+		{"\"x\r\r\"", "x\r\r"},
+		{"\"\r\r\nx\r\r\"", "\nx\r\r"},
+	} {
+		tab, err := ReadCSV("cr", strings.NewReader(c.in+"\n"+c.in+"\n"))
+		if err != nil {
+			t.Fatalf("ReadCSV(%q): %v", c.in, err)
+		}
+		if tab.Columns[0] != c.want || tab.Rows[0][0] != c.want {
+			t.Errorf("ReadCSV(%q): header %q, cell %q, want %q", c.in, tab.Columns[0], tab.Rows[0][0], c.want)
+		}
+		var buf bytes.Buffer
+		if err := tab.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadCSV("cr", &buf)
+		if err != nil {
+			t.Fatalf("re-read of %q: %v", c.in, err)
+		}
+		if again.Columns[0] != c.want || again.Rows[0][0] != c.want {
+			t.Errorf("re-read of %q: header %q, cell %q, want %q", c.in, again.Columns[0], again.Rows[0][0], c.want)
+		}
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV("x", strings.NewReader("")); err == nil {
 		t.Error("empty input should fail")
