@@ -8,10 +8,12 @@
 //
 // The machinery behind the invariant:
 //
-//   - the session snapshots the KB at Clean time (CloneExact, ID-preserving),
-//     so drift checks and full re-cleans run against exactly the store a
-//     batch run over the merged inputs would start from — never against the
-//     enrichment the session itself added;
+//   - the session snapshots the KB at Clean time (CloneExact, ID-preserving
+//     and copy-on-write), so drift checks and full re-cleans run against
+//     exactly the store a batch run over the merged inputs would start
+//     from — never against the enrichment the session itself added — and,
+//     until the snapshot is written, take their KB statistics from the
+//     tables its rdf snapshot shares (kbstats.New);
 //   - the validated pattern is re-derived per increment by running discovery
 //     over the merged table and REPLAYING §5 MUVF from the memoised crowd
 //     decisions (validation.AnswerMemo): zero crowd questions, and any
@@ -26,9 +28,12 @@
 //     ApplyKBDelta) re-ranks every erroneous row against a rebuilt index,
 //     which is exactly what a batch run over the merged inputs computes.
 //
-// Equivalence assumes the crowd's answers are a function of the question
-// (the oracle-pinned simulated crowds); a noisy live crowd diverges across
-// batch re-runs too, so replay is no worse than the batch baseline there.
+// Equivalence assumes the crowd's answers are a function of the question.
+// The simulated crowds do not guarantee it (see validation.AnswerMemo): they
+// draw every answer from one shared stream, so a long session can decide a
+// hard variable differently from a batch run. A noisy live crowd diverges
+// across batch re-runs too, so replay is no worse than the batch baseline
+// there.
 package katara
 
 import (

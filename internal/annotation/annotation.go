@@ -721,7 +721,7 @@ func factKey(f Fact) string {
 // since coverage queries are independent per tuple. Returns nil when the
 // fan-out would not pay off; the caller then evaluates serially. The workers
 // only read the KB, so the lazily-memoised hierarchy closures are forced up
-// front (the annotation analogue of kbstats.Stats.Prewarm).
+// front, as at every fan-out point.
 func (a *Annotator) precomputeMatches(tbl *table.Table) []*pattern.Match {
 	n := tbl.NumRows()
 	in := a.Interned

@@ -26,10 +26,11 @@ func GenerateParallel(tbl *table.Table, stats *kbstats.Stats, opts Options, work
 	rows := sampleRows(tbl.NumRows(), opts.MaxRows)
 	ev := newEvidence(tbl.NumCols(), len(rows))
 	if fanout.Splits(len(rows), workers) {
-		// Workers read the shared Stats concurrently; its lazily-memoised
-		// pieces (closures, instance lists) must be computed up front. The
-		// KB label index is read-only after build, so MatchLabel is safe.
-		stats.Prewarm()
+		// Workers read the shared Stats and KB concurrently: the Stats
+		// tables are complete from kbstats.New, and the KB's lazily-memoised
+		// hierarchy closures must be computed up front. The KB label index
+		// is read-only after build, so MatchLabel is safe.
+		stats.KB().WarmClosures()
 	}
 	fanout.Run("discovery", len(rows), workers, opts.Telemetry, nil, func(p fanout.Part) {
 		ev.collect(tbl, rows, p.Lo, p.Hi, stats, opts, p.Tel)

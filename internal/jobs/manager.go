@@ -122,10 +122,12 @@ type Config struct {
 	// KB is the pristine knowledge base. Annotation enrichment mutates the
 	// store, and jobs must not observe each other's enrichment (or corrupt
 	// each other's repairs), so every job runs against its own copy. The
-	// default runner re-interns KB once, on the first job, and gives each
-	// job a copy-on-write share of that copy (rdf.Store.CloneExact): a job
-	// pays one copy of the indexes at its first enrichment write. KB itself
-	// is never written, and the manager drops it once the copy exists.
+	// default runner re-interns KB once, on the first job, warms that copy's
+	// hierarchy closures, and gives each job a copy-on-write share of it
+	// (rdf.Store.CloneExact): a job copies only the index entries its
+	// enrichment writes, and its KB statistics are the tables the copy's
+	// snapshot builds once for every job (kbstats.New). KB itself is never
+	// written, and the manager drops it once the copy exists.
 	KB *katara.KB
 	// MaxConcurrent bounds jobs running at once (default 4).
 	MaxConcurrent int
@@ -361,10 +363,11 @@ func (m *Manager) Recovery() RecoveryStats {
 }
 
 // buildCleaner assembles the real per-job cleaner: a copy-on-write share of
-// kb (per-job enrichment isolation at the cost of one copy at the job's
-// first enrichment write), provenance recording (the audit layer is part of
-// the service contract), and an incremental session so a later append can
-// extend the run instead of re-cleaning everything.
+// kb (per-job enrichment isolation; the job copies only the index entries
+// it writes, and its statistics come from kb's snapshot, built once for all
+// jobs), provenance recording (the audit layer is part of the service
+// contract), and an incremental session so a later append can extend the
+// run instead of re-cleaning everything.
 func buildCleaner(kb *katara.KB, p Params, pipe *telemetry.Pipeline) *katara.Cleaner {
 	opts := p.Options()
 	opts.Pipeline = pipe
@@ -385,11 +388,13 @@ func buildCleaner(kb *katara.KB, p Params, pipe *telemetry.Pipeline) *katara.Cle
 // use so daemon boot does no extra work. It is re-interned (Clone, not
 // CloneExact) because result documents depend on term IDs: Clone assigns
 // them exactly as the per-job Clone of Config.KB that these shares replace,
-// so results stay byte-identical across versions and journal replays.
+// so results stay byte-identical across versions and journal replays. Its
+// hierarchy closures are warmed here, once, and every share carries them.
 // Config.KB is dropped afterwards, so an idle daemon holds one copy.
 func (m *Manager) pristineKB() *katara.KB {
 	m.pristineOnce.Do(func() {
 		m.pristine = m.cfg.KB.Clone()
+		m.pristine.WarmClosures()
 		m.cfg.KB = nil
 	})
 	return m.pristine

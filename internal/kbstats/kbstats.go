@@ -3,63 +3,90 @@
 // PMI-based semantic-coherence scores subSC(T,P) / objSC(T,P) between types
 // and relationships.
 //
-// The paper computes coherence offline for every (type, relationship) pair;
-// we scan the KB once for the base sets and memoise coherence pairs on
+// The paper computes its statistics offline, once per KB. Here the tables
+// derived from the KB alone — entities, properties, fact counts, each
+// property's subject and object entities and every class's instances — are
+// built by one scan, and once per rdf snapshot: every CloneExact share of
+// a KB that has not been written since reuses the first share's tables
+// (rdf.Store.Derived), so the jobs of a server built on one pristine KB
+// pay for that scan once. Coherence pairs are memoised per Stats on
 // demand, along with the per-relationship maxima the rank-join bound needs.
 package kbstats
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"katara/internal/rdf"
 )
 
-// Stats caches derived statistics for one KB. It is not safe for concurrent
-// mutation of the underlying store, matching the store's own contract.
+// Stats caches derived statistics for one KB. Everything but the coherence
+// memo is computed by New, so concurrent readers (discovery's workers) may
+// share a Stats once its store's hierarchy closures are warm; the coherence
+// accessors write the memo and belong to one goroutine, like the store's
+// writes.
 type Stats struct {
 	kb *rdf.Store
-
-	entities   []rdf.ID            // all typed resources, sorted
-	entitySet  map[rdf.ID]bool     // membership
-	numTypes   int                 // |Classes|
-	properties []rdf.ID            // data properties (relationship candidates)
-	subEnt     map[rdf.ID][]rdf.ID // property -> sorted entity subjects
-	objEnt     map[rdf.ID][]rdf.ID // property -> sorted entity objects
-	facts      map[rdf.ID]int      // property -> #triples
-
-	entOfType map[rdf.ID][]rdf.ID // type -> sorted instances (with subclasses)
+	*tables
 
 	subSC, objSC      map[cohKey]float64
 	maxSub, maxObj    map[rdf.ID]float64
 	maxCohComputedFor map[rdf.ID]bool
 }
 
+// tables are the statistics that depend on the KB alone. They are shared by
+// every Stats of one rdf snapshot and never written after buildTables.
+type tables struct {
+	entities   []rdf.ID            // all typed resources, sorted
+	numTypes   int                 // |Classes|
+	properties []rdf.ID            // data properties (relationship candidates)
+	subEnt     map[rdf.ID][]rdf.ID // property -> sorted entity subjects
+	objEnt     map[rdf.ID][]rdf.ID // property -> sorted entity objects
+	facts      map[rdf.ID]int      // property -> #triples
+	entOfType  map[rdf.ID][]rdf.ID // class -> sorted instances (with subclasses)
+}
+
 type cohKey struct{ t, p rdf.ID }
 
-// New scans kb and returns its statistics.
+// tablesKey keys the tables among the values derived from an rdf snapshot.
+type tablesKey struct{}
+
+// New returns kb's statistics. On a store that belongs to an rdf snapshot
+// (see rdf.Store.Derived) the KB tables are the snapshot's, built by the
+// first New on any of its stores; otherwise New scans kb.
 func New(kb *rdf.Store) *Stats {
-	s := &Stats{
+	return &Stats{
 		kb:                kb,
-		entitySet:         make(map[rdf.ID]bool),
-		subEnt:            make(map[rdf.ID][]rdf.ID),
-		objEnt:            make(map[rdf.ID][]rdf.ID),
-		facts:             make(map[rdf.ID]int),
-		entOfType:         make(map[rdf.ID][]rdf.ID),
+		tables:            kb.Derived(tablesKey{}, func(kb *rdf.Store) any { return buildTables(kb) }).(*tables),
 		subSC:             make(map[cohKey]float64),
 		objSC:             make(map[cohKey]float64),
 		maxSub:            make(map[rdf.ID]float64),
 		maxObj:            make(map[rdf.ID]float64),
 		maxCohComputedFor: make(map[rdf.ID]bool),
 	}
+}
+
+// buildTables scans kb once for its tables.
+func buildTables(kb *rdf.Store) *tables {
+	t := &tables{
+		subEnt:    make(map[rdf.ID][]rdf.ID),
+		objEnt:    make(map[rdf.ID][]rdf.ID),
+		facts:     make(map[rdf.ID]int),
+		entOfType: make(map[rdf.ID][]rdf.ID),
+	}
 	// Entities: resources with at least one asserted type.
+	entitySet := make(map[rdf.ID]bool)
 	for _, e := range kb.SubjectsWithPredicate(kb.TypeID) {
 		if !kb.IsLiteral(e) {
-			s.entities = append(s.entities, e)
-			s.entitySet[e] = true
+			t.entities = append(t.entities, e)
+			entitySet[e] = true
 		}
 	}
-	s.numTypes = len(kb.Classes())
+	classes := kb.Classes()
+	t.numTypes = len(classes)
+	for _, c := range classes {
+		t.entOfType[c] = kb.InstancesOf(c)
+	}
 	// Data properties: everything except the RDFS vocabulary.
 	vocab := map[rdf.ID]bool{
 		kb.TypeID: true, kb.LabelID: true,
@@ -69,27 +96,27 @@ func New(kb *rdf.Store) *Stats {
 		if vocab[p] {
 			continue
 		}
-		s.properties = append(s.properties, p)
+		t.properties = append(t.properties, p)
 		subSet := map[rdf.ID]bool{}
 		objSet := map[rdf.ID]bool{}
 		n := 0
 		for _, subj := range kb.SubjectsWithPredicate(p) {
 			objs := kb.Objects(subj, p)
 			n += len(objs)
-			if s.entitySet[subj] {
+			if entitySet[subj] {
 				subSet[subj] = true
 			}
 			for _, o := range objs {
-				if s.entitySet[o] {
+				if entitySet[o] {
 					objSet[o] = true
 				}
 			}
 		}
-		s.facts[p] = n
-		s.subEnt[p] = setToSorted(subSet)
-		s.objEnt[p] = setToSorted(objSet)
+		t.facts[p] = n
+		t.subEnt[p] = setToSorted(subSet)
+		t.objEnt[p] = setToSorted(objSet)
 	}
-	return s
+	return t
 }
 
 func setToSorted(set map[rdf.ID]bool) []rdf.ID {
@@ -97,24 +124,12 @@ func setToSorted(set map[rdf.ID]bool) []rdf.ID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // KB returns the underlying store.
 func (s *Stats) KB() *rdf.Store { return s.kb }
-
-// Prewarm eagerly computes every lazily-memoised statistic candidate
-// generation touches (hierarchy closures, per-type instance lists), so the
-// Stats can be shared by concurrent readers (discovery.GenerateParallel).
-// Coherence pairs stay lazy — they are only read by the single-threaded
-// rank join.
-func (s *Stats) Prewarm() {
-	s.kb.WarmClosures()
-	for _, c := range s.kb.Classes() {
-		s.instancesOf(c)
-	}
-}
 
 // NumEntities returns N, the total number of typed entities.
 func (s *Stats) NumEntities() int { return len(s.entities) }
@@ -133,14 +148,9 @@ func (s *Stats) EntitiesOfType(t rdf.ID) int {
 	return len(s.instancesOf(t))
 }
 
-func (s *Stats) instancesOf(t rdf.ID) []rdf.ID {
-	if inst, ok := s.entOfType[t]; ok {
-		return inst
-	}
-	inst := s.kb.InstancesOf(t)
-	s.entOfType[t] = inst
-	return inst
-}
+// instancesOf returns ENT(t), sorted; nil for a resource that is not a
+// class, which has no instances.
+func (s *Stats) instancesOf(t rdf.ID) []rdf.ID { return s.entOfType[t] }
 
 // SubSC returns the subject semantic coherence of type t for property p:
 //

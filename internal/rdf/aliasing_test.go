@@ -29,6 +29,13 @@ func buildAliasKB() *Store {
 	add(IRI("ex:Rome"), IRI(IRILabel), Lit("Rome"))
 	add(IRI("ex:Milan"), IRI(IRILabel), Lit("Milan"))
 	add(IRI("ex:Italy"), IRI(IRILabel), Lit("Italy"))
+	// Italy's fifth triple and three resources sharing a label leave spare
+	// capacity in Italy's description and in the label's index entry, which
+	// two shares appending to them must not both fill.
+	add(IRI("ex:Italy"), IRI(IRIType), IRI("ex:Country"))
+	for i := 1; i <= 3; i++ {
+		add(IRI(fmt.Sprintf("ex:Springfield%d", i)), IRI(IRILabel), Lit("Springfield"))
+	}
 	return s
 }
 
@@ -133,7 +140,7 @@ func storeView(s *Store) []string {
 	for id := 0; id < s.NumTerms(); id++ {
 		out = append(out, fmt.Sprintf("term %d = %s", id, s.Term(ID(id))))
 	}
-	for _, term := range []Term{IRI("ex:Italy"), IRI("ex:Milan"), IRI("ex:Capital"), IRI("ex:Place"), IRI("ex:Naples"), Lit("Naples"), IRI("ex:Region")} {
+	for _, term := range []Term{IRI("ex:Italy"), IRI("ex:Milan"), IRI("ex:Capital"), IRI("ex:Place"), IRI("ex:Naples"), Lit("Naples"), IRI("ex:Region"), Lit("Springfield")} {
 		id := s.LookupTerm(term)
 		out = append(out, fmt.Sprintf("lookup %s = %d", term, id))
 		if id == NoID {
@@ -158,7 +165,7 @@ func storeView(s *Store) []string {
 		}
 		return r
 	}
-	for _, q := range []string{"Rome", "Naples"} {
+	for _, q := range []string{"Rome", "Naples", "Springfield"} {
 		var hits []string
 		for _, m := range s.MatchLabel(q, 0.7) {
 			hits = append(hits, fmt.Sprintf("%s:%v", s.Term(m.Resource), m.Score))
@@ -177,7 +184,11 @@ func storeView(s *Store) []string {
 // the other reading exactly as before — no backing array, map, label index
 // or closure memo leaks between them. Each kind of write enrichment makes
 // is the first write on a fresh pair, so each write path is the one that
-// must give the writer its own indexes.
+// must start the writer's own layer. Then, per kind of write, a chain:
+// share, write the share, share the written store, write both sides, and
+// share and write once more. Each store of the chain must read exactly as
+// the same writes applied in order to a fresh build, and a share of a
+// written store reads through the same frozen base, never a base of a base.
 func TestCloneIsDeep(t *testing.T) {
 	id := func(s *Store, iri string) ID { return s.LookupTerm(IRI(iri)) }
 	writes := []struct {
@@ -227,52 +238,114 @@ func TestCloneIsDeep(t *testing.T) {
 			}
 		}
 	}
+	for _, w := range writes {
+		t.Run("CloneExact/"+w.name+"/chain", func(t *testing.T) {
+			src := buildAliasKB()
+			src.WarmClosures()
+			want := storeView(src)
+			// b interns one more term than a before their enrichment, so
+			// entries the two append to the same shared key differ by ID.
+			pad := func(s *Store) { s.Res("ex:Padding") }
+			a := src.CloneExact()
+			w.write(a)
+			b := a.CloneExact()
+			enrichAlias(a, "a")
+			pad(b)
+			enrichAlias(b, "b")
+			c := b.CloneExact()
+			c.AddFact(IRI("ex:Rome"), IRI(IRILabel), Lit("Roma"))
+			if got := storeView(src); !reflect.DeepEqual(got, want) {
+				t.Fatalf("source changed:\ngot  %q\nwant %q", got, want)
+			}
+			for _, chain := range []struct {
+				name   string
+				s      *Store
+				writes []func(*Store)
+			}{
+				{"a", a, []func(*Store){w.write, func(s *Store) { enrichAlias(s, "a") }}},
+				{"b", b, []func(*Store){w.write, pad, func(s *Store) { enrichAlias(s, "b") }}},
+				{"c", c, []func(*Store){w.write, pad, func(s *Store) { enrichAlias(s, "b") },
+					func(s *Store) { s.AddFact(IRI("ex:Rome"), IRI(IRILabel), Lit("Roma")) }}},
+			} {
+				seq := buildAliasKB()
+				for _, write := range chain.writes {
+					write(seq)
+				}
+				if got, want := storeView(chain.s), storeView(seq); !reflect.DeepEqual(got, want) {
+					t.Errorf("store %s differs from a sequential build:\ngot  %q\nwant %q", chain.name, got, want)
+				}
+			}
+			if a.base == nil || b.base != a.base || c.base != a.base {
+				t.Error("a share of a written store does not read through its source's one base")
+			}
+		})
+	}
 }
 
-// TestCloneExactIsConstantCost pins the copy-on-write snapshot: CloneExact
-// allocates the new Store and nothing else, whatever the store's size, a
-// duplicate Add on a share copies nothing, and a share pays its copy once.
+// TestCloneExactIsConstantCost pins the cost model of the copy-on-write
+// snapshot: CloneExact of an unwritten store allocates the new Store and
+// nothing else, a duplicate Add on a share copies nothing, and a share's
+// first write and every later one allocate within one bound that does not
+// grow with the store — a write copies the keys it touches, not the
+// indexes.
 func TestCloneExactIsConstantCost(t *testing.T) {
+	const writeAllocs = 64
 	for _, n := range []int{10, 5000} {
 		s := New()
 		for i := 0; i < n; i++ {
 			s.AddFact(IRI(fmt.Sprintf("ex:r%d", i)), IRI(IRILabel), Lit(fmt.Sprintf("label %d", i)))
 		}
+		// The terms the writes use already exist, so only triples are new.
+		r0, label := s.Res("ex:r0"), s.Literal("label 0")
+		fresh := s.Res("ex:fresh")
+		aliases := make([]ID, 128)
+		for i := range aliases {
+			aliases[i] = s.Literal(fmt.Sprintf("alias %d", i))
+		}
 		if allocs := testing.AllocsPerRun(100, func() { s.CloneExact() }); allocs > 2 {
 			t.Errorf("CloneExact of a %d-label store: %.0f allocs, want <= 2", n, allocs)
 		}
-		r0, label := s.Res("ex:r0"), s.Literal("label 0")
 		if allocs := testing.AllocsPerRun(100, func() { s.CloneExact().Add(r0, s.LabelID, label) }); allocs > 2 {
 			t.Errorf("duplicate Add on a share of a %d-label store: %.0f allocs, want <= 2", n, allocs)
 		}
+		first := testing.AllocsPerRun(100, func() { s.CloneExact().Add(fresh, s.LabelID, aliases[0]) })
 		share := s.CloneExact()
-		share.AddFact(IRI("ex:new"), IRI(IRILabel), Lit("new label"))
-		if share.shared.Load() {
-			t.Errorf("a share of a %d-label store still shares after its first write, so every write copies", n)
+		share.Add(fresh, s.LabelID, aliases[0])
+		k := 1
+		later := testing.AllocsPerRun(100, func() {
+			share.Add(fresh, s.LabelID, aliases[k])
+			k++
+		})
+		if first > writeAllocs || later > writeAllocs {
+			t.Errorf("a share of a %d-label store: first write %.0f allocs, later writes %.0f, want <= %d",
+				n, first, later, writeAllocs)
 		}
 	}
 }
 
 // enrichAlias writes the kinds of change enrichment makes: a triple on an
-// existing key, new terms, a new label and a subClassOf triple.
+// existing key, new terms, new labels (one on a label other resources
+// carry) and a subClassOf triple.
 func enrichAlias(s *Store, tag string) {
 	s.AddFact(IRI("ex:Milan"), IRI(IRIType), IRI("ex:Capital"))
 	s.AddFact(IRI("ex:Italy"), IRI("ex:hasCity"), IRI("ex:Naples"+tag))
 	s.AddFact(IRI("ex:Naples"+tag), IRI(IRILabel), Lit("Naples"+tag))
+	s.AddFact(IRI("ex:Springfield"+tag), IRI(IRILabel), Lit("Springfield"))
 	s.AddFact(IRI("ex:Place"), IRI(IRISubClassOf), IRI("ex:Region"+tag))
 }
 
 // TestCloneExactConcurrentShares: goroutines each take CloneExact of one
-// quiescent store at once, read their share, enrich it, take a second share,
-// and keep writing. The second share reads as of the moment it was taken,
-// every copy ends as the same writes applied sequentially to a fresh build
-// would leave it, and the source is unchanged.
+// quiescent store at once, read their share, enrich it, take a second share
+// of the written store, and write both sides. Each store reads as of its
+// own writes — the second share as of the moment it was taken until it
+// writes — every copy ends as the same writes applied sequentially to a
+// fresh build would leave it, and the source is unchanged.
 func TestCloneExactConcurrentShares(t *testing.T) {
 	src := buildAliasKB()
 	src.WarmClosures()
 	want := storeView(src)
 	const workers = 6
-	type result struct{ fresh, share, final []string }
+	type result struct{ fresh, share, final, shareFinal []string }
 	results := make([]result, workers)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -285,7 +358,9 @@ func TestCloneExactConcurrentShares(t *testing.T) {
 			share := cp.CloneExact()
 			cp.AddFact(IRI("ex:Rome"), IRI(IRILabel), Lit(fmt.Sprintf("Roma %d", g)))
 			results[g].share = storeView(share)
+			enrichAlias(share, fmt.Sprintf("s%d", g))
 			results[g].final = storeView(cp)
+			results[g].shareFinal = storeView(share)
 		}(g)
 	}
 	wg.Wait()
@@ -302,6 +377,12 @@ func TestCloneExactConcurrentShares(t *testing.T) {
 		if !reflect.DeepEqual(r.share, storeView(seq)) {
 			t.Errorf("worker %d: second share differs from a sequential build", g)
 		}
+		seqShare := buildAliasKB()
+		enrichAlias(seqShare, fmt.Sprint(g))
+		enrichAlias(seqShare, fmt.Sprintf("s%d", g))
+		if !reflect.DeepEqual(r.shareFinal, storeView(seqShare)) {
+			t.Errorf("worker %d: written second share differs from a sequential build", g)
+		}
 		seq.AddFact(IRI("ex:Rome"), IRI(IRILabel), Lit(fmt.Sprintf("Roma %d", g)))
 		if !reflect.DeepEqual(r.final, storeView(seq)) {
 			t.Errorf("worker %d: enriched copy differs from a sequential build", g)
@@ -311,10 +392,11 @@ func TestCloneExactConcurrentShares(t *testing.T) {
 
 // TestCloneExactLabelIndexMatchesDirectBuild: the fuzzy label index keeps
 // per-entry data beside the labels (distinct-trigram counts) that the
-// lookup's verify kernel reads. A CloneExact
-// snapshot — and that snapshot after a reserved burst of new labels — must
-// resolve a fixed query set exactly as a store built directly from the same
-// labels does, over ASCII, non-ASCII and over-64-byte labels.
+// lookup's verify kernel reads. A CloneExact snapshot — and that snapshot
+// after a burst of new labels, which land in its own fuzzy index over the
+// frozen base's, and a share of the written snapshot — must resolve a fixed
+// query set exactly as a store built directly from the same labels does,
+// over ASCII, non-ASCII and over-64-byte labels.
 func TestCloneExactLabelIndexMatchesDirectBuild(t *testing.T) {
 	base := []string{
 		"Rome", "Roma", "Romania", "São Paulo", "Zürich", "Malmö", "Cape Town",
@@ -349,10 +431,13 @@ func TestCloneExactLabelIndexMatchesDirectBuild(t *testing.T) {
 	}
 	clone := build(base).CloneExact()
 	same("CloneExact", clone, build(base))
-	clone.own() // Grow writes the index, which the clone shares until then
-	clone.fuzzy.Grow(len(burst))
 	for i, l := range burst {
 		clone.AddFact(IRI(fmt.Sprintf("ex:r%d", len(base)+i)), IRI(IRILabel), Lit(l))
 	}
-	same("CloneExact after Grow + Add", clone, build(append(append([]string(nil), base...), burst...)))
+	if clone.base == nil || clone.fuzzy.Len() != len(burst) {
+		t.Fatalf("the burst did not land in the clone's own index over a base")
+	}
+	all := build(append(append([]string(nil), base...), burst...))
+	same("CloneExact after a burst of Adds", clone, all)
+	same("CloneExact of the written clone", clone.CloneExact(), all)
 }

@@ -8,25 +8,34 @@ import (
 
 // fuzzLabelStore is a fixed store whose labels cover the shapes fuzzy
 // resolution must survive: unicode, punctuation, shared prefixes, duplicate
-// labels on distinct resources, and an empty label.
-func fuzzLabelStore() *Store {
+// labels on distinct resources, and an empty label. With split set, the
+// labels from "ex:pretoria" on are added to a CloneExact share of the store
+// holding the others, so they land in the share's own fuzzy index over the
+// frozen base; both forms intern the same terms at the same IDs.
+func fuzzLabelStore(split bool) *Store {
 	st := New()
-	labels := map[string][]string{
-		"ex:rome":         {"Rome", "Roma"},
-		"ex:romania":      {"Romania"},
-		"ex:madrid":       {"Madrid"},
-		"ex:pretoria":     {"Pretoria"},
-		"ex:capetown":     {"Cape Town"},
-		"ex:south_africa": {"S. Africa", "South Africa"},
-		"ex:uk":           {"UK", "United Kingdom"},
-		"ex:ivorycoast":   {"Côte d'Ivoire"},
-		"ex:joburg":       {"Johannesburg"},
-		"ex:joburg2":      {"Johannesburg"},
-		"ex:blank":        {""},
+	labels := []struct {
+		iri    string
+		labels []string
+	}{
+		{"ex:rome", []string{"Rome", "Roma"}},
+		{"ex:romania", []string{"Romania"}},
+		{"ex:madrid", []string{"Madrid"}},
+		{"ex:pretoria", []string{"Pretoria"}},
+		{"ex:capetown", []string{"Cape Town"}},
+		{"ex:south_africa", []string{"S. Africa", "South Africa"}},
+		{"ex:uk", []string{"UK", "United Kingdom"}},
+		{"ex:ivorycoast", []string{"Côte d'Ivoire"}},
+		{"ex:joburg", []string{"Johannesburg"}},
+		{"ex:joburg2", []string{"Johannesburg"}},
+		{"ex:blank", []string{""}},
 	}
-	for iri, ls := range labels {
-		id := st.Res(iri)
-		for _, l := range ls {
+	for _, r := range labels {
+		if split && r.iri == "ex:pretoria" {
+			st = st.CloneExact()
+		}
+		id := st.Res(r.iri)
+		for _, l := range r.labels {
 			st.Add(id, st.LabelID, st.Literal(l))
 		}
 	}
@@ -36,9 +45,11 @@ func fuzzLabelStore() *Store {
 // FuzzMatchLabel drives Store.MatchLabel with arbitrary cell values and
 // thresholds: it must never panic, scores must land in [threshold, 1],
 // results must be sorted best-first with deterministic tie-breaking and no
-// duplicate resources, and the same call twice must return identical hits.
+// duplicate resources, the same call twice must return identical hits, and
+// a written share, which merges its base's hits with its own, must return
+// exactly the hits of the store that indexes every label in one index.
 func FuzzMatchLabel(f *testing.F) {
-	st := fuzzLabelStore()
+	st, layered := fuzzLabelStore(false), fuzzLabelStore(true)
 	f.Add("Rome", 0.7)
 	f.Add("S. Africa", 0.7)
 	f.Add("Pretorria", 0.5)
@@ -77,6 +88,9 @@ func FuzzMatchLabel(f *testing.F) {
 		}
 		if again := st.MatchLabel(value, threshold); !reflect.DeepEqual(got, again) {
 			t.Fatalf("MatchLabel(%q, %v) is not deterministic:\n%v\nvs\n%v", value, threshold, got, again)
+		}
+		if merged := layered.MatchLabel(value, threshold); !reflect.DeepEqual(got, merged) {
+			t.Fatalf("MatchLabel(%q, %v) on a written share:\n%v\nwant the one-index hits\n%v", value, threshold, merged, got)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"maps"
 	"slices"
 	"sort"
 )
@@ -14,11 +15,37 @@ func (s *Store) ensureClosures() {
 	if s.closureGen == s.gen && s.superCls != nil {
 		return
 	}
-	s.superCls = transitiveClosure(s.pso[s.SubClassOfID])
-	s.subCls = transitiveClosure(s.pos[s.SubClassOfID])
-	s.superProp = transitiveClosure(s.pso[s.SubPropertyOfID])
-	s.subProp = transitiveClosure(s.pos[s.SubPropertyOfID])
+	s.superCls = transitiveClosure(s.edges(s.SubClassOfID, true))
+	s.subCls = transitiveClosure(s.edges(s.SubClassOfID, false))
+	s.superProp = transitiveClosure(s.edges(s.SubPropertyOfID, true))
+	s.subProp = transitiveClosure(s.edges(s.SubPropertyOfID, false))
 	s.closureGen = s.gen
+}
+
+// edges returns the hierarchy edges of predicate p, subject to objects
+// (forward) or object to subjects: a layer's map itself when the other
+// layer has none, their union (own entries winning) otherwise.
+func (s *Store) edges(p ID, forward bool) map[ID][]ID {
+	of := func(l *layer) map[ID][]ID {
+		if forward {
+			return l.pso[p]
+		}
+		return l.pos[p]
+	}
+	own := of(&s.layer)
+	if s.base == nil {
+		return own
+	}
+	base := of(s.base)
+	switch {
+	case len(base) == 0:
+		return own
+	case len(own) == 0:
+		return base
+	}
+	out := maps.Clone(base)
+	maps.Copy(out, own)
+	return out
 }
 
 // transitiveClosure computes, for every node in edges, the set of nodes
@@ -149,22 +176,11 @@ func (s *Store) InstancesOf(c ID) []ID {
 // Classes returns every resource used as an rdf:type object or in the
 // subclass hierarchy — the KB's set of types.
 func (s *Store) Classes() []ID {
-	set := make(map[ID]bool)
-	for c := range s.pos[s.TypeID] {
-		set[c] = true
+	ms := []map[ID][]ID{s.pos[s.TypeID], s.pso[s.SubClassOfID], s.pos[s.SubClassOfID]}
+	if b := s.base; b != nil {
+		ms = append(ms, b.pos[s.TypeID], b.pso[s.SubClassOfID], b.pos[s.SubClassOfID])
 	}
-	for c := range s.pso[s.SubClassOfID] {
-		set[c] = true
-	}
-	for c := range s.pos[s.SubClassOfID] {
-		set[c] = true
-	}
-	out := make([]ID, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	slices.Sort(out)
-	return out
+	return sortedKeys(ms...)
 }
 
 // PredicatesBetweenSub returns the predicates p such that some (sub, p', obj)

@@ -19,7 +19,7 @@ func (s *Store) LabelsOf(x ID) []string {
 	out := make([]string, 0, len(objs))
 	for _, o := range objs {
 		if s.IsLiteral(o) {
-			out = append(out, s.terms[o].Value)
+			out = append(out, s.Term(o).Value)
 		}
 	}
 	return out
@@ -31,7 +31,7 @@ func (s *Store) LabelOf(x ID) string {
 	if ls := s.LabelsOf(x); len(ls) > 0 {
 		return ls[0]
 	}
-	return DisplayName(s.terms[x].Value)
+	return DisplayName(s.Term(x).Value)
 }
 
 // displaySpaces turns IRI word separators into spaces. A Replacer is safe
@@ -52,14 +52,20 @@ func DisplayName(iri string) string {
 // ResourcesLabeled returns the resources whose normalised label equals the
 // normalised value. Shared slice; read-only.
 func (s *Store) ResourcesLabeled(value string) []ID {
-	return s.labelIndex[similarity.Normalize(value)]
+	return s.ResourcesLabeledNorm(similarity.Normalize(value))
 }
 
 // ResourcesLabeledNorm is ResourcesLabeled for an already-normalised value —
 // for callers that hold a Normalize result (the resolve cache keys on one)
 // and must not recompute it per probe. Shared slice; read-only.
 func (s *Store) ResourcesLabeledNorm(norm string) []ID {
-	return s.labelIndex[norm]
+	if ids, ok := s.labelIndex[norm]; ok {
+		return ids
+	}
+	if s.base != nil {
+		return s.base.labelIndex[norm]
+	}
+	return nil
 }
 
 // LabelMatch is a fuzzy label resolution hit.
@@ -77,15 +83,31 @@ func (s *Store) MatchLabel(value string, threshold float64) []LabelMatch {
 // MatchLabelNorm is MatchLabel for an already-normalised value. The resolve
 // cache keys its memo on Normalize(value) and used to pay for a second
 // normalisation inside the miss path; this entry point reuses its result.
+//
+// A written share looks the value up in its base's fuzzy index and in its
+// own, which holds only the labels it added, and merges the hits: a
+// candidate's score depends only on the query and the candidate's label,
+// never on the rest of the index, so the merge is exactly the lookup of
+// one index holding both.
 func (s *Store) MatchLabelNorm(norm string, threshold float64) []LabelMatch {
-	cands := s.fuzzy.LookupNormalized(norm, threshold)
-	if len(cands) == 0 {
+	var cands, baseCands []similarity.Candidate
+	if s.fuzzy.Len() > 0 {
+		cands = s.fuzzy.LookupNormalized(norm, threshold)
+	}
+	if s.base != nil {
+		baseCands = s.base.fuzzy.LookupNormalized(norm, threshold)
+	}
+	if len(cands)+len(baseCands) == 0 {
 		return nil
 	}
-	best := make(map[ID]float64, len(cands))
+	best := make(map[ID]float64, len(cands)+len(baseCands))
+	for _, c := range baseCands {
+		if r := s.base.fuzzyIDs[c.ID]; c.Score > best[r] {
+			best[r] = c.Score
+		}
+	}
 	for _, c := range cands {
-		r := s.fuzzyIDs[c.ID]
-		if c.Score > best[r] {
+		if r := s.fuzzyIDs[c.ID]; c.Score > best[r] {
 			best[r] = c.Score
 		}
 	}

@@ -127,7 +127,7 @@ func (s *Store) WriteNTriples(w io.Writer) error {
 			return
 		}
 		_, err = fmt.Fprintf(bw, "%s %s %s .\n",
-			formatTerm(s.terms[t.S]), formatTerm(s.terms[t.P]), formatTerm(s.terms[t.O]))
+			formatTerm(s.Term(t.S)), formatTerm(s.Term(t.P)), formatTerm(s.Term(t.O)))
 	})
 	if err != nil {
 		return err

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"katara/internal/similarity"
@@ -67,14 +68,15 @@ type Triple struct{ S, P, O ID }
 
 // Store is the triple store. The zero value is not usable; call New.
 type Store struct {
-	terms  []Term
-	lookup map[Term]ID
-
-	// Core indexes. pso: P -> S -> sorted []O. pos: P -> O -> sorted []S.
-	// sp: S -> sorted list of (P,O) pairs for subject description.
-	pso map[ID]map[ID][]ID
-	pos map[ID]map[ID][]ID
-	sp  map[ID][]pair
+	// layer holds the indexes this store writes: all of them on a store
+	// that never shared its indexes, and on a written share only the keys
+	// it has touched since its first write (see base).
+	layer
+	// base is the frozen layer beneath a share that has written, nil
+	// otherwise: reads check the store's own layer, then base, and nbase is
+	// the number of terms base interns (IDs below nbase name them).
+	base  *layer
+	nbase int
 
 	ntriples int
 
@@ -90,31 +92,61 @@ type Store struct {
 	superProp  map[ID][]ID
 	subProp    map[ID][]ID
 
-	// Label index: normalised label -> resource IDs, plus fuzzy index.
-	labelIndex map[string][]ID
-	fuzzy      *similarity.Index
-	fuzzyIDs   []ID // fuzzy index slot -> resource ID
-
-	// Bounded log of recently indexed labels (normalised), so layered caches
-	// can invalidate per label instead of flushing wholesale. labelLog[i]
-	// records the label whose indexing bumped labelGen to labelLogBase+i+1;
-	// the log drops its older half once it outgrows maxLabelLog, and
-	// LabelsSince reports the truncation so callers fall back to a full
-	// flush.
-	labelLog     []string
+	// labelLogBase starts the bounded window of recently indexed labels
+	// LabelsSince reports, so layered caches can invalidate per label
+	// instead of flushing wholesale: the labels whose indexing bumped
+	// labelGen past labelLogBase. The window drops its older half once it
+	// outgrows maxLabelLog, and LabelsSince reports the truncation so
+	// callers fall back to a full flush. The labels themselves are the fuzzy
+	// indexes' entries: each label bumps labelGen once and adds one entry,
+	// normalised, so label g (1-based) is fuzzy entry g-1 over both layers.
 	labelLogBase uint64
 
-	// shared is set on both sides of a CloneExact: the two stores share
-	// terms, lookup, pso, pos, sp, labelIndex, fuzzy, fuzzyIDs and labelLog
-	// until one of them writes, and own gives the writer private copies.
-	// Intern (on a new term) and Add are the only methods that write those
-	// indexes, so they are the only callers of own; the parsers and
-	// ReadSnapshot write through them, and ensureClosures writes only this
-	// store's closure memo. Any new write path must call own first. Atomic
-	// because several goroutines may take CloneExact of one quiescent store
-	// at once; the shared indexes are never written again, so a reader of
-	// one store never races the writer of another.
+	// shared is set on a store whose own layer another store reads since a
+	// CloneExact (the clone, or a snapshot's view); its first write moves
+	// that layer to base and starts an empty one. Intern (on a new term)
+	// and Add are the only methods that write the layers, so they are the
+	// only callers of unshare, on a store that is shared or in a snapshot;
+	// the parsers and ReadSnapshot write through them, and ensureClosures
+	// writes only this store's closure memo. Any new write path must do the
+	// same first. Atomic because
+	// several goroutines may take CloneExact of one quiescent store at once;
+	// a frozen layer is never written again, so a reader of one store never
+	// races the writer of another.
 	shared atomic.Bool
+	// snap is the snapshot this store belongs to while it has not been
+	// written since a CloneExact; see Derived.
+	snap atomic.Pointer[snapshot]
+}
+
+// layer is one level of a store's indexes. pso: P -> S -> sorted []O.
+// pos: P -> O -> sorted []S. sp: S -> (P,O) pairs in insertion order, for
+// subject description. labelIndex maps a normalised label to the resources
+// carrying it, fuzzy is the trigram index over the labels and fuzzyIDs
+// maps a fuzzy slot to its resource. In a written share's own layer, a key
+// present in a map holds that key's whole entry (copied from the base on
+// first touch), terms are the terms interned after base's, and added lists
+// the triples written since the first write, in order.
+type layer struct {
+	terms      []Term
+	lookup     map[Term]ID
+	pso, pos   map[ID]map[ID][]ID
+	sp         map[ID][]pair
+	labelIndex map[string][]ID
+	fuzzy      *similarity.Index
+	fuzzyIDs   []ID
+	added      []Triple
+}
+
+func newLayer() layer {
+	return layer{
+		lookup:     make(map[Term]ID),
+		pso:        make(map[ID]map[ID][]ID),
+		pos:        make(map[ID]map[ID][]ID),
+		sp:         make(map[ID][]pair),
+		labelIndex: make(map[string][]ID),
+		fuzzy:      similarity.NewIndex(),
+	}
 }
 
 // maxLabelLog bounds the label log; above it the older half is dropped.
@@ -126,14 +158,7 @@ type pair struct{ p, o ID }
 
 // New returns an empty store with the RDFS vocabulary interned.
 func New() *Store {
-	s := &Store{
-		lookup:     make(map[Term]ID),
-		pso:        make(map[ID]map[ID][]ID),
-		pos:        make(map[ID]map[ID][]ID),
-		sp:         make(map[ID][]pair),
-		labelIndex: make(map[string][]ID),
-		fuzzy:      similarity.NewIndex(),
-	}
+	s := &Store{layer: newLayer()}
 	s.TypeID = s.Intern(IRI(IRIType))
 	s.LabelID = s.Intern(IRI(IRILabel))
 	s.SubClassOfID = s.Intern(IRI(IRISubClassOf))
@@ -143,11 +168,13 @@ func New() *Store {
 
 // Intern returns the ID for t, creating it if needed.
 func (s *Store) Intern(t Term) ID {
-	if id, ok := s.lookup[t]; ok {
+	if id := s.LookupTerm(t); id != NoID {
 		return id
 	}
-	s.own()
-	id := ID(len(s.terms))
+	if s.shared.Load() || s.snap.Load() != nil {
+		s.unshare()
+	}
+	id := ID(s.nbase + len(s.terms))
 	s.terms = append(s.terms, t)
 	s.lookup[t] = id
 	return id
@@ -164,17 +191,27 @@ func (s *Store) LookupTerm(t Term) ID {
 	if id, ok := s.lookup[t]; ok {
 		return id
 	}
+	if s.base != nil {
+		if id, ok := s.base.lookup[t]; ok {
+			return id
+		}
+	}
 	return NoID
 }
 
 // Term returns the term for id.
-func (s *Store) Term(id ID) Term { return s.terms[id] }
+func (s *Store) Term(id ID) Term {
+	if int(id) < s.nbase {
+		return s.base.terms[id]
+	}
+	return s.terms[int(id)-s.nbase]
+}
 
 // IsLiteral reports whether id names a literal.
-func (s *Store) IsLiteral(id ID) bool { return s.terms[id].Kind == Literal }
+func (s *Store) IsLiteral(id ID) bool { return s.Term(id).Kind == Literal }
 
 // NumTerms returns the number of interned terms.
-func (s *Store) NumTerms() int { return len(s.terms) }
+func (s *Store) NumTerms() int { return s.nbase + len(s.terms) }
 
 // NumTriples returns the number of distinct triples added.
 func (s *Store) NumTriples() int { return s.ntriples }
@@ -188,18 +225,25 @@ func (s *Store) LabelGen() uint64 { return s.labelGen }
 // Add inserts the triple (sub, pred, obj). Duplicate triples are ignored.
 // It returns true if the triple was new.
 func (s *Store) Add(sub, pred, obj ID) bool {
-	if s.shared.Load() {
+	if s.shared.Load() || s.snap.Load() != nil {
 		if s.Has(sub, pred, obj) {
-			return false // a duplicate copies nothing
+			return false // a duplicate writes nothing
 		}
-		s.own()
+		s.unshare()
+	}
+	// A written share's first touch of a key copies the base's entry (see
+	// entry); a store without a base reads a zero layer, all of whose maps
+	// are nil.
+	var base layer
+	if s.base != nil {
+		base = *s.base
 	}
 	bySubj := s.pso[pred]
 	if bySubj == nil {
 		bySubj = make(map[ID][]ID)
 		s.pso[pred] = bySubj
 	}
-	objs := bySubj[sub]
+	objs := entry(bySubj, base.pso[pred], sub)
 	i := sort.Search(len(objs), func(i int) bool { return objs[i] >= obj })
 	if i < len(objs) && objs[i] == obj {
 		return false
@@ -214,35 +258,46 @@ func (s *Store) Add(sub, pred, obj ID) bool {
 		byObj = make(map[ID][]ID)
 		s.pos[pred] = byObj
 	}
-	subs := byObj[obj]
+	subs := entry(byObj, base.pos[pred], obj)
 	j := sort.Search(len(subs), func(i int) bool { return subs[i] >= sub })
 	subs = append(subs, 0)
 	copy(subs[j+1:], subs[j:])
 	subs[j] = sub
 	byObj[obj] = subs
 
-	s.sp[sub] = append(s.sp[sub], pair{pred, obj})
+	s.sp[sub] = append(entry(s.sp, base.sp, sub), pair{pred, obj})
 	s.ntriples++
+	if s.base != nil {
+		s.added = append(s.added, Triple{sub, pred, obj})
+	}
 
 	switch pred {
 	case s.SubClassOfID, s.SubPropertyOfID:
 		s.gen++ // invalidate hierarchy closures
 	case s.LabelID:
 		if s.IsLiteral(obj) {
-			norm := similarity.Normalize(s.terms[obj].Value)
-			s.labelIndex[norm] = append(s.labelIndex[norm], sub)
-			s.fuzzy.Add(s.terms[obj].Value)
+			value := s.Term(obj).Value
+			norm := similarity.Normalize(value)
+			s.labelIndex[norm] = append(entry(s.labelIndex, base.labelIndex, norm), sub)
+			s.fuzzy.Add(value)
 			s.fuzzyIDs = append(s.fuzzyIDs, sub)
-			if len(s.labelLog) >= maxLabelLog {
-				drop := len(s.labelLog) / 2
-				s.labelLog = append(s.labelLog[:0], s.labelLog[drop:]...)
-				s.labelLogBase += uint64(drop)
+			if n := s.labelGen - s.labelLogBase; n >= maxLabelLog {
+				s.labelLogBase += n / 2
 			}
-			s.labelLog = append(s.labelLog, norm)
 			s.labelGen++
 		}
 	}
 	return true
+}
+
+// entry returns own[k] for writing: the own layer's entry, or on its first
+// touch the base's entry clipped to its length, so that appending to it
+// copies it rather than writing the frozen array.
+func entry[K comparable, V any](own, base map[K][]V, k K) []V {
+	if v, ok := own[k]; ok {
+		return v
+	}
+	return slices.Clip(base[k])
 }
 
 // AddFact interns the three terms and adds the triple.
@@ -253,16 +308,22 @@ func (s *Store) AddFact(sub, pred Term, obj Term) bool {
 // Objects returns the objects of (sub, pred, ?o). The returned slice is
 // shared with the index; callers must not mutate it.
 func (s *Store) Objects(sub, pred ID) []ID {
-	if m := s.pso[pred]; m != nil {
-		return m[sub]
+	if objs, ok := s.pso[pred][sub]; ok {
+		return objs
+	}
+	if s.base != nil {
+		return s.base.pso[pred][sub]
 	}
 	return nil
 }
 
 // Subjects returns the subjects of (?s, pred, obj). Shared slice; read-only.
 func (s *Store) Subjects(pred, obj ID) []ID {
-	if m := s.pos[pred]; m != nil {
-		return m[obj]
+	if subs, ok := s.pos[pred][obj]; ok {
+		return subs
+	}
+	if s.base != nil {
+		return s.base.pos[pred][obj]
 	}
 	return nil
 }
@@ -274,10 +335,21 @@ func (s *Store) Has(sub, pred, obj ID) bool {
 	return i < len(objs) && objs[i] == obj
 }
 
+// pairs returns sub's (pred, obj) pairs. Shared slice; read-only.
+func (s *Store) pairs(sub ID) []pair {
+	if ps, ok := s.sp[sub]; ok {
+		return ps
+	}
+	if s.base != nil {
+		return s.base.sp[sub]
+	}
+	return nil
+}
+
 // PredicatesBetween returns the predicates p such that (sub, p, obj) holds.
 func (s *Store) PredicatesBetween(sub, obj ID) []ID {
 	var out []ID
-	for _, po := range s.sp[sub] {
+	for _, po := range s.pairs(sub) {
 		if po.o == obj {
 			out = append(out, po.p)
 		}
@@ -289,7 +361,7 @@ func (s *Store) PredicatesBetween(sub, obj ID) []ID {
 // PredicatesOf returns the distinct predicates with sub as subject.
 func (s *Store) PredicatesOf(sub ID) []ID {
 	var out []ID
-	for _, po := range s.sp[sub] {
+	for _, po := range s.pairs(sub) {
 		out = append(out, po.p)
 	}
 	slices.Sort(out)
@@ -298,7 +370,7 @@ func (s *Store) PredicatesOf(sub ID) []ID {
 
 // Description returns all (pred, obj) pairs with sub as subject.
 func (s *Store) Description(sub ID) []Triple {
-	pairs := s.sp[sub]
+	pairs := s.pairs(sub)
 	out := make([]Triple, len(pairs))
 	for i, po := range pairs {
 		out[i] = Triple{S: sub, P: po.p, O: po.o}
@@ -309,20 +381,9 @@ func (s *Store) Description(sub ID) []Triple {
 // ForEachTriple visits every triple in an unspecified but deterministic-per-
 // store order grouped by predicate.
 func (s *Store) ForEachTriple(f func(Triple)) {
-	preds := make([]ID, 0, len(s.pso))
-	for p := range s.pso {
-		preds = append(preds, p)
-	}
-	slices.Sort(preds)
-	for _, p := range preds {
-		bySubj := s.pso[p]
-		subs := make([]ID, 0, len(bySubj))
-		for su := range bySubj {
-			subs = append(subs, su)
-		}
-		slices.Sort(subs)
-		for _, su := range subs {
-			for _, o := range bySubj[su] {
+	for _, p := range s.Predicates() {
+		for _, su := range s.SubjectsWithPredicate(p) {
+			for _, o := range s.Objects(su, p) {
 				f(Triple{S: su, P: p, O: o})
 			}
 		}
@@ -338,7 +399,18 @@ func (s *Store) LabelsSince(gen uint64) (labels []string, ok bool) {
 	if gen > s.labelGen || gen < s.labelLogBase {
 		return nil, false
 	}
-	return s.labelLog[gen-s.labelLogBase:], true
+	labels = make([]string, 0, s.labelGen-gen)
+	nb := 0
+	if s.base != nil {
+		nb = s.base.fuzzy.Len()
+		for i := int(gen); i < nb; i++ {
+			labels = append(labels, s.base.fuzzy.Value(int32(i)))
+		}
+	}
+	for i := max(int(gen)-nb, 0); i < s.fuzzy.Len(); i++ {
+		labels = append(labels, s.fuzzy.Value(int32(i)))
+	}
+	return labels, true
 }
 
 // Clone returns a deep copy of the store. Term IDs are not preserved across
@@ -346,7 +418,7 @@ func (s *Store) LabelsSince(gen uint64) (labels []string, ok bool) {
 func (s *Store) Clone() *Store {
 	out := New()
 	s.ForEachTriple(func(t Triple) {
-		out.AddFact(s.terms[t.S], s.terms[t.P], s.terms[t.O])
+		out.AddFact(s.Term(t.S), s.Term(t.P), s.Term(t.O))
 	})
 	return out
 }
@@ -359,102 +431,140 @@ func (s *Store) Clone() *Store {
 // because enrichment only appends terms, the snapshot's terms stay a prefix
 // of the live store's and every snapshot ID remains valid in both.
 //
-// The copy is copy-on-write: it costs O(1) and shares the source's indexes
-// until either store is first written, and that write copies them for the
-// writer. Hierarchy closures are left cold (they rebuild lazily on first
-// use); everything else — including the label log and all generation
-// counters — is carried over, so caches keyed on generations resume
-// seamlessly. Several goroutines may take CloneExact of one store at once
-// while nothing writes it.
+// The copy is copy-on-write at the granularity of an index key. A store
+// that has not written since it first shared costs O(1) to copy: the two
+// share its indexes, and each side's first write freezes them as its base
+// and writes into a layer of its own that holds only the keys it touches.
+// A share that has written copies only that layer, so no store reads
+// through more than its own layer and one base. Warm hierarchy closures,
+// the label-log window and all generation counters are carried over, so
+// caches keyed on generations resume seamlessly, and the copy joins the
+// source's snapshot (see Derived). Several goroutines may take CloneExact
+// of one store at once while nothing writes it.
 func (s *Store) CloneExact() *Store {
-	s.shared.Store(true)
+	out := s.share()
+	snap := s.snap.Load()
+	if snap == nil {
+		snap = &snapshot{view: s.share(), memo: make(map[any]any)}
+		if !s.snap.CompareAndSwap(nil, snap) {
+			snap = s.snap.Load()
+		}
+	}
+	out.snap.Store(snap)
+	return out
+}
+
+// share returns a store that reads exactly as s does. A store without a
+// base hands over its own layer and marks both sides shared; a written
+// share keeps its base and replays its own layer's terms and triples into
+// a fresh layer, which rebuilds exactly the entries it holds.
+func (s *Store) share() *Store {
 	out := &Store{
-		terms:           s.terms,
-		lookup:          s.lookup,
-		pso:             s.pso,
-		pos:             s.pos,
-		sp:              s.sp,
-		ntriples:        s.ntriples,
+		base:            s.base,
+		nbase:           s.nbase,
 		TypeID:          s.TypeID,
 		LabelID:         s.LabelID,
 		SubClassOfID:    s.SubClassOfID,
 		SubPropertyOfID: s.SubPropertyOfID,
-		gen:             s.gen,
-		labelGen:        s.labelGen,
-		labelIndex:      s.labelIndex,
-		fuzzy:           s.fuzzy,
-		fuzzyIDs:        s.fuzzyIDs,
-		labelLog:        s.labelLog,
-		labelLogBase:    s.labelLogBase,
 	}
-	out.shared.Store(true)
+	if s.base == nil {
+		s.shared.Store(true)
+		out.layer = s.layer
+		out.shared.Store(true)
+	} else {
+		out.layer = newLayer()
+		for _, t := range s.terms {
+			out.Intern(t)
+		}
+		for _, t := range s.added {
+			out.Add(t.S, t.P, t.O)
+		}
+	}
+	out.ntriples, out.gen = s.ntriples, s.gen
+	out.labelGen, out.labelLogBase = s.labelGen, s.labelLogBase
+	out.closureGen = s.closureGen
+	out.superCls, out.subCls = s.superCls, s.subCls
+	out.superProp, out.subProp = s.superProp, s.subProp
 	return out
 }
 
-// own gives a store that shares its indexes since a CloneExact private deep
-// copies of them, so it can write without touching the other store. It is a
-// no-op on a store that shares nothing.
-func (s *Store) own() {
+// unshare makes the store's next write its own: the store leaves its
+// snapshot, and a store whose own layer is shared freezes that layer as its
+// base and starts an empty one. Closure maps are never written in place
+// (ensureClosures replaces them), so they need no copy.
+func (s *Store) unshare() {
+	s.snap.Store(nil)
 	if !s.shared.Load() {
 		return
 	}
-	lookup := make(map[Term]ID, len(s.lookup))
-	for t, id := range s.lookup {
-		lookup[t] = id
-	}
-	sp := make(map[ID][]pair, len(s.sp))
-	for su, pairs := range s.sp {
-		sp[su] = append([]pair(nil), pairs...)
-	}
-	labelIndex := make(map[string][]ID, len(s.labelIndex))
-	for norm, ids := range s.labelIndex {
-		labelIndex[norm] = append([]ID(nil), ids...)
-	}
-	s.terms = append([]Term(nil), s.terms...)
-	s.lookup = lookup
-	s.pso = cloneIndex(s.pso)
-	s.pos = cloneIndex(s.pos)
-	s.sp = sp
-	s.labelIndex = labelIndex
-	s.fuzzy = s.fuzzy.Clone()
-	s.fuzzyIDs = append([]ID(nil), s.fuzzyIDs...)
-	s.labelLog = append([]string(nil), s.labelLog...)
+	base := s.layer
+	s.base, s.nbase = &base, len(base.terms)
+	s.layer = newLayer()
 	s.shared.Store(false)
 }
 
-// cloneIndex deep-copies a pso/pos-shaped two-level index.
-func cloneIndex(ix map[ID]map[ID][]ID) map[ID]map[ID][]ID {
-	out := make(map[ID]map[ID][]ID, len(ix))
-	for p, by := range ix {
-		m := make(map[ID][]ID, len(by))
-		for k, ids := range by {
-			m[k] = append([]ID(nil), ids...)
-		}
-		out[p] = m
+// snapshot is what a store and the CloneExact copies taken of it have in
+// common while none of them has been written: a private share nobody
+// writes, and the values Derived computes from it.
+type snapshot struct {
+	view *Store
+	mu   sync.Mutex
+	memo map[any]any
+}
+
+// Derived returns build(kb) for a kb that reads exactly as s does. While s
+// belongs to a snapshot — it is a CloneExact copy, or the source of one,
+// and has not been written since — the value is computed at most once per
+// snapshot, from the snapshot's private share (read only then), and shared
+// by every store of the snapshot under the same key; otherwise build runs
+// on s. A store leaves its snapshot at its first write. build must only
+// read its store, and callers must treat the value as read-only. Safe for
+// concurrent use by the stores of one snapshot.
+func (s *Store) Derived(key any, build func(kb *Store) any) any {
+	snap := s.snap.Load()
+	if snap == nil {
+		return build(s)
 	}
-	return out
+	snap.mu.Lock()
+	defer snap.mu.Unlock()
+	v, ok := snap.memo[key]
+	if !ok {
+		v = build(snap.view)
+		snap.memo[key] = v
+	}
+	return v
 }
 
 // SubjectsWithPredicate returns the distinct subjects that have at least one
 // triple with predicate p, sorted.
 func (s *Store) SubjectsWithPredicate(p ID) []ID {
-	bySubj := s.pso[p]
-	out := make([]ID, 0, len(bySubj))
-	for su := range bySubj {
-		out = append(out, su)
+	if s.base == nil {
+		return sortedKeys(s.pso[p])
 	}
-	slices.Sort(out)
-	return out
+	return sortedKeys(s.pso[p], s.base.pso[p])
 }
 
 // Predicates returns the distinct predicates present in the store.
 func (s *Store) Predicates() []ID {
-	out := make([]ID, 0, len(s.pso))
-	for p := range s.pso {
-		out = append(out, p)
+	if s.base == nil {
+		return sortedKeys(s.pso)
 	}
-	slices.Sort(out)
-	return out
+	return sortedKeys(s.pso, s.base.pso)
+}
+
+// sortedKeys returns the union of the maps' keys, sorted.
+func sortedKeys[V any](ms ...map[ID]V) []ID {
+	n := 0
+	for _, m := range ms {
+		n += len(m)
+	}
+	out := make([]ID, 0, n)
+	for _, m := range ms {
+		for k := range m {
+			out = append(out, k)
+		}
+	}
+	return sortDedupe(out)
 }
 
 func dedupe(ids []ID) []ID {

@@ -37,10 +37,11 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 		_, err := bw.Write(scratch[:n])
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(s.terms))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint32(s.NumTerms())); err != nil {
 		return err
 	}
-	for _, t := range s.terms {
+	for id := 0; id < s.NumTerms(); id++ {
+		t := s.Term(ID(id))
 		if err := bw.WriteByte(byte(t.Kind)); err != nil {
 			return err
 		}

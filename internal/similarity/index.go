@@ -117,22 +117,6 @@ func (ix *Index) Grow(n int) {
 	ix.gramN = append(make([]int32, 0, len(ix.gramN)+n), ix.gramN...)
 }
 
-// Clone returns a deep copy of the index with identical ids — lookups on the
-// clone return exactly the same candidates as on the original. Used by
-// rdf.Store to copy the fuzzy label index it shared since a CloneExact.
-func (ix *Index) Clone() *Index {
-	out := NewIndex()
-	out.values = append([]string(nil), ix.values...)
-	out.gramN = append([]int32(nil), ix.gramN...)
-	for g, ids := range ix.postings {
-		out.postings[g] = append([]int32(nil), ids...)
-	}
-	for n, ids := range ix.exact {
-		out.exact[n] = append([]int32(nil), ids...)
-	}
-	return out
-}
-
 // Value returns the normalised string stored under id.
 func (ix *Index) Value(id int32) string { return ix.values[id] }
 

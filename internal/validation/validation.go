@@ -95,10 +95,15 @@ type extKey struct {
 }
 
 // AnswerMemo is a memo of crowd plurality decisions, keyed on the variable
-// and the exact candidate domain it was decided over. It assumes the crowd's
-// plurality is a function of that context — true for the deterministic
-// simulated crowds; a noisy live crowd voids replay anyway, since even batch
-// re-runs would diverge.
+// and the exact candidate domain it was decided over. Replaying from it
+// assumes the crowd's plurality is a function of that context, and that is
+// a known hole: the simulated crowds draw every answer from one shared rng
+// stream (crowd.Worker.answer), and even a perfect worker errs with
+// probability Difficulty, so a crowd that has already answered earlier
+// runs' questions can decide a hard variable differently from the fresh
+// crowd of a batch run. Keyed crowd randomness (an open ROADMAP item) would
+// make the assumption hold; a noisy live crowd voids replay anyway, since
+// even batch re-runs would diverge.
 type AnswerMemo struct {
 	m map[string]rdf.ID
 }

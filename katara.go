@@ -277,9 +277,9 @@ type Options struct {
 	// without a full re-run when provably safe. The cumulative report is
 	// semantically identical to one batch Clean of the merged inputs — the
 	// propcheck incremental ≡ batch differential pins this down. Costs a KB
-	// snapshot (CloneExact, copy-on-write: the KB's first enrichment write
-	// then copies its indexes once) and a private table copy per Clean; the
-	// caller's table is never mutated by Append.
+	// snapshot (CloneExact, copy-on-write: the KB's enrichment then copies
+	// only the index entries it writes) and a private table copy per Clean;
+	// the caller's table is never mutated by Append.
 	Incremental bool
 
 	// ValidationOracle answers "what is the true type/relationship"
