@@ -1,6 +1,7 @@
-// SPARQL: querying the KB substrate directly with the engine KATARA's
-// discovery module uses internally. The queries are the paper's own §4.1
-// shapes (Q_types, Q¹_rels, Q²_rels) plus the per-tuple ASK of §6.1.
+// SPARQL: querying the KB substrate directly with the repo's SPARQL subset
+// engine. The queries are the paper's own §4.1 shapes (Q_types, Q¹_rels,
+// Q²_rels) plus the per-tuple ASK of §6.1 — the shapes the pipeline itself
+// evaluates as direct rdf index lookups, not through this engine.
 //
 //	go run ./examples/sparql
 package main

@@ -169,17 +169,22 @@ func TestAppendRejectsWrongArity(t *testing.T) {
 }
 
 // applyKBDeltaOracle cleans the full table from scratch against the pristine
-// KB with adds already merged — the semantics ApplyKBDelta must reproduce.
+// KB with adds already merged — the semantics ApplyKBDelta must reproduce —
+// and checks that the delta was recorded as exactly one kb-delta drift.
 func applyKBDeltaOracle(t *testing.T, adds []KBAddition) (string, string) {
 	t.Helper()
 	kb, tbl := figure1()
-	inc := NewCleaner(kb, TrustingCrowd(), Options{Incremental: true, FactOracle: fig1Oracle{kb}})
+	rec := NewProvenance()
+	inc := NewCleaner(kb, TrustingCrowd(), Options{Incremental: true, FactOracle: fig1Oracle{kb}, Provenance: rec})
 	if _, err := inc.Clean(tbl); err != nil {
 		t.Fatal(err)
 	}
 	got, err := inc.ApplyKBDelta(adds)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := rec.Drifts(); len(d) != 1 || d[0].Reason != "kb-delta" {
+		t.Fatalf("drifts = %+v, want one kb-delta event", d)
 	}
 
 	kb2, tbl2 := figure1()
@@ -199,15 +204,16 @@ func applyKBDeltaOracle(t *testing.T, adds []KBAddition) (string, string) {
 }
 
 func TestApplyKBDeltaMatchesRebuild(t *testing.T) {
+	// Every delta re-cleans from the merged snapshot, whatever its shape.
 	cases := map[string][]KBAddition{
-		// Label on an existing resource, far from every cell value: the
-		// targeted path — no re-clean, repairs re-ranked.
+		// Label on an existing resource, far from every cell value: no
+		// annotation or pattern decision changes, only repair rankings can.
 		"unrelated-label": {{Subject: "y:Madrid", Predicate: rdf.IRILabel, Object: "Zzzqx", Literal: true}},
-		// Label aliasing a cell value in a crowd-decided row: full re-clean.
+		// Label aliasing a cell value in a crowd-decided row.
 		"affects-crowd-row": {{Subject: "y:Rome", Predicate: rdf.IRILabel, Object: "Pretoria", Literal: true}},
-		// Non-label triple: always the re-clean path.
+		// Non-label triple.
 		"non-label": {{Subject: "y:SAfrica", Predicate: "hasCapital", Object: "y:Pretoria"}},
-		// New subject: must not take the targeted path.
+		// Label on a new subject: interns a term the session KB lacked.
 		"new-subject": {{Subject: "y:France", Predicate: rdf.IRILabel, Object: "France", Literal: true}},
 	}
 	for name, adds := range cases {
@@ -264,8 +270,8 @@ func TestAppendRecordsDriftProvenance(t *testing.T) {
 	if _, err := inc.Clean(base); err != nil {
 		t.Fatal(err)
 	}
-	// A non-label KB delta always re-cleans; the drift must be recorded and
-	// survive the re-run's recorder reset.
+	// A KB delta re-cleans; the drift must be recorded and survive the
+	// re-run's recorder reset.
 	adds := []KBAddition{{Subject: "y:SAfrica", Predicate: "hasCapital", Object: "y:Pretoria"}}
 	if _, err := inc.ApplyKBDelta(adds); err != nil {
 		t.Fatal(err)
@@ -277,5 +283,63 @@ func TestAppendRecordsDriftProvenance(t *testing.T) {
 	audit := rec.BuildAudit()
 	if len(audit.Drifts) != 1 {
 		t.Fatalf("audit.Drifts = %+v", audit.Drifts)
+	}
+}
+
+// TestAppendTimings pins that an Append runs the same instrumented driver as
+// a Clean: a replayed Append's Timings carry the discover and annotate stages
+// and the resolver counters, and with the pipeline detached the report has
+// no Timings, as a Clean's has none.
+func TestAppendTimings(t *testing.T) {
+	kb, full := figure1()
+	rec := NewProvenance()
+	c := NewCleaner(kb, TrustingCrowd(), Options{
+		Incremental: true, Telemetry: true, Provenance: rec, FactOracle: fig1Oracle{kb},
+	})
+	base := NewTable(full.Name, full.Columns...)
+	for _, r := range full.Rows[:2] {
+		base.Append(r...)
+	}
+	if _, err := c.Clean(base); err != nil {
+		t.Fatal(err)
+	}
+	// The appended row is a new signature, so annotation resolves its cells.
+	rep, err := c.Append(full.Rows[2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rec.Drifts(); len(d) != 0 {
+		t.Fatalf("append drifted (%+v): the replayed pass went untested", d)
+	}
+	if rep.Timings == nil {
+		t.Fatal("Options.Telemetry set but the Append's Timings is nil")
+	}
+	stages := map[string]bool{}
+	for _, st := range rep.Timings.Stages {
+		stages[st.Stage] = true
+	}
+	for _, want := range []string{"discover", "annotate"} {
+		if !stages[want] {
+			t.Errorf("Append Timings lack the %s stage: %+v", want, rep.Timings.Stages)
+		}
+	}
+	if rep.Timings.Counter("resolver-hits")+rep.Timings.Counter("resolver-misses") == 0 {
+		t.Error("Append Timings count no resolver hits or misses")
+	}
+
+	kb2, full2 := figure1()
+	c2 := NewCleaner(kb2, TrustingCrowd(), Options{
+		Incremental: true, Pipeline: NewTelemetry(), FactOracle: fig1Oracle{kb2},
+	})
+	if rep, err := c2.Clean(base); err != nil || rep.Timings == nil {
+		t.Fatalf("Clean with Options.Pipeline: err = %v, Timings = %v", err, rep.Timings)
+	}
+	c2.SetPipeline(nil)
+	rep2, err := c2.Append(full2.Rows[2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.Timings != nil {
+		t.Fatalf("Append after SetPipeline(nil) carries Timings %+v", rep2.Timings)
 	}
 }

@@ -59,10 +59,11 @@ func checkIncremental(sc *Scenario, res *SeedResult, base *katara.Report) error 
 	}
 
 	// KB-delta differential: ApplyKBDelta on a finished session vs a batch
-	// run whose KB was merged before cleaning. One case per reconciliation
-	// path: a fresh label on an existing subject (targeted re-rank), a label
-	// on a brand-new subject matching a table cell (full re-clean), and a
-	// non-label triple (full re-clean).
+	// run whose KB was merged before cleaning. Every delta re-cleans from
+	// the session's merged snapshot; the three shapes differ in what the
+	// delta can reach: a fresh label on an existing subject (no cell
+	// matches it), a label on a brand-new subject matching a table cell (a
+	// new term, aliasing a cell value), and a non-label triple.
 	cases := kbDeltaCases(sc, rng)
 	for _, dc := range cases {
 		res.Configs++
@@ -142,8 +143,8 @@ func runIncrementalChain(sc *Scenario, dirty *table.Table, cfg RunConfig, splits
 	return rep, err
 }
 
-// kbDeltaCase is one KB-delta differential: a named addition set exercising a
-// specific ApplyKBDelta reconciliation path.
+// kbDeltaCase is one KB-delta differential: a named addition set of one
+// shape (see kbDeltaCases).
 type kbDeltaCase struct {
 	name string
 	adds []katara.KBAddition

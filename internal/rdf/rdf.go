@@ -5,8 +5,10 @@
 // index, and N-Triples serialisation.
 //
 // The paper loads Yago and DBpedia into Apache Jena; this store is the
-// offline stand-in. It is deliberately simple — single writer, many readers —
-// and all query structure lives in package sparql on top of it.
+// offline stand-in. It is deliberately simple — single writer, many readers.
+// The pipeline evaluates the paper's query shapes as direct lookups on its
+// indexes; package sparql, a text-query engine over the same store, is used
+// only by examples/sparql.
 package rdf
 
 import (

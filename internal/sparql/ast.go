@@ -1,6 +1,8 @@
-// Package sparql implements the query substrate KATARA runs against the
-// knowledge base: a from-scratch engine for the SPARQL subset the paper uses
-// (§4.1 Q_types, Q¹_rels, Q²_rels and the per-tuple coverage checks of §6.1).
+// Package sparql is a from-scratch engine for the SPARQL subset the paper's
+// queries use (§4.1 Q_types, Q¹_rels, Q²_rels and the per-tuple coverage
+// checks of §6.1), evaluated over the rdf store. The cleaning pipeline does
+// not query through it — discovery and annotation evaluate those shapes as
+// direct rdf index lookups; only examples/sparql imports it.
 //
 // Supported grammar:
 //

@@ -36,7 +36,10 @@ const (
 	// HistRepairTopK is one erroneous row's top-k repair retrieval through
 	// the inverted lists (§6.2, Algorithm 4).
 	HistRepairTopK
-	// HistResolverLookup is one shared-cache label resolution (hit or miss).
+	// HistResolverLookup is one shared-cache label resolution that missed
+	// the memo and went to the KB's fuzzy index. Hits are not observed:
+	// a hit is a map read, and its nanosecond samples would drown the
+	// histogram (see resolve.Cache.Resolve).
 	HistResolverLookup
 
 	numHists

@@ -273,13 +273,14 @@ type Options struct {
 	// Incremental keeps a session alive after Clean so Append and
 	// ApplyKBDelta can extend the run: appended rows reuse the validated
 	// pattern (re-checked by crowd-free replay of the §5 decisions) and only
-	// the delta is annotated and repaired; KB additions reconcile the report
-	// without a full re-run when provably safe. The cumulative report is
-	// semantically identical to one batch Clean of the merged inputs — the
-	// propcheck incremental ≡ batch differential pins this down. Costs a KB
-	// snapshot (CloneExact, copy-on-write: the KB's enrichment then copies
-	// only the index entries it writes) and a private table copy per Clean;
-	// the caller's table is never mutated by Append.
+	// the delta is annotated and repaired; KB additions are folded into the
+	// session's KB snapshot, from which the table is re-cleaned. The
+	// cumulative report is semantically identical to one batch Clean of the
+	// merged inputs — the propcheck incremental ≡ batch differential pins
+	// this down. Costs a KB snapshot (CloneExact, copy-on-write: the KB's
+	// enrichment then copies only the index entries it writes) and a
+	// private table copy per Clean; the caller's table is never mutated by
+	// Append.
 	Incremental bool
 
 	// ValidationOracle answers "what is the true type/relationship"
@@ -350,7 +351,7 @@ type Cleaner struct {
 	resolver *resolve.Cache
 	// session is the live incremental state (Options.Incremental): the KB
 	// snapshot, memoised crowd decisions and cumulative report that Append
-	// and ApplyKBDelta extend. nil until the first Clean.
+	// extends and ApplyKBDelta re-cleans from. nil until the first Clean.
 	session *session
 }
 
@@ -399,22 +400,25 @@ func (c *Cleaner) DiscoverPatterns(t *Table) []*Pattern {
 // ValidatePattern selects one pattern from candidates via the crowd (§5).
 // With no ValidationOracle configured it returns the top-scored pattern.
 func (c *Cleaner) ValidatePattern(t *Table, candidates []*Pattern) (*Pattern, int) {
-	p, questions, _ := c.validatePattern(context.Background(), t, candidates)
+	p, questions, _, _ := c.validatePattern(context.Background(), t, c.kb, candidates, false)
 	return p, questions
 }
 
-// validatePattern is ValidatePattern under a context; the third return
-// reports whether validation degraded (deadline or budget exhausted, best
-// viable pattern used).
-func (c *Cleaner) validatePattern(ctx context.Context, t *Table, candidates []*Pattern) (*Pattern, int, bool) {
+// validatePattern is ValidatePattern under a context, against kb. degraded
+// reports that validation was cut short (deadline or budget exhausted, best
+// viable pattern used). In an incremental session the crowd's decisions are
+// recorded in the session's memo; with replay the validator answers from
+// that memo alone, never asking the crowd, and missed reports that it
+// needed a decision the memo lacks.
+func (c *Cleaner) validatePattern(ctx context.Context, t *Table, kb *KB, candidates []*Pattern, replay bool) (p *Pattern, questions int, degraded, missed bool) {
 	if len(candidates) == 0 {
-		return nil, 0, false
+		return nil, 0, false, false
 	}
 	if c.opts.ValidationOracle == nil {
-		return candidates[0], 0, false
+		return candidates[0], 0, false, false
 	}
 	v := &validation.Validator{
-		KB:                   c.kb,
+		KB:                   kb,
 		Table:                t,
 		Crowd:                c.crowd,
 		Oracle:               c.opts.ValidationOracle,
@@ -422,15 +426,17 @@ func (c *Cleaner) validatePattern(ctx context.Context, t *Table, candidates []*P
 		TuplesPerQuestion:    c.opts.TuplesPerQuestion,
 		Rng:                  rand.New(rand.NewSource(c.opts.Seed)),
 		Ctx:                  ctx,
-		Prov:                 c.opts.Provenance,
+		Replay:               replay,
 	}
-	if c.opts.Incremental && c.session != nil {
-		// Record the crowd's decisions so later Appends can replay MUVF
-		// without re-asking (the incremental drift check).
+	if !replay {
+		// A replay's steps were recorded by the run that asked the crowd.
+		v.Prov = c.opts.Provenance
+	}
+	if c.session != nil {
 		v.Memo = c.session.memo
 	}
 	res := v.MUVF(candidates)
-	return res.Pattern, res.QuestionsAsked, res.Degraded
+	return res.Pattern, res.QuestionsAsked, res.Degraded, v.Missed
 }
 
 // Annotate labels every tuple of t against pattern p (§6.1).
@@ -439,7 +445,7 @@ func (c *Cleaner) Annotate(t *Table, p *Pattern) *annotation.Result {
 }
 
 // annotator assembles the §6.1 annotator for one run at the run's
-// parallelism; shared by Annotate, runClean and the incremental delta pass.
+// parallelism; shared by Annotate and the pipeline driver.
 func (c *Cleaner) annotator(ctx context.Context, p *Pattern, tel *telemetry.Pipeline) *annotation.Annotator {
 	oracle := c.opts.FactOracle
 	if oracle == nil {
@@ -463,7 +469,7 @@ func (c *Cleaner) annotator(ctx context.Context, p *Pattern, tel *telemetry.Pipe
 
 // Repairs generates top-k possible repairs for the given rows of t (§6.2).
 func (c *Cleaner) Repairs(t *Table, p *Pattern, rows []int) map[int][]Repair {
-	return c.repairs(t, p, rows, nil, nil, nil)
+	return c.repairs(t, p, rows, nil, nil, nil, nil, nil)
 }
 
 // Report is the outcome of an end-to-end Clean run.

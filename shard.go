@@ -1,6 +1,7 @@
-// Pipeline orchestration: runClean drives discover → validate → annotate →
-// repair for CleanContext, fanning the embarrassingly parallel stages out at
-// the run's one parallelism value (Options.Workers) through internal/fanout.
+// Pipeline orchestration: run drives discover → validate → annotate → repair
+// for Clean and Append alike, fanning the embarrassingly parallel stages out
+// at the run's one parallelism value (Options.Workers) through
+// internal/fanout.
 //
 // The split follows the stages' data dependencies:
 //
@@ -29,6 +30,7 @@ import (
 	"context"
 	"fmt"
 
+	"katara/internal/annotation"
 	"katara/internal/crowd"
 	"katara/internal/discovery"
 	"katara/internal/fanout"
@@ -40,24 +42,66 @@ import (
 	"katara/internal/telemetry"
 )
 
-// runClean is the pipeline orchestrator: telemetry/budget/deadline setup,
-// discover → validate → annotate → repair, and the end-of-run accounting.
+// runClean opens a Clean of t: it rejects an empty table, opens a fresh
+// incremental session (Options.Incremental) before the pipeline can enrich
+// the KB, resets the provenance recorder and drives the pipeline over every
+// row.
 func (c *Cleaner) runClean(ctx context.Context, t *Table) (*Report, error) {
 	if t == nil || t.NumRows() == 0 {
 		return nil, fmt.Errorf("katara: empty table")
 	}
 	if c.opts.Incremental {
-		// Snapshot the pristine KB and open a fresh session before the
-		// pipeline can enrich anything; captureSession below records the
-		// outcome Append/ApplyKBDelta extend.
 		c.beginIncremental(t)
 	}
-	// Evidence lineage (Options.Provenance): the recorder is reset per run
-	// and attached to the crowd so every question's votes are captured.
+	// The reset keeps drift events, so a re-clean's journal still says why
+	// it ran.
+	c.opts.Provenance.Reset()
+	rep, _, err := c.run(ctx, t, 0)
+	return rep, err
+}
+
+// run is the pipeline driver Clean and Append share: discover → validate →
+// annotate → repair over t, annotating rows [lo, n). A Clean passes lo = 0.
+// An Append passes the session's table and its first new row, never 0
+// because a session's report covers a non-empty table; it differs from a
+// Clean only where the session's contract requires:
+//
+//   - discovery and validation read the session's KB snapshot, the store a
+//     batch run over the merged table starts from, and validation replays
+//     the memoised crowd decisions instead of asking. When the replay cannot
+//     reproduce the session's pattern, run returns the drift reason and the
+//     caller re-cleans from the snapshot;
+//   - the pass extends the session's report and interned view, and ranks
+//     only its new erroneous rows while the KB has not moved since the
+//     session's repair index was built.
+func (c *Cleaner) run(ctx context.Context, t *Table, lo int) (*Report, string, error) {
+	s := c.session
+	appending := lo > 0
 	rec := c.opts.Provenance
-	rec.Reset()
 	ctx, tel, done := c.startRun(ctx)
 	defer done()
+
+	kb, stats, resolver := c.kb, c.stats, c.resolver
+	rep, span := &Report{}, "clean"
+	// Distinct-signature view (Options.Dedup, default on): built fresh per
+	// Clean — never cached on the Table, whose Rows callers mutate directly
+	// (InjectErrors) with no invalidation hook — and extended in place by an
+	// Append. Annotation coverage, crowd questions and repair ranking all
+	// collapse onto distinct signatures.
+	var in *table.Interned
+	if appending {
+		if s.baseStats == nil {
+			s.baseStats = kbstats.New(s.base)
+			s.baseResolver = resolve.New(s.base, c.opts.Threshold)
+		}
+		kb, stats, resolver = s.base, s.baseStats, s.baseResolver
+		rep, span, in = s.report, "append", s.in
+		if in != nil {
+			in.Extend(t)
+		}
+	} else if *c.opts.Dedup {
+		in = t.Interned()
+	}
 
 	// The resolver cache outlives individual runs; diff its counters so the
 	// run's snapshot reports only this run's hits and misses.
@@ -65,18 +109,12 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table) (*Report, error) {
 
 	// Root span of the run: the stage spans (and through them every leaf
 	// span) nest under it, so the journal reconstructs into one rooted tree.
-	root := tel.PushSpan("clean")
+	root := tel.PushSpan(span)
+	defer root.End()
 	root.SetStr("table", t.Name)
-	root.SetInt("rows", int64(t.NumRows()))
+	root.SetInt("rows", int64(t.NumRows()-lo))
 	root.SetInt("workers", int64(c.opts.Workers))
-
-	// Distinct-signature view (Options.Dedup, default on): built fresh per
-	// run — never cached on the Table, whose Rows callers mutate directly
-	// (InjectErrors) with no invalidation hook. Annotation coverage, crowd
-	// questions and repair ranking all collapse onto distinct signatures.
-	var in *table.Interned
-	if *c.opts.Dedup {
-		in = t.Interned()
+	if in != nil {
 		root.SetInt("signatures", int64(in.NumGroups()))
 	}
 	if rec.Enabled() {
@@ -93,72 +131,121 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table) (*Report, error) {
 	}
 
 	start := tel.StartStage(telemetry.StageDiscover)
-	cands := c.generate(t, c.stats, c.resolver, tel)
+	cands := c.generate(t, stats, resolver, tel)
 	candidates := discovery.TopK(cands, c.opts.TopK)
 	tel.EndStage(telemetry.StageDiscover, start)
 	if len(candidates) == 0 {
-		root.End()
-		return nil, ErrNoPattern
+		if appending {
+			return nil, "no-pattern", nil
+		}
+		return nil, "", ErrNoPattern
 	}
-	if rec.Enabled() {
+	if rec.Enabled() && !appending {
 		for _, cand := range candidates {
 			rec.RecordPattern(cand.Key(), cand.Score, false)
 		}
 	}
 	c.crowd.ResetStats()
-	rep := &Report{}
 	start = tel.StartStage(telemetry.StageValidate)
-	p, _, degraded := c.validatePattern(ctx, t, candidates)
-	if degraded {
-		rep.Degraded.PatternFallback = true
-		tel.Inc(telemetry.DegradedDecisions)
-	}
-	if c.opts.DiscoverPaths {
-		p = p.Clone()
-		discovery.AttachPathEdges(p, discovery.DiscoverPathEdges(cands))
-	}
-	if rec.Enabled() && p != nil {
+	p, degraded, drift := c.choosePattern(ctx, t, kb, cands, candidates, appending)
+	if rec.Enabled() && !appending && p != nil {
 		// The validated (possibly stripped or path-extended) winner.
 		rec.RecordPattern(p.Key(), p.Score, true)
 	}
 	tel.EndStage(telemetry.StageValidate, start)
+	if drift != "" {
+		return nil, drift, nil
+	}
+	if degraded {
+		rep.Degraded.PatternFallback = true
+		tel.Inc(telemetry.DegradedDecisions)
+	}
+	triples := c.kb.NumTriples()
 	start = tel.StartStage(telemetry.StageAnnotate)
 	ann := c.annotator(ctx, p, tel)
 	ann.Interned = in
-	if c.opts.Incremental && c.session != nil {
-		// Carry the memo state (questions, coverage, seen facts) on the
-		// session so a later Append's delta pass continues where this run
-		// left off.
-		ann.Session = c.session.ann
+	if s != nil {
+		// The session carries the memo state (questions, coverage, seen
+		// facts), so an Append's pass over its new rows is the suffix of one
+		// batch pass.
+		ann.Session = s.ann
 	}
-	res := ann.Annotate(t)
+	var res *annotation.Result
+	if appending {
+		res = ann.AnnotateRange(t, nil, lo, t.NumRows())
+		rep.Annotations = append(rep.Annotations, res.Tuples...)
+		rep.NewFacts = append(rep.NewFacts, res.NewFacts...)
+	} else {
+		res = ann.Annotate(t)
+		rep.Annotations, rep.NewFacts = res.Tuples, res.NewFacts
+	}
 	tel.EndStage(telemetry.StageAnnotate, start)
 	rep.Pattern = p
-	rep.Annotations = res.Tuples
-	rep.NewFacts = res.NewFacts
-	rep.Degraded.Tuples = res.DegradedTuples
+	rep.Degraded.Tuples += res.DegradedTuples
+
+	// rows are the pass's erroneous rows, errs the report's.
+	rows := res.Errors()
+	errs := rows
+	if appending {
+		errs = append(s.errs, rows...)
+	}
 	if ctx.Err() != nil {
 		// Deadline spent before repair: degrade rather than blow through it.
 		rep.Degraded.RepairsSkipped = true
 		tel.Inc(telemetry.DegradedDecisions)
 	} else {
 		start = tel.StartStage(telemetry.StageRepair)
-		rep.Repairs = c.repairs(t, p, res.Errors(), tel, in, rec)
+		if c.kb.NumTriples() != triples {
+			// Annotation enriched the KB, which stales every earlier ranking:
+			// a batch run ranks against the final KB, so re-rank them all.
+			rep.Repairs, rows = nil, errs
+		}
+		keep := s // see session.repairIx
+		if !appending {
+			keep = nil
+		}
+		rep.Repairs = c.repairs(t, p, rows, rep.Repairs, keep, tel, in, rec)
 		tel.EndStage(telemetry.StageRepair, start)
 	}
-	rep.Crowd = c.crowd.Stats()
+
+	dc := c.crowd.Stats()
+	rep.Crowd = addCrowdStats(rep.Crowd, dc)
 	rep.QuestionsAsked = rep.Crowd.Questions
 	hits1, misses1 := c.resolver.Stats()
 	tel.Add(telemetry.ResolverHits, hits1-hits0)
 	tel.Add(telemetry.ResolverMisses, misses1-misses0)
-	root.SetInt("questions", int64(rep.QuestionsAsked))
-	root.End()
+	root.SetInt("questions", int64(dc.Questions))
 	rep.Timings = tel.Snapshot()
 	rep.Provenance = rec
-	if c.opts.Incremental && c.session != nil {
-		c.captureSession(t, rep, in)
+	if s != nil {
+		s.in, s.rows, s.report, s.errs = in, t.NumRows(), rep, errs
+		s.patternKey = p.Key()
+		// Degraded decisions depend on budget/deadline state a replay cannot
+		// reproduce; all further increments fall back to full re-cleans.
+		s.dirty = rep.Degraded.Any()
 	}
-	return rep, nil
+	return rep, "", nil
+}
+
+// choosePattern picks the run's pattern among the discovered candidates by
+// §5 validation against kb, then attaches the §9 path edges (DiscoverPaths).
+// degraded reports that the deadline or budget cut validation short. With
+// replay (an Append) MUVF answers from the session's memo; drift is why the
+// replay does not reproduce the session's pattern: the memo lacks a decision
+// the candidates need, or the winner is another pattern.
+func (c *Cleaner) choosePattern(ctx context.Context, t *Table, kb *KB, cands *discovery.Candidates, candidates []*Pattern, replay bool) (p *Pattern, degraded bool, drift string) {
+	p, _, degraded, missed := c.validatePattern(ctx, t, kb, candidates, replay)
+	if replay && (missed || degraded || p == nil) {
+		return nil, false, "validation-memo-miss"
+	}
+	if c.opts.DiscoverPaths {
+		p = p.Clone()
+		discovery.AttachPathEdges(p, discovery.DiscoverPathEdges(cands))
+	}
+	if replay && p.Key() != c.session.patternKey {
+		return nil, false, "pattern-shift"
+	}
+	return p, degraded, ""
 }
 
 // startRun attaches the run's instruments — the telemetry pipeline (the
@@ -219,20 +306,34 @@ func repairCandidates(reps []Repair) []provenance.Candidate {
 	return cands
 }
 
-// repairs is the batch §6.2 stage: build the index once, then rank the
-// given rows against it. nil when the pattern has no relationships.
-func (c *Cleaner) repairs(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline, in *table.Interned, rec *provenance.Recorder) map[int][]Repair {
+// repairs is the §6.2 stage: rank rows into out (a new map when nil) and
+// return it; nil when the pattern has no relationships. The index is built
+// from the current KB, unless the session s (nil when no index is kept)
+// holds one built at the KB's current triple count — every KB mutation adds
+// a triple. A built index is kept on s.
+func (c *Cleaner) repairs(t *Table, p *Pattern, rows []int, out map[int][]Repair, s *session, tel *telemetry.Pipeline, in *table.Interned, rec *provenance.Recorder) map[int][]Repair {
 	if len(p.Edges) == 0 {
 		return nil // no relationships: repairs are undefined (§7.4)
 	}
-	out := make(map[int][]Repair, len(rows))
+	if out == nil {
+		out = make(map[int][]Repair, len(rows))
+	}
 	if len(rows) == 0 {
 		// An error-free table needs no repairs: skip instance-graph
 		// enumeration entirely — on large KBs building the index dwarfs
 		// the rest of the pipeline.
 		return out
 	}
-	c.rankRepairs(c.buildRepairIndex(p, tel), t, rows, in, tel, rec, out)
+	var ix *repair.Index
+	if s != nil && s.repairIx != nil && s.repairStamp == c.kb.NumTriples() {
+		ix = s.repairIx
+	} else {
+		ix = c.buildRepairIndex(p, tel)
+		if s != nil {
+			s.repairIx, s.repairStamp = ix, c.kb.NumTriples()
+		}
+	}
+	c.rankRepairs(ix, t, rows, in, tel, rec, out)
 	return out
 }
 
@@ -251,15 +352,14 @@ func (c *Cleaner) buildRepairIndex(p *Pattern, tel *telemetry.Pipeline) *repair.
 }
 
 // rankRepairs fills out with the top-k repairs of every in-range row of
-// rows against ix — shared by the batch stage and incremental sessions.
-// With an interned view of t, duplicate rows collapse onto one ranking per
-// distinct signature: TopK is a pure function of the tuple's values and the
-// read-only index, so the ranked list is computed once and shared by every
-// duplicate. Ranking fans out over contiguous ranges of the distinct rows,
-// each recording into its own child pipeline (through a shallow index view)
-// and child provenance recorder; the provenance record is the ranked
-// candidate list per decision unit (the signature group under dedup, the row
-// otherwise).
+// rows against ix. With an interned view of t, duplicate rows collapse onto
+// one ranking per distinct signature: TopK is a pure function of the
+// tuple's values and the read-only index, so the ranked list is computed
+// once and shared by every duplicate. Ranking fans out over contiguous
+// ranges of the distinct rows, each recording into its own child pipeline
+// (through a shallow index view) and child provenance recorder; the
+// provenance record is the ranked candidate list per decision unit (the
+// signature group under dedup, the row otherwise).
 func (c *Cleaner) rankRepairs(ix *repair.Index, t *Table, rows []int, in *table.Interned, tel *telemetry.Pipeline, rec *provenance.Recorder, out map[int][]Repair) {
 	if in != nil && in.NumRows() != t.NumRows() {
 		in = nil
