@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"katara"
@@ -206,8 +207,9 @@ type Manager struct {
 	maxSessions   int
 	// pristine is the default runner's one re-interned copy of Config.KB,
 	// built by the first job (pristineOnce); each job's cleaner starts from
-	// a CloneExact share of it.
-	pristine     *katara.KB
+	// a CloneExact share of it. Atomic because /metrics reads its label
+	// memo while jobs may be building it.
+	pristine     atomic.Pointer[katara.KB]
 	pristineOnce sync.Once
 
 	submitted, completed, failed, cancelled, rejected int64
@@ -385,19 +387,27 @@ func buildCleaner(kb *katara.KB, p Params, pipe *telemetry.Pipeline) *katara.Cle
 }
 
 // pristineKB returns the KB every job's cleaner shares, building it on first
-// use so daemon boot does no extra work. It is re-interned (Clone, not
-// CloneExact) because result documents depend on term IDs: Clone assigns
-// them exactly as the per-job Clone of Config.KB that these shares replace,
-// so results stay byte-identical across versions and journal replays. Its
-// hierarchy closures are warmed here, once, and every share carries them.
-// Config.KB is dropped afterwards, so an idle daemon holds one copy.
+// use so daemon boot does no extra work (see newPristine). Config.KB is
+// dropped afterwards, so an idle daemon holds one copy.
 func (m *Manager) pristineKB() *katara.KB {
 	m.pristineOnce.Do(func() {
-		m.pristine = m.cfg.KB.Clone()
-		m.pristine.WarmClosures()
+		m.pristine.Store(newPristine(m.cfg.KB))
 		m.cfg.KB = nil
 	})
-	return m.pristine
+	return m.pristine.Load()
+}
+
+// newPristine builds the copy of kb that jobs share. It is re-interned
+// (Clone, not CloneExact) because result documents depend on term IDs:
+// Clone assigns them exactly as the per-job Clone of Config.KB that the
+// shares replace, so results stay byte-identical across versions and
+// journal replays. Its hierarchy closures are warmed here, once, and every
+// share carries them; its label lookups are memoised from the first share
+// on, once for every job (rdf.Store.MatchLabelNorm).
+func newPristine(kb *katara.KB) *katara.KB {
+	p := kb.Clone()
+	p.WarmClosures()
+	return p
 }
 
 // Submit validates, registers, durably journals and enqueues a job. It
@@ -1107,6 +1117,11 @@ func (m *Manager) WriteMetrics(w io.Writer) error {
 		draining = 1
 	}
 	m.mu.Unlock()
+	var memoEntries int
+	var memoResets int64
+	if kb := m.pristine.Load(); kb != nil {
+		memoEntries, memoResets = kb.LabelMemo(nil)
+	}
 
 	if err := merged.Snapshot().WriteProm(w); err != nil {
 		return err
@@ -1130,6 +1145,8 @@ func (m *Manager) WriteMetrics(w io.Writer) error {
 	gauge("katarad_jobs_running", "Jobs currently executing.", running)
 	gauge("katarad_jobs_queued", "Jobs waiting in the queue.", queued)
 	gauge("katarad_draining", "1 while the daemon is draining for graceful shutdown.", draining)
+	gauge("katarad_label_memo_entries", "Fuzzy label lookups memoised on the pristine KB, answered once for every job.", int64(memoEntries))
+	counter("katarad_label_memo_resets_total", "Times the pristine KB's label memo filled up and was cleared.", memoResets)
 	writeBuildInfoMetric(w)
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -113,12 +114,21 @@ func kbFingerprint(kb *katara.KB) string {
 // copy-on-write shares of the manager's one re-interned KB. Config.KB is
 // never written, and every result document equals the one a cleaner on a
 // private kb.Clone() with the job's options produces — the per-job clone
-// the shares replace.
+// the shares replace. The re-interned KB's label memo, which every job
+// reads, holds lookups afterwards, each equal to a fresh lookup on an
+// unshared copy: a caller that mutated a shared result slice would show
+// here. /metrics reports the memo: empty before the first job, its size
+// after.
 func TestJobsShareOneKBCopy(t *testing.T) {
 	kb, dirty := fixture(t, 120)
 	want := kbFingerprint(kb)
 	m := NewManager(Config{KB: kb, MaxConcurrent: 2, MaxQueue: 16})
 	defer m.Close()
+	for _, name := range []string{"katarad_label_memo_entries", "katarad_label_memo_resets_total"} {
+		if got := metricsLine(t, m, name); got != name+" 0" {
+			t.Errorf("before the first job /metrics reads %q, want %s 0", got, name)
+		}
+	}
 
 	params := []Params{{}, {Workers: 2}, {RepairK: 2}}
 	var ids []string
@@ -155,6 +165,18 @@ func TestJobsShareOneKBCopy(t *testing.T) {
 	}
 	if kbFingerprint(kb) != want {
 		t.Error("Config.KB was written by the jobs")
+	}
+	fresh := kb.Clone()
+	entries, _ := m.pristine.Load().LabelMemo(func(norm string, threshold float64, matches []rdf.LabelMatch) {
+		if w := fresh.MatchLabelNorm(norm, threshold); !reflect.DeepEqual(matches, w) {
+			t.Errorf("memoised MatchLabelNorm(%q, %v) = %v, an unshared copy gives %v", norm, threshold, matches, w)
+		}
+	})
+	if entries == 0 {
+		t.Error("the jobs left the shared KB's label memo empty")
+	}
+	if got, line := metricsLine(t, m, "katarad_label_memo_entries"), fmt.Sprintf("katarad_label_memo_entries %d", entries); got != line {
+		t.Errorf("after the jobs /metrics reads %q, want %q", got, line)
 	}
 }
 

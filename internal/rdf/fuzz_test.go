@@ -47,9 +47,13 @@ func fuzzLabelStore(split bool) *Store {
 // results must be sorted best-first with deterministic tie-breaking and no
 // duplicate resources, the same call twice must return identical hits, and
 // a written share, which merges its base's hits with its own, must return
-// exactly the hits of the store that indexes every label in one index.
+// exactly the hits of the store that indexes every label in one index, and
+// so must a store whose own layer is frozen (the source of a CloneExact),
+// which answers from its memo, on the call that fills the memo and on the
+// call that hits it.
 func FuzzMatchLabel(f *testing.F) {
-	st, layered := fuzzLabelStore(false), fuzzLabelStore(true)
+	st, layered, frozen := fuzzLabelStore(false), fuzzLabelStore(true), fuzzLabelStore(false)
+	frozen.CloneExact()
 	f.Add("Rome", 0.7)
 	f.Add("S. Africa", 0.7)
 	f.Add("Pretorria", 0.5)
@@ -62,7 +66,10 @@ func FuzzMatchLabel(f *testing.F) {
 		}
 		// Wild thresholds (NaN, ±Inf, out of range) must not panic; the
 		// range invariants below only make sense for a sane threshold.
-		_ = st.MatchLabel(value, threshold)
+		wild := st.MatchLabel(value, threshold)
+		if got := frozen.MatchLabel(value, threshold); !reflect.DeepEqual(got, wild) {
+			t.Fatalf("MatchLabel(%q, %v) on a frozen store:\n%v\nwant the unshared store's hits\n%v", value, threshold, got, wild)
+		}
 		if math.IsNaN(threshold) || threshold <= 0 || threshold > 1 {
 			threshold = 0.7
 		}
@@ -91,6 +98,11 @@ func FuzzMatchLabel(f *testing.F) {
 		}
 		if merged := layered.MatchLabel(value, threshold); !reflect.DeepEqual(got, merged) {
 			t.Fatalf("MatchLabel(%q, %v) on a written share:\n%v\nwant the one-index hits\n%v", value, threshold, merged, got)
+		}
+		for pass := 0; pass < 2; pass++ {
+			if memo := frozen.MatchLabel(value, threshold); !reflect.DeepEqual(got, memo) {
+				t.Fatalf("MatchLabel(%q, %v) on a frozen store, call %d:\n%v\nwant the unshared store's hits\n%v", value, threshold, pass+1, memo, got)
+			}
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"strings"
+	"sync"
 
 	"katara/internal/similarity"
 )
@@ -75,7 +76,9 @@ type LabelMatch struct {
 }
 
 // MatchLabel resolves value to resources whose label is similar at or above
-// threshold, best match first. Exact matches score 1.
+// threshold, best match first. Exact matches score 1. The returned slice may
+// be shared with a frozen layer's memo, and so with every store reading that
+// layer; callers must not mutate it.
 func (s *Store) MatchLabel(value string, threshold float64) []LabelMatch {
 	return s.MatchLabelNorm(similarity.Normalize(value), threshold)
 }
@@ -83,34 +86,118 @@ func (s *Store) MatchLabel(value string, threshold float64) []LabelMatch {
 // MatchLabelNorm is MatchLabel for an already-normalised value. The resolve
 // cache keys its memo on Normalize(value) and used to pay for a second
 // normalisation inside the miss path; this entry point reuses its result.
+// Shared slice; read-only.
 //
-// A written share looks the value up in its base's fuzzy index and in its
-// own, which holds only the labels it added, and merges the hits: a
-// candidate's score depends only on the query and the candidate's label,
-// never on the rest of the index, so the merge is exactly the lookup of
-// one index holding both.
+// Each layer the store reads answers its part: a frozen layer (the base of
+// a written share, or the own layer of a shared store) from its memo, any
+// other by lookup. A written share merges its base's hits with its own
+// layer's, which holds only the labels it added: a candidate's score
+// depends only on the query and the candidate's label, never on the rest
+// of the index, so the merge is exactly the lookup of one index holding
+// both.
 func (s *Store) MatchLabelNorm(norm string, threshold float64) []LabelMatch {
-	var cands, baseCands []similarity.Candidate
-	if s.fuzzy.Len() > 0 {
-		cands = s.fuzzy.LookupNormalized(norm, threshold)
+	own := s.layer.matchLabel(norm, threshold, s.shared.Load())
+	if s.base == nil {
+		return own
 	}
-	if s.base != nil {
-		baseCands = s.base.fuzzy.LookupNormalized(norm, threshold)
-	}
-	if len(cands)+len(baseCands) == 0 {
+	return mergeMatches(s.base.matchLabel(norm, threshold, true), own)
+}
+
+// maxLabelMemo bounds a frozen layer's memo. A full memo is cleared
+// wholesale, as the resolve cache flushes; one pass of the 30 WebTables
+// jobs over the Yago-shaped KB memoises about 1.7K queries.
+const maxLabelMemo = 1 << 16
+
+// labelMemo memoises a frozen layer's fuzzy lookups. A frozen layer is
+// never written again, so its answer to a query is a pure function of the
+// normalised value and the threshold for the layer's lifetime. Every store
+// reading the layer shares the memo, so its lock is held only for map
+// reads and writes, never for a lookup.
+type labelMemo struct {
+	mu     sync.Mutex
+	m      map[labelQuery][]LabelMatch
+	resets int64
+}
+
+type labelQuery struct {
+	norm      string
+	threshold float64
+}
+
+// matchLabel returns the layer's hits for norm, folded to the best score
+// per resource and sorted. A frozen layer answers from its memo, except at
+// a threshold that is NaN (never equal to itself as a key) or outside
+// (0, 1].
+func (l *layer) matchLabel(norm string, threshold float64, frozen bool) []LabelMatch {
+	if l.fuzzy.Len() == 0 {
 		return nil
 	}
-	best := make(map[ID]float64, len(cands)+len(baseCands))
-	for _, c := range baseCands {
-		if r := s.base.fuzzyIDs[c.ID]; c.Score > best[r] {
-			best[r] = c.Score
-		}
+	if !frozen || !(threshold > 0 && threshold <= 1) {
+		return l.lookupLabel(norm, threshold)
 	}
+	q := labelQuery{norm, threshold}
+	memo := l.memo
+	memo.mu.Lock()
+	out, ok := memo.m[q]
+	memo.mu.Unlock()
+	if ok {
+		return out
+	}
+	out = l.lookupLabel(norm, threshold)
+	memo.mu.Lock()
+	if prior, ok := memo.m[q]; ok {
+		out = prior // a racing reader memoised it first; keep one slice
+	} else {
+		if len(memo.m) >= maxLabelMemo {
+			memo.m = nil
+			memo.resets++
+		}
+		if memo.m == nil {
+			memo.m = make(map[labelQuery][]LabelMatch)
+		}
+		memo.m[q] = out
+	}
+	memo.mu.Unlock()
+	return out
+}
+
+// lookupLabel looks norm up in the layer's fuzzy index and folds the hits.
+func (l *layer) lookupLabel(norm string, threshold float64) []LabelMatch {
+	cands := l.fuzzy.LookupNormalized(norm, threshold)
+	if len(cands) == 0 {
+		return nil
+	}
+	best := make(map[ID]float64, len(cands))
 	for _, c := range cands {
-		if r := s.fuzzyIDs[c.ID]; c.Score > best[r] {
+		if r := l.fuzzyIDs[c.ID]; c.Score > best[r] {
 			best[r] = c.Score
 		}
 	}
+	return sortedMatches(best)
+}
+
+// mergeMatches merges two layers' folded hits: the best score per resource.
+// When one side is empty the other is returned as it is.
+func mergeMatches(a, b []LabelMatch) []LabelMatch {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	best := make(map[ID]float64, len(a)+len(b))
+	for _, ms := range [2][]LabelMatch{a, b} {
+		for _, m := range ms {
+			if m.Score > best[m.Resource] {
+				best[m.Resource] = m.Score
+			}
+		}
+	}
+	return sortedMatches(best)
+}
+
+// sortedMatches orders the hits by score descending, then resource ID.
+func sortedMatches(best map[ID]float64) []LabelMatch {
 	out := make([]LabelMatch, 0, len(best))
 	for r, sc := range best {
 		out = append(out, LabelMatch{Resource: r, Score: sc})
@@ -122,4 +209,35 @@ func (s *Store) MatchLabelNorm(norm string, threshold float64) []LabelMatch {
 		return cmp.Compare(a.Resource, b.Resource)
 	})
 	return out
+}
+
+// LabelMemo reports the memos of the layers s reads: the entries they hold
+// and how many times a full memo was cleared. Only a frozen layer's memo is
+// ever filled. A non-nil visit is called with a copy of each entry, taken
+// under the memo's lock and visited after it is released; the matches are
+// the memo's own slices, read-only.
+func (s *Store) LabelMemo(visit func(norm string, threshold float64, matches []LabelMatch)) (entries int, resets int64) {
+	type memoEntry struct {
+		q  labelQuery
+		ms []LabelMatch
+	}
+	var all []memoEntry
+	for _, l := range [2]*layer{&s.layer, s.base} {
+		if l == nil {
+			continue
+		}
+		l.memo.mu.Lock()
+		entries += len(l.memo.m)
+		resets += l.memo.resets
+		if visit != nil {
+			for q, ms := range l.memo.m {
+				all = append(all, memoEntry{q, ms})
+			}
+		}
+		l.memo.mu.Unlock()
+	}
+	for _, e := range all {
+		visit(e.q.norm, e.q.threshold, e.ms)
+	}
+	return entries, resets
 }

@@ -9,6 +9,12 @@
 // The pipeline evaluates the paper's query shapes as direct lookups on its
 // indexes; package sparql, a text-query engine over the same store, is used
 // only by examples/sparql.
+//
+// Stores share indexes copy-on-write (CloneExact). An index layer a store
+// has shared is frozen, and a frozen layer memoises its fuzzy label
+// lookups for every store that reads it: the paper treats KB-only work as
+// offline, once per KB, and on the job server each distinct lookup against
+// the pristine KB is answered once for all jobs rather than once per job.
 package rdf
 
 import (
@@ -106,7 +112,9 @@ type Store struct {
 
 	// shared is set on a store whose own layer another store reads since a
 	// CloneExact (the clone, or a snapshot's view); its first write moves
-	// that layer to base and starts an empty one. Intern (on a new term)
+	// that layer to base and starts an empty one. A layer is frozen while
+	// its store is shared and for good once it is a base, so label lookups
+	// on it go through its memo (see MatchLabelNorm). Intern (on a new term)
 	// and Add are the only methods that write the layers, so they are the
 	// only callers of unshare, on a store that is shared or in a snapshot;
 	// the parsers and ReadSnapshot write through them, and ensureClosures
@@ -128,7 +136,9 @@ type Store struct {
 // maps a fuzzy slot to its resource. In a written share's own layer, a key
 // present in a map holds that key's whole entry (copied from the base on
 // first touch), terms are the terms interned after base's, and added lists
-// the triples written since the first write, in order.
+// the triples written since the first write, in order. memo holds the
+// layer's fuzzy-lookup answers once it is frozen (see labelMemo); every
+// copy of the layer value shares it.
 type layer struct {
 	terms      []Term
 	lookup     map[Term]ID
@@ -138,6 +148,7 @@ type layer struct {
 	fuzzy      *similarity.Index
 	fuzzyIDs   []ID
 	added      []Triple
+	memo       *labelMemo
 }
 
 func newLayer() layer {
@@ -148,6 +159,7 @@ func newLayer() layer {
 		sp:         make(map[ID][]pair),
 		labelIndex: make(map[string][]ID),
 		fuzzy:      similarity.NewIndex(),
+		memo:       &labelMemo{},
 	}
 }
 

@@ -1,14 +1,22 @@
-// Package resolve provides the shared entity-resolution layer: a
+// Package resolve provides the per-run entity-resolution layer: a
 // concurrency-safe, memoized cache over fuzzy label lookup.
 //
-// Every KATARA stage — candidate generation (§4.1), annotation coverage
-// (§6.1) and repair candidate enumeration (§6.2) — resolves table cell
-// strings to KB resources. Real tables repeat values heavily (a Capital
+// Candidate generation (§4.1) and annotation coverage (§6.1) resolve table
+// cell strings to KB resources. Real tables repeat values heavily (a Capital
 // column mentions each city once per country row, a Country column far more
 // often), so resolving each distinct value once and memoizing the answer
 // removes most of the fuzzy-lookup work. The cache is built once per Cleaner
-// and threaded through discovery, annotation and repair; all of them see the
-// same memo, so a value resolved during discovery is free during annotation.
+// and threaded through discovery and annotation; both see the same memo, so
+// a value resolved during discovery is free during annotation. Repair
+// (§6.2) does not resolve labels: its inverted lists are keyed on
+// similarity.Normalize of the instance-graph values.
+//
+// The cache is the per-job tier of two. Its misses go to
+// rdf.Store.MatchLabelNorm, where a frozen KB layer (the job server's
+// pristine KB, or an incremental session's snapshot) memoises its part of
+// every lookup for all the stores that read it. A Cache holds merged
+// answers that include the labels its own KB minted, so it is never shared
+// across jobs; the frozen layer's memo is.
 package resolve
 
 import (
@@ -40,7 +48,8 @@ type shard struct {
 // It is safe for concurrent use under the store's single-writer contract:
 // any number of goroutines may resolve concurrently while the store is
 // quiescent; if the store gains labels (annotation enrichment does this
-// between stages), the cache notices via Store.LabelGen and flushes itself.
+// between stages), the cache notices via Store.LabelGen and evicts the
+// entries the new labels can affect (see sync).
 type Cache struct {
 	kb        *rdf.Store
 	threshold float64
@@ -68,8 +77,8 @@ type Cache struct {
 	invalidations, flushes atomic.Int64
 
 	// tel is the pipeline observing resolver latency for the current run.
-	// The cache outlives individual runs (cmd/kexp shares one across
-	// environments), so it is attached and detached per run via SetTelemetry
+	// The cache outlives individual runs (a Cleaner keeps one across Clean
+	// and Append), so it is attached and detached per run via SetTelemetry
 	// and read atomically on the lookup path.
 	tel atomic.Pointer[telemetry.Pipeline]
 }

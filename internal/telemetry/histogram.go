@@ -36,10 +36,13 @@ const (
 	// HistRepairTopK is one erroneous row's top-k repair retrieval through
 	// the inverted lists (§6.2, Algorithm 4).
 	HistRepairTopK
-	// HistResolverLookup is one shared-cache label resolution that missed
-	// the memo and went to the KB's fuzzy index. Hits are not observed:
-	// a hit is a map read, and its nanosecond samples would drown the
-	// histogram (see resolve.Cache.Resolve).
+	// HistResolverLookup is one label resolution that missed the run's
+	// resolve.Cache and went to the KB (rdf.Store.MatchLabelNorm). The
+	// frozen KB layer's memo, shared across jobs, may answer such a miss
+	// without a fuzzy lookup, so a sample times a per-job miss, not
+	// necessarily a fuzzy-index scan. Cache hits are not observed: a hit is
+	// a map read, and its nanosecond samples would drown the histogram
+	// (see resolve.Cache.Resolve).
 	HistResolverLookup
 
 	numHists

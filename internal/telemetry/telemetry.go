@@ -67,8 +67,9 @@ const (
 	// ResolverHits counts label resolutions served from the shared
 	// entity-resolution cache without touching the fuzzy index.
 	ResolverHits
-	// ResolverMisses counts label resolutions the cache had to compute
-	// against the KB (first sight of a value, or post-enrichment flush).
+	// ResolverMisses counts label resolutions the cache had to ask the KB
+	// for (first sight of a value, or an entry a newly indexed label
+	// evicted); a frozen KB layer's memo may answer the KB's part.
 	ResolverMisses
 	// CrowdQuestionsDeduped counts crowd questions answered from the
 	// distinct-signature memo instead of being issued: a duplicate row's

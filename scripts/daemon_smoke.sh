@@ -9,7 +9,9 @@
 #      every job completes, report documents are byte-identical, and every
 #      /metrics scrape is lint-clean and monotone
 #   5. re-check /metrics through promlint after the burst; require the
-#      katarad_build_info gauge and a sane /version document
+#      katarad_build_info gauge, a non-empty label memo on the shared KB
+#      (katarad_label_memo_entries, 0 before the first job) and a sane
+#      /version document
 #   6. ask /jobs/{id}/explain for a finished job's cell evidence chain
 #   7. tear down with SIGTERM and require a clean exit
 #
@@ -58,6 +60,13 @@ until curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1; do
 done
 echo "daemon-smoke: /healthz ok"
 
+# The shared KB is built by the first job, so its label memo reads empty
+# until then.
+curl -fsS "http://$ADDR/metrics" | grep -q '^katarad_label_memo_entries 0$' || {
+    echo "daemon-smoke: FAIL: katarad_label_memo_entries is not 0 before the first job" >&2
+    exit 1
+}
+
 echo "daemon-smoke: kload burst ($JOBS jobs, $CONCURRENCY concurrent)"
 "$WORK/kload" \
     -addr "$ADDR" \
@@ -77,7 +86,15 @@ grep -q "^katarad_jobs_completed_total $JOBS\$" "$WORK/metrics.txt" || {
     grep '^katarad_' "$WORK/metrics.txt" >&2 || true
     exit 1
 }
-echo "daemon-smoke: /metrics ok ($(wc -l <"$WORK/metrics.txt") lines)"
+# Every job resolves its labels through the memo of the shared KB's
+# frozen layer, so after the burst it holds lookups.
+MEMO="$(sed -n 's/^katarad_label_memo_entries \([0-9]*\)$/\1/p' "$WORK/metrics.txt")"
+[ "${MEMO:-0}" -gt 0 ] || {
+    echo "daemon-smoke: FAIL: katarad_label_memo_entries is not > 0 after the burst" >&2
+    grep '^katarad_label_memo' "$WORK/metrics.txt" >&2 || true
+    exit 1
+}
+echo "daemon-smoke: /metrics ok ($(wc -l <"$WORK/metrics.txt") lines, $MEMO memoised label lookups)"
 
 # Build identity: the exposition carries katarad_build_info and /version
 # answers a JSON document naming the Go toolchain that built the binary.
