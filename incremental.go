@@ -46,7 +46,6 @@ import (
 
 	"katara/internal/annotation"
 	"katara/internal/crowd"
-	"katara/internal/kbstats"
 	"katara/internal/rdf"
 	"katara/internal/repair"
 	"katara/internal/resolve"
@@ -84,9 +83,8 @@ type session struct {
 	// ApplyKBDelta adds to it and re-cleans from it; session enrichment
 	// never touches it.
 	base *rdf.Store
-	// baseStats/baseResolver serve an Append's discovery over base; built
-	// lazily on the first Append.
-	baseStats    *kbstats.Stats
+	// baseResolver serves an Append's discovery over base; built lazily on
+	// the first Append.
 	baseResolver *resolve.Cache
 	// memo holds the crowd's §5 plurality decisions from the validated run;
 	// replaying MUVF from it is the drift detector.
@@ -176,7 +174,6 @@ func (c *Cleaner) recleanFromBase(ctx context.Context, reason string, deltaRows 
 		rec.RecordDrift(reason, deltaRows)
 	}
 	c.kb = s.base.CloneExact()
-	c.stats = kbstats.New(c.kb)
 	c.resolver = resolve.New(c.kb, c.opts.Threshold)
 	rep, err := c.runClean(ctx, s.tbl)
 	if err != nil && c.session != nil {

@@ -14,10 +14,11 @@ import (
 // tuples over 30 machines, and all candidates are collected into one
 // machine", §7.1): the sampled rows are split into contiguous ranges, each
 // range's per-cell evidence is collected concurrently against the shared
-// (read-only) KB statistics into its own slots, and one scoring pass then
-// ranks the complete evidence in row order. The scoring pass is the same
-// for every worker count, so GenerateParallel(tbl, stats, opts, n) returns
-// exactly Generate(tbl, stats, opts). workers <= 0 uses GOMAXPROCS.
+// (read-only) KB into its own slots, and one scoring pass then ranks the
+// complete evidence in row order against the KB statistics. The scoring
+// pass is the same for every worker count, so GenerateParallel(tbl, stats,
+// opts, n) returns exactly Generate(tbl, stats, opts). workers <= 0 uses
+// GOMAXPROCS.
 func GenerateParallel(tbl *table.Table, stats *kbstats.Stats, opts Options, workers int) *Candidates {
 	opts = opts.withDefaults()
 	if workers <= 0 {
@@ -26,8 +27,9 @@ func GenerateParallel(tbl *table.Table, stats *kbstats.Stats, opts Options, work
 	rows := sampleRows(tbl.NumRows(), opts.MaxRows)
 	ev := newEvidence(tbl.NumCols(), len(rows))
 	if fanout.Splits(len(rows), workers) {
-		// Workers read the shared Stats and KB concurrently: the Stats
-		// tables are complete from kbstats.New, and the KB's lazily-memoised
+		// Workers read only the KB behind stats, concurrently: a Stats fills
+		// its statistics on demand and belongs to one goroutine, so only
+		// the serial scoring pass reads it, and the KB's lazily-memoised
 		// hierarchy closures must be computed up front. The KB label index
 		// is read-only after build, so MatchLabel is safe.
 		stats.KB().WarmClosures()

@@ -126,9 +126,10 @@ type Config struct {
 	// default runner re-interns KB once, on the first job, warms that copy's
 	// hierarchy closures, and gives each job a copy-on-write share of it
 	// (rdf.Store.CloneExact): a job copies only the index entries its
-	// enrichment writes, and its KB statistics are the tables the copy's
-	// snapshot builds once for every job (kbstats.New). KB itself is never
-	// written, and the manager drops it once the copy exists.
+	// enrichment writes, and its KB statistics are the copy's snapshot's
+	// tables (kbstats.New), which compute each count, coherence score and
+	// maximum once for every job. KB itself is never written, and the
+	// manager drops it once the copy exists.
 	KB *katara.KB
 	// MaxConcurrent bounds jobs running at once (default 4).
 	MaxConcurrent int

@@ -8,6 +8,7 @@ import (
 
 	"katara/internal/discovery"
 	"katara/internal/kbstats"
+	"katara/internal/pattern"
 	"katara/internal/rdf"
 	"katara/internal/workload"
 	"katara/internal/world"
@@ -34,10 +35,28 @@ func flatCopy(kb *rdf.Store) *rdf.Store {
 	return out
 }
 
+// statsReader is what statsView reads: the accessors of kbstats.Stats,
+// which the eager reference implements too.
+type statsReader interface {
+	NumEntities() int
+	NumTypes() int
+	Properties() []rdf.ID
+	IDF(numCellTypes int) float64
+	RelIDF(numPairRels int) float64
+	EntitiesOfType(t rdf.ID) int
+	TF(t rdf.ID) float64
+	NumFacts(p rdf.ID) int
+	RelTF(p rdf.ID) float64
+	MaxSubSC(p rdf.ID) float64
+	MaxObjSC(p rdf.ID) float64
+	SubSC(t, p rdf.ID) float64
+	ObjSC(t, p rdf.ID) float64
+}
+
 // statsView renders every accessor of s over every class and property of
 // kb — counts, tf-idf terms, subSC and objSC of every (class, property)
 // pair and the per-property maxima — so two Stats compare as values.
-func statsView(s *kbstats.Stats, kb *rdf.Store) []string {
+func statsView(s statsReader, kb *rdf.Store) []string {
 	out := []string{fmt.Sprintf("entities=%d types=%d properties=%v", s.NumEntities(), s.NumTypes(), s.Properties())}
 	for n := 0; n <= s.NumTypes()+1; n++ {
 		out = append(out, fmt.Sprintf("idf(%d)=%v", n, s.IDF(n)))
@@ -60,10 +79,10 @@ func statsView(s *kbstats.Stats, kb *rdf.Store) []string {
 }
 
 // TestSharedStatsMatchUnshared: Stats of a CloneExact share, whose KB tables
-// come from the snapshot, read exactly as Stats scanned from a copy that
-// shares nothing, through every accessor over every class and property —
-// for the first share (which builds the tables), a later one (which reuses
-// them) and the snapshot's source.
+// come from the snapshot, read exactly as Stats of a copy that shares
+// nothing, through every accessor over every class and property — for the
+// store whose reads fill the snapshot's tables, the others that then read
+// them, and the snapshot's source.
 func TestSharedStatsMatchUnshared(t *testing.T) {
 	_, kb := yago()
 	want := statsView(kbstats.New(flatCopy(kb)), kb)
@@ -74,10 +93,24 @@ func TestSharedStatsMatchUnshared(t *testing.T) {
 			t.Errorf("%s: shared Stats differ from unshared ones", name)
 		}
 	}
-	// The tables are built once per snapshot: another share's Stats cost a
-	// handful of allocations, not a scan of the KB.
+	// New computes nothing, and a statistic is computed once per snapshot:
+	// a later share reads every property's fact count and rank-join
+	// maxima in a few dozen allocations (its own caches), where computing
+	// them takes tens of thousands.
 	if allocs := testing.AllocsPerRun(20, func() { kbstats.New(kb.CloneExact()) }); allocs > 16 {
-		t.Errorf("kbstats.New on a share of a warm snapshot: %.0f allocs, want <= 16 (no rescan)", allocs)
+		t.Errorf("kbstats.New on a share: %.0f allocs, want <= 16", allocs)
+	}
+	props := kbstats.New(kb).Properties()
+	allocs := testing.AllocsPerRun(20, func() {
+		s := kbstats.New(kb.CloneExact())
+		for _, p := range props {
+			s.NumFacts(p)
+			s.MaxSubSC(p)
+			s.MaxObjSC(p)
+		}
+	})
+	if allocs > 200 {
+		t.Errorf("a share's reads of filled maxima: %.0f allocs, want <= 200 (no recomputation)", allocs)
 	}
 }
 
@@ -116,57 +149,163 @@ func TestShareWriteRebuildsStats(t *testing.T) {
 }
 
 // TestSharedStatsConcurrentGenerate: six goroutines take shares of one
-// pristine KB, build Stats and run discovery.GenerateParallel at once; every
-// candidate set equals serial discovery over a copy that shares nothing.
-// Run under -race (the CI race job repeats it ten times).
+// pristine KB whose snapshot has filled no statistic yet, and two of the
+// shares write first, which takes them out of the snapshot. Each builds
+// Stats and runs discovery.GenerateParallel and the rank join at once, so
+// the four unwritten shares fill the snapshot's tables concurrently while
+// the two written ones fill their own; every result equals serial
+// discovery over a copy of its KB that shares nothing. Run under -race (the
+// CI race job repeats it ten times).
 func TestSharedStatsConcurrentGenerate(t *testing.T) {
 	w, kb := yago()
 	specs := workload.WebTables(w, 308).Specs[:6]
-	want := make([]*discovery.Candidates, len(specs))
-	flat := flatCopy(kb)
-	for i, spec := range specs {
-		want[i] = discovery.Generate(spec.Table, kbstats.New(flat), discovery.Options{})
+	writes := map[int]bool{1: true, 4: true}
+	type result struct {
+		cands *discovery.Candidates
+		top   []*pattern.Pattern
 	}
-	got := make([]*discovery.Candidates, len(specs))
+	discover := func(i int, stats *kbstats.Stats, workers int) result {
+		c := discovery.GenerateParallel(specs[i].Table, stats, discovery.Options{}, workers)
+		return result{c, discovery.TopK(c, 10)}
+	}
+	written := kb.CloneExact()
+	writeStats(written)
+	flat, flatWritten := flatCopy(kb), flatCopy(written)
+	want := make([]result, len(specs))
+	moved := false
+	for i := range specs {
+		want[i] = discover(i, kbstats.New(flat), 1)
+		if writes[i] {
+			pristine := want[i]
+			want[i] = discover(i, kbstats.New(flatWritten), 1)
+			moved = moved || !reflect.DeepEqual(want[i].top, pristine.top)
+		}
+	}
+	if !moved {
+		t.Fatal("the writes changed no result; the check needs writes that do")
+	}
+	got := make([]result, len(specs))
 	var wg sync.WaitGroup
-	for i, spec := range specs {
+	for i := range specs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			share := kb.CloneExact()
-			got[i] = discovery.GenerateParallel(spec.Table, kbstats.New(share), discovery.Options{}, 3)
+			if writes[i] {
+				writeStats(share)
+			}
+			got[i] = discover(i, kbstats.New(share), 3)
 		}()
 	}
 	wg.Wait()
 	for i := range specs {
-		if !reflect.DeepEqual(got[i].Columns, want[i].Columns) || !reflect.DeepEqual(got[i].Pairs, want[i].Pairs) {
-			t.Errorf("table %d: candidates on a shared Stats differ from serial discovery on an unshared KB", i)
+		if !reflect.DeepEqual(got[i].cands.Columns, want[i].cands.Columns) || !reflect.DeepEqual(got[i].cands.Pairs, want[i].cands.Pairs) {
+			t.Errorf("table %d (written %v): candidates on a shared Stats differ from serial discovery on an unshared KB", i, writes[i])
+		}
+		if !reflect.DeepEqual(got[i].top, want[i].top) {
+			t.Errorf("table %d (written %v): top patterns on a shared Stats differ from serial discovery on an unshared KB", i, writes[i])
 		}
 	}
 }
 
+// TestStatsAnswerForTheKBAtNew: Stats taken on a share keep reading the
+// snapshot after the share's first write, and Stats of a store outside any
+// snapshot refuse to fill a statistic once the store has been written.
+func TestStatsAnswerForTheKBAtNew(t *testing.T) {
+	_, kb := yago()
+	want := statsView(kbstats.New(flatCopy(kb)), kb)
+	share := kb.CloneExact()
+	s := kbstats.New(share)
+	writeStats(share)
+	if got := statsView(s, kb); !reflect.DeepEqual(got, want) {
+		t.Error("Stats taken before a share's first write do not answer for the snapshot")
+	}
+	if reflect.DeepEqual(statsView(kbstats.New(share), share), want) {
+		t.Fatal("the write changed no statistic; the check needs one that does")
+	}
+
+	flat := flatCopy(kb)
+	s = kbstats.New(flat)
+	writeStats(flat)
+	defer func() {
+		if recover() == nil {
+			t.Error("a fill after the store was written did not panic")
+		}
+	}()
+	s.NumEntities()
+}
+
 var statsSink *kbstats.Stats
 
-// BenchmarkStatsNew measures kbstats.New on the Yago-shaped KB: a scan of a
-// store that belongs to no snapshot, against a new share of a warm snapshot
-// whose tables an earlier share built (the per-job cost on the job server).
+// BenchmarkStatsNew measures kbstats.New plus the reads of one WebTables
+// discovery on the Yago-shaped KB: the sizes and TF of the types its cells
+// resolve to, and the fact counts and rank-join maxima of its candidate
+// properties. On a store that belongs to no snapshot every read fills its
+// statistic; on a new share of a warm snapshot an earlier share has filled
+// them all (the per-job cost on the job server).
 func BenchmarkStatsNew(b *testing.B) {
-	_, kb := yago()
+	w, kb := yago()
+	read := discoveryReads(w, kb)
 	b.Run("unshared", func(b *testing.B) {
 		flat := flatCopy(kb)
 		flat.WarmClosures()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			statsSink = kbstats.New(flat)
+			statsSink = read(kbstats.New(flat))
 		}
 	})
 	b.Run("share", func(b *testing.B) {
-		kbstats.New(kb.CloneExact())
+		read(kbstats.New(kb.CloneExact()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			statsSink = kbstats.New(kb.CloneExact())
+			statsSink = read(kbstats.New(kb.CloneExact()))
 		}
 	})
+}
+
+// discoveryReads returns a function making the statistics reads of the
+// first WebTables discovery on kb that finds a column pair.
+func discoveryReads(w *world.World, kb *rdf.Store) func(*kbstats.Stats) *kbstats.Stats {
+	var types, props []rdf.ID
+	for _, spec := range workload.WebTables(w, 308).Specs {
+		c := discovery.Generate(spec.Table, kbstats.New(flatCopy(kb)), discovery.Options{})
+		if len(c.Pairs) == 0 {
+			continue
+		}
+		seen := map[rdf.ID]bool{}
+		for _, col := range c.Columns {
+			for _, cell := range col.CellTypes {
+				for t := range cell {
+					if !seen[t] {
+						seen[t] = true
+						types = append(types, t)
+					}
+				}
+			}
+		}
+		for _, pair := range c.Pairs {
+			for _, r := range pair.Rels {
+				if !seen[r.Prop] {
+					seen[r.Prop] = true
+					props = append(props, r.Prop)
+				}
+			}
+		}
+		break
+	}
+	return func(s *kbstats.Stats) *kbstats.Stats {
+		s.IDF(1)
+		s.RelIDF(1)
+		for _, t := range types {
+			s.TF(t)
+		}
+		for _, p := range props {
+			s.RelTF(p)
+			s.MaxSubSC(p)
+			s.MaxObjSC(p)
+		}
+		return s
+	}
 }

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"maps"
+	"math"
 	"slices"
 	"sort"
 )
@@ -50,31 +51,62 @@ func (s *Store) edges(p ID, forward bool) map[ID][]ID {
 
 // transitiveClosure computes, for every node in edges, the set of nodes
 // reachable via one or more hops, stored as a sorted slice so membership is
-// a binary search. Cycles are tolerated (a node never includes itself unless
-// reachable through a cycle).
+// a binary search. A node reaches itself only through a cycle. The sets are
+// exact whatever order the map yields its nodes in: one depth-first pass
+// finds the strongly connected components (Tarjan), and a component's
+// members share one set, built once every component it reaches is closed.
+// Closures over the reversed edges are therefore the inverse relation.
 func transitiveClosure(edges map[ID][]ID) map[ID][]ID {
+	const closed = math.MaxInt // num of a node whose component is closed
 	out := make(map[ID][]ID, len(edges))
-	var visit func(n ID, seen map[ID]bool) []ID
-	visit = func(n ID, seen map[ID]bool) []ID {
-		if r, ok := out[n]; ok {
-			return r
+	num := make(map[ID]int, len(edges)) // visit order, from 1; 0 unvisited
+	var stack []ID
+	var visit func(v ID) int
+	visit = func(v ID) int {
+		num[v] = len(num) + 1
+		low := num[v]
+		stack = append(stack, v)
+		for _, w := range edges[v] {
+			if num[w] == 0 {
+				low = min(low, visit(w))
+			} else {
+				low = min(low, num[w])
+			}
 		}
-		if seen[n] {
-			return nil // cycle guard; partial result is fine
+		if low < num[v] {
+			return low
 		}
-		seen[n] = true
+		// v roots a component: the stack above it. An edge from the
+		// component leads into it (num still open) or to a closed
+		// component, whose set is final.
+		i := len(stack) - 1
+		for stack[i] != v {
+			i--
+		}
+		comp := stack[i:]
 		var r []ID
-		for _, next := range edges[n] {
-			r = append(r, next)
-			r = append(r, visit(next, seen)...)
+		for _, u := range comp {
+			for _, w := range edges[u] {
+				r = append(r, w)
+				if num[w] == closed {
+					r = append(r, out[w]...)
+				}
+			}
 		}
-		delete(seen, n)
 		r = sortDedupe(r)
-		out[n] = r
-		return r
+		for _, u := range comp {
+			num[u] = closed
+			if len(r) > 0 {
+				out[u] = r
+			}
+		}
+		stack = stack[:i]
+		return low
 	}
 	for n := range edges {
-		visit(n, map[ID]bool{})
+		if num[n] == 0 {
+			visit(n)
+		}
 	}
 	return out
 }

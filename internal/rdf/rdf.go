@@ -529,11 +529,13 @@ type snapshot struct {
 // Derived returns build(kb) for a kb that reads exactly as s does. While s
 // belongs to a snapshot — it is a CloneExact copy, or the source of one,
 // and has not been written since — the value is computed at most once per
-// snapshot, from the snapshot's private share (read only then), and shared
-// by every store of the snapshot under the same key; otherwise build runs
-// on s. A store leaves its snapshot at its first write. build must only
-// read its store, and callers must treat the value as read-only. Safe for
-// concurrent use by the stores of one snapshot.
+// snapshot, from the snapshot's private share, and shared by every store of
+// the snapshot under the same key; otherwise build runs on s. A store
+// leaves its snapshot at its first write. build and the value must only
+// read kb. The value may keep kb and read it later: a snapshot's share is
+// never written (its hierarchy closures are warmed before build), so its
+// reads need no lock, but a value shared by several stores must guard any
+// memo of its own. Safe for concurrent use by the stores of one snapshot.
 func (s *Store) Derived(key any, build func(kb *Store) any) any {
 	snap := s.snap.Load()
 	if snap == nil {
@@ -543,6 +545,7 @@ func (s *Store) Derived(key any, build func(kb *Store) any) any {
 	defer snap.mu.Unlock()
 	v, ok := snap.memo[key]
 	if !ok {
+		snap.view.ensureClosures()
 		v = build(snap.view)
 		snap.memo[key] = v
 	}
@@ -556,6 +559,24 @@ func (s *Store) SubjectsWithPredicate(p ID) []ID {
 		return sortedKeys(s.pso[p])
 	}
 	return sortedKeys(s.pso[p], s.base.pso[p])
+}
+
+// ForEachSubject calls f once for every distinct subject that has at least
+// one triple with predicate p, with its objects (shared; read-only), in no
+// particular order: a count over p's triples needs no sorted subject list.
+func (s *Store) ForEachSubject(p ID, f func(sub ID, objs []ID)) {
+	own := s.pso[p]
+	for sub, objs := range own {
+		f(sub, objs)
+	}
+	if s.base == nil {
+		return
+	}
+	for sub, objs := range s.base.pso[p] {
+		if _, ok := own[sub]; !ok {
+			f(sub, objs)
+		}
+	}
 }
 
 // Predicates returns the distinct predicates present in the store.

@@ -342,7 +342,6 @@ func (trustingFacts) PathHolds(string, []rdf.ID, string) bool { return true }
 // Cleaner runs the KATARA pipeline against one KB and crowd.
 type Cleaner struct {
 	kb    *KB
-	stats *kbstats.Stats
 	crowd *Crowd
 	opts  Options
 	// resolver is the shared entity-resolution cache: one memo per Cleaner,
@@ -355,8 +354,10 @@ type Cleaner struct {
 	session *session
 }
 
-// NewCleaner builds a Cleaner. The KB statistics (entity counts, coherence
-// tables) are computed once here, mirroring the paper's offline
+// NewCleaner builds a Cleaner. Each discovery takes the KB statistics
+// (entity counts, coherence scores) of the KB as it reads then, so a run
+// after an enriching Clean scores against the enriched KB; package kbstats
+// computes each statistic once per KB state, the paper's offline
 // pre-computation. Resilience options (Transport, Retry, Escalate) are
 // installed on the crowd here; leave them zero to keep a crowd configured
 // directly via crowd.Options untouched.
@@ -373,7 +374,6 @@ func NewCleaner(kb *KB, c *Crowd, opts Options) *Cleaner {
 	}
 	return &Cleaner{
 		kb:       kb,
-		stats:    kbstats.New(kb),
 		crowd:    c,
 		opts:     opts,
 		resolver: resolve.New(kb, opts.Threshold),
@@ -394,7 +394,7 @@ func (c *Cleaner) KB() *KB { return c.kb }
 
 // DiscoverPatterns returns the top-k table patterns for t (§4).
 func (c *Cleaner) DiscoverPatterns(t *Table) []*Pattern {
-	return discovery.TopK(c.generate(t, c.stats, c.resolver, nil), c.opts.TopK)
+	return discovery.TopK(c.generate(t, c.kb, c.resolver, nil), c.opts.TopK)
 }
 
 // ValidatePattern selects one pattern from candidates via the crowd (§5).

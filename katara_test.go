@@ -164,6 +164,31 @@ func TestDiscoverPatternsShape(t *testing.T) {
 	}
 }
 
+// TestReusedCleanerScoresItsEnrichedKB: discovery on a Cleaner whose Clean
+// enriched its KB (the S. Africa capital fact) scores against the KB it
+// reads, exactly as a new Cleaner on that KB does.
+func TestReusedCleanerScoresItsEnrichedKB(t *testing.T) {
+	kb, tbl := figure1()
+	c := NewCleaner(kb, TrustingCrowd(), Options{FactOracle: fig1Oracle{kb}, TopK: 5})
+	triples := kb.NumTriples()
+	if _, err := c.Clean(tbl); err != nil {
+		t.Fatal(err)
+	}
+	if kb.NumTriples() == triples {
+		t.Fatal("the Clean enriched nothing; the check needs a KB write")
+	}
+	got := c.DiscoverPatterns(tbl)
+	want := NewCleaner(kb, TrustingCrowd(), Options{TopK: 5}).DiscoverPatterns(tbl)
+	if len(got) != len(want) {
+		t.Fatalf("%d patterns after the Clean, a new Cleaner finds %d", len(got), len(want))
+	}
+	for i := range want {
+		if g, w := got[i].Render(kb, tbl.Columns), want[i].Render(kb, tbl.Columns); g != w || got[i].Score != want[i].Score {
+			t.Errorf("pattern %d: %s scored %v after the Clean, a new Cleaner has %s scored %v", i, g, got[i].Score, w, want[i].Score)
+		}
+	}
+}
+
 func TestValidatePatternWithoutOracleTrustsTop(t *testing.T) {
 	kb, tbl := figure1()
 	c := NewCleaner(kb, TrustingCrowd(), Options{})

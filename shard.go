@@ -81,7 +81,7 @@ func (c *Cleaner) run(ctx context.Context, t *Table, lo int) (*Report, string, e
 	ctx, tel, done := c.startRun(ctx)
 	defer done()
 
-	kb, stats, resolver := c.kb, c.stats, c.resolver
+	kb, resolver := c.kb, c.resolver
 	rep, span := &Report{}, "clean"
 	// Distinct-signature view (Options.Dedup, default on): built fresh per
 	// Clean — never cached on the Table, whose Rows callers mutate directly
@@ -90,11 +90,10 @@ func (c *Cleaner) run(ctx context.Context, t *Table, lo int) (*Report, string, e
 	// collapse onto distinct signatures.
 	var in *table.Interned
 	if appending {
-		if s.baseStats == nil {
-			s.baseStats = kbstats.New(s.base)
+		if s.baseResolver == nil {
 			s.baseResolver = resolve.New(s.base, c.opts.Threshold)
 		}
-		kb, stats, resolver = s.base, s.baseStats, s.baseResolver
+		kb, resolver = s.base, s.baseResolver
 		rep, span, in = s.report, "append", s.in
 		if in != nil {
 			in.Extend(t)
@@ -131,7 +130,7 @@ func (c *Cleaner) run(ctx context.Context, t *Table, lo int) (*Report, string, e
 	}
 
 	start := tel.StartStage(telemetry.StageDiscover)
-	cands := c.generate(t, stats, resolver, tel)
+	cands := c.generate(t, kb, resolver, tel)
 	candidates := discovery.TopK(cands, c.opts.TopK)
 	tel.EndStage(telemetry.StageDiscover, start)
 	if len(candidates) == 0 {
@@ -280,10 +279,11 @@ func (c *Cleaner) startRun(ctx context.Context) (context.Context, *telemetry.Pip
 	}
 }
 
-// generate runs candidate generation (§4.1) over t against stats and
-// resolver, fanned out at the run's parallelism.
-func (c *Cleaner) generate(t *Table, stats *kbstats.Stats, resolver *resolve.Cache, tel *telemetry.Pipeline) *discovery.Candidates {
-	return discovery.GenerateParallel(t, stats, discovery.Options{
+// generate runs candidate generation (§4.1) over t against kb, with
+// statistics taken from kb as it reads now, and resolver, fanned out at the
+// run's parallelism.
+func (c *Cleaner) generate(t *Table, kb *KB, resolver *resolve.Cache, tel *telemetry.Pipeline) *discovery.Candidates {
+	return discovery.GenerateParallel(t, kbstats.New(kb), discovery.Options{
 		Threshold:     c.opts.Threshold,
 		MaxCandidates: c.opts.MaxCandidates,
 		MaxRows:       c.opts.MaxRows,
