@@ -83,9 +83,6 @@ type session struct {
 	// ApplyKBDelta adds to it and re-cleans from it; session enrichment
 	// never touches it.
 	base *rdf.Store
-	// baseResolver serves an Append's discovery over base; built lazily on
-	// the first Append.
-	baseResolver *resolve.Cache
 	// memo holds the crowd's §5 plurality decisions from the validated run;
 	// replaying MUVF from it is the drift detector.
 	memo *validation.AnswerMemo

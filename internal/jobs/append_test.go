@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"katara"
@@ -134,6 +135,53 @@ func TestManagerAppendSlowPathMatchesFast(t *testing.T) {
 	slow := runChain(true)
 	if !bytes.Equal(fast, slow) {
 		t.Fatalf("slow path != fast path\n--- fast\n%s\n--- slow\n%s", fast, slow)
+	}
+}
+
+// TestManagerEvictsLeastRecentSession: the manager retains at most
+// maxSessions chain tips, so retaining one more evicts the least recently
+// retained one. An append to the evicted tip re-executes its chain and
+// returns the bytes an append on the fast path returns.
+func TestManagerEvictsLeastRecentSession(t *testing.T) {
+	kb, _, root, delta := splitFixture(t, 60, 30)
+	m := NewManager(Config{KB: kb, MaxConcurrent: 1, MaxQueue: 16})
+	defer m.Close()
+
+	var roots []string
+	for i := 0; i <= maxSessions; i++ {
+		id, err := m.Submit(root, Params{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, m, id); st.State != StateDone {
+			t.Fatalf("root %d = %s: %s", i, st.State, st.Error)
+		}
+		roots = append(roots, id)
+	}
+	m.mu.Lock()
+	order := append([]string(nil), m.retainedOrder...)
+	_, oldest := m.retained[roots[0]]
+	m.mu.Unlock()
+	if oldest || !reflect.DeepEqual(order, roots[1:]) {
+		t.Fatalf("retained %v after %d roots, want the last %d: %v", order, len(roots), maxSessions, roots[1:])
+	}
+
+	// The fast append runs first: each append retains its own tip, and the
+	// slow one's would evict roots[1].
+	appendTo := func(parent string) string {
+		id, err := m.Append(parent, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, m, id); st.State != StateDone {
+			t.Fatalf("append to %s = %s: %s", parent, st.State, st.Error)
+		}
+		return id
+	}
+	fastID := appendTo(roots[1])
+	slowID := appendTo(roots[0])
+	if slow, fast := reportBytes(t, m, slowID), reportBytes(t, m, fastID); !bytes.Equal(slow, fast) {
+		t.Fatalf("append to an evicted tip != append on the fast path\n--- slow\n%s\n--- fast\n%s", slow, fast)
 	}
 }
 

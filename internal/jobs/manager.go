@@ -147,12 +147,13 @@ type Config struct {
 	// jobs that were running across two consecutive crashes are quarantined
 	// as failed (poisoned) instead of re-entering the crash loop.
 	Replay *Replay
-	// MaxSessions bounds the incremental sessions retained for the append
-	// fast path (default 4). A chain whose session was evicted — or lost to
-	// a restart — still appends correctly: the manager re-executes the chain
-	// from its root submission, which is also the crash-replay path.
-	MaxSessions int
 }
+
+// maxSessions bounds the incremental sessions retained for the append fast
+// path. A chain whose session was evicted — or lost to a restart — still
+// appends correctly: the manager re-executes the chain from its root
+// submission, which is also the crash-replay path.
+const maxSessions = 4
 
 // RecoveryStats summarizes what journal replay did at boot.
 type RecoveryStats struct {
@@ -205,7 +206,6 @@ type Manager struct {
 	// holds that chain's cumulative state; retainedOrder is its LRU list.
 	retained      map[string]*katara.Cleaner
 	retainedOrder []string
-	maxSessions   int
 	// pristine is the default runner's one re-interned copy of Config.KB,
 	// built by the first job (pristineOnce); each job's cleaner starts from
 	// a CloneExact share of it. Atomic because /metrics reads its label
@@ -227,18 +227,14 @@ func NewManager(cfg Config) *Manager {
 		cfg.MaxQueue = 64
 	}
 	realRunner := cfg.Run == nil
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 4
-	}
 	m := &Manager{
-		cfg:         cfg,
-		journal:     cfg.Journal,
-		maxQueue:    cfg.MaxQueue,
-		jobs:        make(map[string]*Job),
-		aggregate:   telemetry.New(),
-		realRunner:  realRunner,
-		retained:    make(map[string]*katara.Cleaner),
-		maxSessions: cfg.MaxSessions,
+		cfg:        cfg,
+		journal:    cfg.Journal,
+		maxQueue:   cfg.MaxQueue,
+		jobs:       make(map[string]*Job),
+		aggregate:  telemetry.New(),
+		realRunner: realRunner,
+		retained:   make(map[string]*katara.Cleaner),
 	}
 	requeue, endDocs := m.recover(cfg.Replay)
 	// The channel is sized past MaxQueue when recovery re-queues more jobs
@@ -778,7 +774,7 @@ func (m *Manager) retain(id string, cl *katara.Cleaner) {
 		m.retainedOrder = append(m.retainedOrder, id)
 	}
 	m.retained[id] = cl
-	for len(m.retainedOrder) > m.maxSessions {
+	for len(m.retainedOrder) > maxSessions {
 		evict := m.retainedOrder[0]
 		m.retainedOrder = m.retainedOrder[1:]
 		delete(m.retained, evict)

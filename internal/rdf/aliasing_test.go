@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"katara/internal/similarity"
 )
 
 // Objects/Subjects (and the closure accessors) return slices shared with the
@@ -132,9 +134,10 @@ func TestReadAPIDoesNotMutateSharedSlices(t *testing.T) {
 
 // storeView renders everything a write could change, by term value and by
 // ID: the term table and lookups of the terms the clone tests add, the
-// triple stream, subject descriptions, the counters, the label log, label
-// resolution and the subclass closure. It only looks terms up, so reading a
-// view writes nothing.
+// triple stream, subject descriptions, the counters, label resolution (in
+// full, and among the labels indexed from each generation on) and the
+// subclass closure. It only looks terms up, so reading a view writes
+// nothing.
 func storeView(s *Store) []string {
 	out := renderTriples(s)
 	for id := 0; id < s.NumTerms(); id++ {
@@ -155,9 +158,7 @@ func storeView(s *Store) []string {
 			}
 		}
 	}
-	labels, ok := s.LabelsSince(0)
-	out = append(out, fmt.Sprintf("triples=%d labelGen=%d labelsSince0=%q,%v",
-		s.NumTriples(), s.LabelGen(), labels, ok))
+	out = append(out, fmt.Sprintf("triples=%d labelGen=%d", s.NumTriples(), s.LabelGen()))
 	render := func(ids []ID) []string {
 		var r []string
 		for _, id := range ids {
@@ -165,12 +166,18 @@ func storeView(s *Store) []string {
 		}
 		return r
 	}
-	for _, q := range []string{"Rome", "Naples", "Springfield"} {
-		var hits []string
-		for _, m := range s.MatchLabel(q, 0.7) {
-			hits = append(hits, fmt.Sprintf("%s:%v", s.Term(m.Resource), m.Score))
+	hits := func(ms []LabelMatch) []string {
+		var r []string
+		for _, m := range ms {
+			r = append(r, fmt.Sprintf("%s:%v", s.Term(m.Resource), m.Score))
 		}
-		out = append(out, fmt.Sprintf("match %s = %v, labeled %v", q, hits, render(s.ResourcesLabeled(q))))
+		return r
+	}
+	for _, q := range []string{"Rome", "Naples", "Springfield"} {
+		out = append(out, fmt.Sprintf("match %s = %v, labeled %v", q, hits(s.MatchLabel(q, 0.7)), render(s.ResourcesLabeled(q))))
+		for gen := uint64(0); gen <= s.LabelGen(); gen++ {
+			out = append(out, fmt.Sprintf("match %s since %d = %v", q, gen, hits(s.MatchLabelSince(similarity.Normalize(q), 0.7, gen, nil))))
+		}
 	}
 	for _, c := range []string{"ex:Capital", "ex:City", "ex:Place"} {
 		if id := s.LookupTerm(IRI(c)); id != NoID {

@@ -11,8 +11,8 @@ import (
 // to isolate its KB: a CloneExact share of the Yago-shaped KB (about 23K
 // triples, 5.1K labels) and its first write, a new label on an existing
 // entity — a triple that touches the pso, pos, subject, label and fuzzy
-// indexes and the label log. The write copies only the keys it touches, so
-// ns/op and allocs/op do not grow with the KB.
+// indexes. The write copies only the keys it touches, so ns/op and
+// allocs/op do not grow with the KB.
 func BenchmarkCloneExactFirstWrite(b *testing.B) {
 	w := world.New(1, world.Config{})
 	kb := workload.YagoLike(w, 1).Store

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"katara/internal/similarity"
 )
 
 // fuzzLabelStore is a fixed store whose labels cover the shapes fuzzy
@@ -12,7 +14,11 @@ import (
 // labels from "ex:pretoria" on are added to a CloneExact share of the store
 // holding the others, so they land in the share's own fuzzy index over the
 // frozen base; both forms intern the same terms at the same IDs.
-func fuzzLabelStore(split bool) *Store {
+func fuzzLabelStore(split bool) *Store { return fuzzLabelStoreAt(split, math.MaxInt) }
+
+// fuzzLabelStoreAt is fuzzLabelStore as it read at label generation gen:
+// only the first gen labels are added, under the same term IDs.
+func fuzzLabelStoreAt(split bool, gen int) *Store {
 	st := New()
 	labels := []struct {
 		iri    string
@@ -36,6 +42,9 @@ func fuzzLabelStore(split bool) *Store {
 		}
 		id := st.Res(r.iri)
 		for _, l := range r.labels {
+			if st.LabelGen() == uint64(gen) {
+				return st
+			}
 			st.Add(id, st.LabelID, st.Literal(l))
 		}
 	}
@@ -50,10 +59,17 @@ func fuzzLabelStore(split bool) *Store {
 // exactly the hits of the store that indexes every label in one index, and
 // so must a store whose own layer is frozen (the source of a CloneExact),
 // which answers from its memo, on the call that fills the memo and on the
-// call that hits it.
+// call that hits it. Catching up the answer a store gave at any earlier
+// generation (MatchLabelSince) must give the current answer on all three
+// forms: unshared, an unwritten share and a written share, whose older
+// generations fall in its frozen base.
 func FuzzMatchLabel(f *testing.F) {
 	st, layered, frozen := fuzzLabelStore(false), fuzzLabelStore(true), fuzzLabelStore(false)
 	frozen.CloneExact()
+	past := make([]*Store, st.LabelGen()+1)
+	for gen := range past {
+		past[gen] = fuzzLabelStoreAt(false, gen)
+	}
 	f.Add("Rome", 0.7)
 	f.Add("S. Africa", 0.7)
 	f.Add("Pretorria", 0.5)
@@ -102,6 +118,18 @@ func FuzzMatchLabel(f *testing.F) {
 		for pass := 0; pass < 2; pass++ {
 			if memo := frozen.MatchLabel(value, threshold); !reflect.DeepEqual(got, memo) {
 				t.Fatalf("MatchLabel(%q, %v) on a frozen store, call %d:\n%v\nwant the unshared store's hits\n%v", value, threshold, pass+1, memo, got)
+			}
+		}
+		norm := similarity.Normalize(value)
+		for gen, old := range past {
+			prior := old.MatchLabelNorm(norm, threshold)
+			for _, form := range []struct {
+				name string
+				s    *Store
+			}{{"unshared", st}, {"unwritten share", frozen}, {"written share", layered}} {
+				if up := form.s.MatchLabelSince(norm, threshold, uint64(gen), prior); !reflect.DeepEqual(up, got) {
+					t.Fatalf("MatchLabelSince(%q, %v, %d) on the %s store:\n%v\nwant the current hits\n%v", norm, threshold, gen, form.name, up, got)
+				}
 			}
 		}
 	})

@@ -103,6 +103,26 @@ func (s *Store) MatchLabelNorm(norm string, threshold float64) []LabelMatch {
 	return mergeMatches(s.base.matchLabel(norm, threshold, true), own)
 }
 
+// MatchLabelSince brings prior, MatchLabelNorm's answer for norm at
+// threshold when LabelGen was gen, up to the store's current generation: it
+// merges in the hits among the labels indexed since, which are the fuzzy
+// entries from gen on (see Store.labelGen), base's and then the own
+// layer's. The result is exactly MatchLabelNorm's current answer, for the
+// reason the layer merge is: labels are only ever added, and a candidate's
+// score depends only on the query and its label. prior is returned as it
+// is when no new label matches. Shared slice; read-only.
+func (s *Store) MatchLabelSince(norm string, threshold float64, gen uint64, prior []LabelMatch) []LabelMatch {
+	from := int32(gen)
+	if s.base != nil {
+		nb := int32(s.base.fuzzy.Len())
+		if from < nb {
+			prior = mergeMatches(prior, s.base.lookupLabel(norm, threshold, from))
+		}
+		from = max(from-nb, 0)
+	}
+	return mergeMatches(prior, s.layer.lookupLabel(norm, threshold, from))
+}
+
 // maxLabelMemo bounds a frozen layer's memo. A full memo is cleared
 // wholesale, as the resolve cache flushes; one pass of the 30 WebTables
 // jobs over the Yago-shaped KB memoises about 1.7K queries.
@@ -133,7 +153,7 @@ func (l *layer) matchLabel(norm string, threshold float64, frozen bool) []LabelM
 		return nil
 	}
 	if !frozen || !(threshold > 0 && threshold <= 1) {
-		return l.lookupLabel(norm, threshold)
+		return l.lookupLabel(norm, threshold, 0)
 	}
 	q := labelQuery{norm, threshold}
 	memo := l.memo
@@ -143,7 +163,7 @@ func (l *layer) matchLabel(norm string, threshold float64, frozen bool) []LabelM
 	if ok {
 		return out
 	}
-	out = l.lookupLabel(norm, threshold)
+	out = l.lookupLabel(norm, threshold, 0)
 	memo.mu.Lock()
 	if prior, ok := memo.m[q]; ok {
 		out = prior // a racing reader memoised it first; keep one slice
@@ -161,9 +181,10 @@ func (l *layer) matchLabel(norm string, threshold float64, frozen bool) []LabelM
 	return out
 }
 
-// lookupLabel looks norm up in the layer's fuzzy index and folds the hits.
-func (l *layer) lookupLabel(norm string, threshold float64) []LabelMatch {
-	cands := l.fuzzy.LookupNormalized(norm, threshold)
+// lookupLabel looks norm up among the layer's fuzzy entries from from on
+// and folds the hits.
+func (l *layer) lookupLabel(norm string, threshold float64, from int32) []LabelMatch {
+	cands := l.fuzzy.LookupNormalizedFrom(norm, threshold, from)
 	if len(cands) == 0 {
 		return nil
 	}

@@ -94,21 +94,16 @@ type Store struct {
 	// Hierarchy closures, memoised per generation.
 	gen        uint64
 	closureGen uint64
-	labelGen   uint64 // bumped whenever a label is indexed; see LabelGen
 	superCls   map[ID][]ID
 	subCls     map[ID][]ID
 	superProp  map[ID][]ID
 	subProp    map[ID][]ID
 
-	// labelLogBase starts the bounded window of recently indexed labels
-	// LabelsSince reports, so layered caches can invalidate per label
-	// instead of flushing wholesale: the labels whose indexing bumped
-	// labelGen past labelLogBase. The window drops its older half once it
-	// outgrows maxLabelLog, and LabelsSince reports the truncation so
-	// callers fall back to a full flush. The labels themselves are the fuzzy
-	// indexes' entries: each label bumps labelGen once and adds one entry,
-	// normalised, so label g (1-based) is fuzzy entry g-1 over both layers.
-	labelLogBase uint64
+	// labelGen counts the labels indexed (see LabelGen). Each label bumps
+	// it once and adds one entry to a fuzzy index, so label g (1-based) is
+	// fuzzy entry g-1 over both layers: base's entries, then the own
+	// layer's.
+	labelGen uint64
 
 	// shared is set on a store whose own layer another store reads since a
 	// CloneExact (the clone, or a snapshot's view); its first write moves
@@ -162,11 +157,6 @@ func newLayer() layer {
 		memo:       &labelMemo{},
 	}
 }
-
-// maxLabelLog bounds the label log; above it the older half is dropped.
-// Enrichment runs add labels in small bursts, so any live cache syncs long
-// before the window slides past it.
-const maxLabelLog = 8192
 
 type pair struct{ p, o ID }
 
@@ -231,9 +221,10 @@ func (s *Store) NumTerms() int { return s.nbase + len(s.terms) }
 func (s *Store) NumTriples() int { return s.ntriples }
 
 // LabelGen returns a generation counter that changes whenever a label is
-// added to the index, i.e. whenever MatchLabel results could change. Caches
-// layered over label resolution (package resolve) compare it to decide when
-// to invalidate. Reads follow the store's single-writer contract.
+// added to the index, i.e. whenever MatchLabel results could change: the
+// number of labels indexed so far. Labels are only ever added, so an answer
+// taken at one generation is brought up to date by MatchLabelSince. Reads
+// follow the store's single-writer contract.
 func (s *Store) LabelGen() uint64 { return s.labelGen }
 
 // Add inserts the triple (sub, pred, obj). Duplicate triples are ignored.
@@ -295,9 +286,6 @@ func (s *Store) Add(sub, pred, obj ID) bool {
 			s.labelIndex[norm] = append(entry(s.labelIndex, base.labelIndex, norm), sub)
 			s.fuzzy.Add(value)
 			s.fuzzyIDs = append(s.fuzzyIDs, sub)
-			if n := s.labelGen - s.labelLogBase; n >= maxLabelLog {
-				s.labelLogBase += n / 2
-			}
 			s.labelGen++
 		}
 	}
@@ -404,29 +392,6 @@ func (s *Store) ForEachTriple(f func(Triple)) {
 	}
 }
 
-// LabelsSince returns the normalised labels indexed after generation gen (in
-// indexing order), for per-label cache invalidation. ok is false when the
-// bounded log has already dropped part of that window — the caller must fall
-// back to a full flush. gen beyond the current generation reports as
-// truncated rather than panicking.
-func (s *Store) LabelsSince(gen uint64) (labels []string, ok bool) {
-	if gen > s.labelGen || gen < s.labelLogBase {
-		return nil, false
-	}
-	labels = make([]string, 0, s.labelGen-gen)
-	nb := 0
-	if s.base != nil {
-		nb = s.base.fuzzy.Len()
-		for i := int(gen); i < nb; i++ {
-			labels = append(labels, s.base.fuzzy.Value(int32(i)))
-		}
-	}
-	for i := max(int(gen)-nb, 0); i < s.fuzzy.Len(); i++ {
-		labels = append(labels, s.fuzzy.Value(int32(i)))
-	}
-	return labels, true
-}
-
 // Clone returns a deep copy of the store. Term IDs are not preserved across
 // the copy; look terms up by value in the clone.
 func (s *Store) Clone() *Store {
@@ -450,11 +415,11 @@ func (s *Store) Clone() *Store {
 // share its indexes, and each side's first write freezes them as its base
 // and writes into a layer of its own that holds only the keys it touches.
 // A share that has written copies only that layer, so no store reads
-// through more than its own layer and one base. Warm hierarchy closures,
-// the label-log window and all generation counters are carried over, so
-// caches keyed on generations resume seamlessly, and the copy joins the
-// source's snapshot (see Derived). Several goroutines may take CloneExact
-// of one store at once while nothing writes it.
+// through more than its own layer and one base. Warm hierarchy closures
+// and all generation counters are carried over, so caches keyed on
+// generations resume seamlessly, and the copy joins the source's snapshot
+// (see Derived). Several goroutines may take CloneExact of one store at
+// once while nothing writes it.
 func (s *Store) CloneExact() *Store {
 	out := s.share()
 	snap := s.snap.Load()
@@ -495,7 +460,7 @@ func (s *Store) share() *Store {
 		}
 	}
 	out.ntriples, out.gen = s.ntriples, s.gen
-	out.labelGen, out.labelLogBase = s.labelGen, s.labelLogBase
+	out.labelGen = s.labelGen
 	out.closureGen = s.closureGen
 	out.superCls, out.subCls = s.superCls, s.subCls
 	out.superProp, out.subProp = s.superProp, s.subProp

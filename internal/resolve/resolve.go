@@ -17,6 +17,12 @@
 // every lookup for all the stores that read it. A Cache holds merged
 // answers that include the labels its own KB minted, so it is never shared
 // across jobs; the frozen layer's memo is.
+//
+// Nothing is ever evicted. Annotation enrichment (§6.1) only adds labels to
+// the KB, so a memoised answer can only gain matches, and only from labels
+// indexed after it was stored. Each entry records the store's label
+// generation at which it is exact, and a hit on an older entry catches up
+// from the labels indexed since (rdf.Store.MatchLabelSince).
 package resolve
 
 import (
@@ -41,40 +47,31 @@ const shardCount = 16
 
 type shard struct {
 	mu sync.RWMutex
-	m  map[string][]rdf.LabelMatch
+	m  map[string]entry
+}
+
+// entry is one memoised answer and the store's LabelGen at which it is
+// exact.
+type entry struct {
+	matches []rdf.LabelMatch
+	gen     uint64
 }
 
 // Cache memoizes rdf.Store.MatchLabel keyed on the normalized cell value.
 // It is safe for concurrent use under the store's single-writer contract:
 // any number of goroutines may resolve concurrently while the store is
-// quiescent; if the store gains labels (annotation enrichment does this
-// between stages), the cache notices via Store.LabelGen and evicts the
-// entries the new labels can affect (see sync).
+// quiescent. When the store gains labels (annotation enrichment does this
+// between stages), each entry stored before them catches up on its next hit
+// (see Resolve).
 type Cache struct {
 	kb        *rdf.Store
 	threshold float64
 
-	gen     atomic.Uint64 // label generation the memo was built against
-	flushMu sync.Mutex    // serialises syncs so racing readers sync once
-
 	shards [shardCount]shard
 
-	// Reverse index over memoised keys, for per-label invalidation: given a
-	// newly indexed label, a relaxed trigram probe finds every cached value
-	// the label could now match (see sync). keysIx is single-writer
-	// (similarity.Index.Add is not concurrency-safe), so keysMu serialises
-	// both registration and probes; keys are never removed — the index is a
-	// monotone over-approximation of the live memo, and deleting a key that
-	// has already been evicted is a no-op.
-	keysMu   sync.Mutex
-	keysIx   *similarity.Index
-	keysSeen map[string]bool
-
+	// hits counts memo hits, catch-ups included; misses counts lookups of
+	// keys the memo did not hold.
 	hits, misses atomic.Int64
-	// invalidations counts individually evicted memo entries; flushes counts
-	// wholesale memo rebuilds (the fallback when the store's bounded label
-	// log has slid past our generation).
-	invalidations, flushes atomic.Int64
 
 	// tel is the pipeline observing resolver latency for the current run.
 	// The cache outlives individual runs (a Cleaner keeps one across Clean
@@ -86,10 +83,9 @@ type Cache struct {
 // New returns a cache over kb resolving at the given threshold. Lookups at a
 // different threshold bypass the memo (see MatchLabel).
 func New(kb *rdf.Store, threshold float64) *Cache {
-	c := &Cache{kb: kb, threshold: threshold, keysIx: similarity.NewIndex(), keysSeen: make(map[string]bool)}
-	c.gen.Store(kb.LabelGen())
+	c := &Cache{kb: kb, threshold: threshold}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string][]rdf.LabelMatch)
+		c.shards[i].m = make(map[string]entry)
 	}
 	return c
 }
@@ -119,16 +115,26 @@ func (c *Cache) MatchLabel(value string, threshold float64) []rdf.LabelMatch {
 
 // Resolve returns the KB resources matching value at the cache's threshold.
 // The returned slice is shared with the memo; callers must not mutate it.
+//
+// A hit on an entry stored at an older label generation is a catch-up: the
+// entry merges in the hits among the labels indexed since and is stored
+// again at the current generation, keeping its slice when no new label
+// matches. A catch-up counts as a hit. Label additions happen only in
+// single-writer windows (KB load, annotation enrichment, KB deltas), so the
+// generation read here is stable while readers run.
 func (c *Cache) Resolve(value string) []rdf.LabelMatch {
-	c.sync()
 	key := similarity.Normalize(value)
+	gen := c.kb.LabelGen()
 	sh := &c.shards[fnvMask(key)]
 	sh.mu.RLock()
-	matches, ok := sh.m[key]
+	e, ok := sh.m[key]
 	sh.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
-		return matches
+		if e.gen == gen {
+			return e.matches
+		}
+		return sh.store(key, entry{c.kb.MatchLabelSince(key, c.threshold, e.gen, e.matches), gen})
 	}
 	c.misses.Add(1)
 	// The memo key IS the normalized value, so the miss path hands it to
@@ -140,120 +146,29 @@ func (c *Cache) Resolve(value string) []rdf.LabelMatch {
 	tel := c.tel.Load()
 	mStart := tel.StartTimer()
 	mSpan := tel.StartSpan("resolve-miss")
-	matches = c.kb.MatchLabelNorm(key, c.threshold)
+	matches := c.kb.MatchLabelNorm(key, c.threshold)
 	mSpan.SetInt("matches", int64(len(matches)))
 	mSpan.End()
 	tel.ObserveSince(telemetry.HistResolverLookup, mStart)
+	return sh.store(key, entry{matches, gen})
+}
+
+// store memoises e under key and returns the memoised answer. An entry at
+// least as new that a racing reader stored first wins, so readers that
+// miss or catch up one key at once keep one canonical slice.
+func (sh *shard) store(key string, e entry) []rdf.LabelMatch {
 	sh.mu.Lock()
-	inserted := false
-	if prior, ok := sh.m[key]; ok {
-		matches = prior // another goroutine raced us; keep one canonical slice
-	} else {
-		sh.m[key] = matches
-		inserted = true
+	defer sh.mu.Unlock()
+	if prior, ok := sh.m[key]; ok && prior.gen >= e.gen {
+		return prior.matches
 	}
-	sh.mu.Unlock()
-	if inserted {
-		c.indexKey(key)
-	}
-	return matches
-}
-
-// indexKey registers a memoised key in the reverse invalidation index,
-// exactly once per distinct key over the cache's lifetime.
-func (c *Cache) indexKey(key string) {
-	c.keysMu.Lock()
-	if !c.keysSeen[key] {
-		c.keysSeen[key] = true
-		c.keysIx.Add(key)
-	}
-	c.keysMu.Unlock()
-}
-
-// sync brings the memo up to date if labels were added to the store since it
-// was built. Label additions happen only in single-writer windows (KB load,
-// annotation enrichment, KB deltas), so readers observing a stale generation
-// here are already synchronized with the writer by the store contract.
-//
-// Invalidation is per label: for every label indexed since our generation,
-// evict exactly the memo entries whose answer could have changed — the entry
-// keyed on the label's own normalisation (it now has an exact match) plus
-// every cached value within the score threshold of the new label, found by a
-// relaxed reverse trigram probe (a provable superset of the forward lookup's
-// candidates, see similarity.Index.LookupNormalizedRelaxed). Everything else
-// keeps its memoised answer: a label can only ever ADD matches for values it
-// scores against, so untouched entries are still exact. Only when the
-// store's bounded label log has slid past our generation does the cache fall
-// back to the old wholesale flush.
-func (c *Cache) sync() {
-	labelGen := c.kb.LabelGen()
-	if c.gen.Load() == labelGen {
-		return
-	}
-	c.flushMu.Lock()
-	defer c.flushMu.Unlock()
-	cur := c.gen.Load()
-	if cur == labelGen {
-		return // another goroutine synced while we waited
-	}
-	labels, ok := c.kb.LabelsSince(cur)
-	if !ok {
-		c.flushes.Add(1)
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.Lock()
-			sh.m = make(map[string][]rdf.LabelMatch)
-			sh.mu.Unlock()
-		}
-		c.gen.Store(labelGen)
-		return
-	}
-	for _, norm := range labels {
-		c.invalidateLabel(norm)
-	}
-	c.gen.Store(labelGen)
-}
-
-// invalidateLabel evicts every memo entry the newly indexed label (already
-// normalised) could affect.
-func (c *Cache) invalidateLabel(norm string) {
-	c.keysMu.Lock()
-	cands := c.keysIx.LookupNormalizedRelaxed(norm, c.threshold)
-	keys := make([]string, len(cands))
-	for i, cand := range cands {
-		keys[i] = c.keysIx.Value(cand.ID)
-	}
-	c.keysMu.Unlock()
-	c.evict(norm)
-	for _, key := range keys {
-		if key != norm {
-			c.evict(key)
-		}
-	}
-}
-
-// evict removes one memo entry if present.
-func (c *Cache) evict(key string) {
-	sh := &c.shards[fnvMask(key)]
-	sh.mu.Lock()
-	if _, ok := sh.m[key]; ok {
-		delete(sh.m, key)
-		c.invalidations.Add(1)
-	}
-	sh.mu.Unlock()
+	sh.m[key] = e
+	return e.matches
 }
 
 // Stats returns the cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// SyncStats returns the cumulative per-label invalidation count (memo
-// entries individually evicted) and wholesale flush count (the label-log
-// truncation fallback) — the observability hooks the invalidation
-// regression tests pin.
-func (c *Cache) SyncStats() (invalidations, flushes int64) {
-	return c.invalidations.Load(), c.flushes.Load()
 }
 
 // Len returns the number of memoized values.

@@ -157,32 +157,37 @@ func TestPerLabelInvalidationKeepsUnrelatedEntries(t *testing.T) {
 	c := New(kb, similarity.DefaultThreshold)
 	// Warm the memo with values unrelated to the label we are about to add.
 	warm := []string{"Rome", "Madrid", "Pretoria", "South Africa"}
-	for _, q := range warm {
-		c.Resolve(q)
+	before := make([][]rdf.LabelMatch, len(warm))
+	for i, q := range warm {
+		before[i] = c.Resolve(q)
 	}
-	hits0, _ := c.Stats()
+	hits0, misses0 := c.Stats()
 	// An unrelated enrichment label: shares no similarity with the warm set.
 	kb.AddFact(rdf.IRI("ex:Qux"), rdf.IRI(rdf.IRILabel), rdf.Lit("zzyqwv"))
-	for _, q := range warm {
+	for i, q := range warm {
 		want := kb.MatchLabel(q, similarity.DefaultThreshold)
-		if got := c.Resolve(q); !reflect.DeepEqual(got, want) {
+		got := c.Resolve(q)
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("post-enrichment Resolve(%q) = %v, want %v", q, got, want)
 		}
+		// No new label matches, so the entry keeps its slice.
+		if len(got) == 0 || &got[0] != &before[i][0] {
+			t.Fatalf("Resolve(%q) after an unrelated label returned a new slice", q)
+		}
 	}
-	// Regression: the old cache flushed the whole memo on any LabelGen bump,
-	// so these four lookups were all misses. Per-label invalidation must
-	// keep every unrelated entry memoised.
-	hits1, _ := c.Stats()
-	if hits1-hits0 != int64(len(warm)) {
-		t.Fatalf("unrelated enrichment evicted memo entries: got %d hits across re-resolve, want %d",
-			hits1-hits0, len(warm))
-	}
-	if inv, flushes := c.SyncStats(); inv != 0 || flushes != 0 {
-		t.Fatalf("unrelated label should evict nothing: invalidations=%d flushes=%d", inv, flushes)
+	// Each re-resolve is a catch-up, which counts as a hit: an unrelated
+	// label never makes a memoised value miss again.
+	hits1, misses1 := c.Stats()
+	if hits1-hits0 != int64(len(warm)) || misses1 != misses0 {
+		t.Fatalf("re-resolve after an unrelated label: %d hits, %d misses, want %d hits, 0 misses",
+			hits1-hits0, misses1-misses0, len(warm))
 	}
 }
 
-func TestPerLabelInvalidationEvictsAffectedEntries(t *testing.T) {
+// TestCatchUpGainsNewMatches: a memoised answer a new label can now match
+// (a fuzzy miss, and the label's own normalisation) gains the match on its
+// next hit, without missing again, and keeps the caught-up slice after.
+func TestCatchUpGainsNewMatches(t *testing.T) {
 	kb := newKB(t)
 	c := New(kb, similarity.DefaultThreshold)
 	// A fuzzy miss that the upcoming label will turn into a hit.
@@ -193,29 +198,64 @@ func TestPerLabelInvalidationEvictsAffectedEntries(t *testing.T) {
 	if got := c.Resolve("Lisbon"); len(got) != 0 {
 		t.Fatalf("Lisbon should not resolve yet: %v", got)
 	}
-	c.Resolve("Madrid") // unrelated; must survive
+	c.Resolve("Madrid") // unrelated
+	_, misses0 := c.Stats()
 	kb.AddFact(rdf.IRI("ex:Lisbon"), rdf.IRI(rdf.IRILabel), rdf.Lit("Lisbon"))
 	for _, q := range []string{"Lisbon", "Lisbonne", "Madrid"} {
 		want := kb.MatchLabel(q, similarity.DefaultThreshold)
-		if got := c.Resolve(q); !reflect.DeepEqual(got, want) {
+		got := c.Resolve(q)
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("post-enrichment Resolve(%q) = %v, want %v", q, got, want)
+		}
+		if again := c.Resolve(q); len(again) > 0 && &again[0] != &got[0] {
+			t.Fatalf("Resolve(%q) after its catch-up returned a new slice", q)
 		}
 	}
 	if got := c.Resolve("Lisbonne"); len(got) == 0 {
 		t.Fatal("stale miss survived: Lisbonne must now fuzzily match Lisbon")
 	}
-	inv, flushes := c.SyncStats()
-	if inv < 2 {
-		t.Fatalf("expected the exact key and the fuzzy neighbour evicted, invalidations=%d", inv)
+	if _, misses := c.Stats(); misses != misses0 {
+		t.Fatalf("catch-ups must count as hits: misses %d -> %d", misses0, misses)
 	}
-	if flushes != 0 {
-		t.Fatalf("per-label path must not flush wholesale, flushes=%d", flushes)
+	if c.Len() != 3 {
+		t.Fatalf("Len = %d, want 3: nothing is evicted", c.Len())
+	}
+}
+
+// TestCatchUpReadsFrozenBase: labels added after an entry was stored can
+// sit in a frozen base. The store gains labels in its own layer, shares it
+// through CloneExact, and then writes, which freezes that layer as its
+// base: the stale entries' generation now falls inside the base, and the
+// catch-up must read the base's new labels as well as the own layer's.
+func TestCatchUpReadsFrozenBase(t *testing.T) {
+	kb := newKB(t)
+	c := New(kb, similarity.DefaultThreshold)
+	queries := []string{"Lisbon", "Lisbonne", "Porto", "Oporto", "Rome", "nowhere"}
+	for _, q := range queries {
+		c.Resolve(q)
+	}
+	kb.AddFact(rdf.IRI("ex:Lisbon"), rdf.IRI(rdf.IRILabel), rdf.Lit("Lisbon"))
+	kb.AddFact(rdf.IRI("ex:Porto"), rdf.IRI(rdf.IRILabel), rdf.Lit("Porto"))
+	kb.CloneExact()
+	kb.AddFact(rdf.IRI("ex:Oporto"), rdf.IRI(rdf.IRILabel), rdf.Lit("Oporto"))
+	_, misses0 := c.Stats()
+	for _, q := range queries {
+		want := kb.MatchLabel(q, similarity.DefaultThreshold)
+		if got := c.Resolve(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Resolve(%q) after labels landed in the frozen base = %v, want %v", q, got, want)
+		}
+	}
+	if got := c.Resolve("Lisbon"); len(got) == 0 {
+		t.Fatal("Lisbon's label is in the frozen base; the catch-up must find it")
+	}
+	if _, misses := c.Stats(); misses != misses0 {
+		t.Fatalf("catch-ups must count as hits: misses %d -> %d", misses0, misses)
 	}
 }
 
 // TestPerLabelInvalidationDifferential pins the correctness contract: after
 // ANY sequence of label additions, every cached answer equals the direct
-// store lookup.
+// store lookup, and no memoised value misses again.
 func TestPerLabelInvalidationDifferential(t *testing.T) {
 	kb := newKB(t)
 	c := New(kb, similarity.DefaultThreshold)
@@ -227,6 +267,7 @@ func TestPerLabelInvalidationDifferential(t *testing.T) {
 	for _, q := range queries {
 		c.Resolve(q)
 	}
+	_, misses0 := c.Stats()
 	for i, label := range adds {
 		kb.AddFact(rdf.IRI(fmt.Sprintf("ex:new%d", i)), rdf.IRI(rdf.IRILabel), rdf.Lit(label))
 		for _, q := range queries {
@@ -236,36 +277,45 @@ func TestPerLabelInvalidationDifferential(t *testing.T) {
 			}
 		}
 	}
+	if _, misses := c.Stats(); misses != misses0 {
+		t.Fatalf("label additions made memoised values miss again: misses %d -> %d", misses0, misses)
+	}
 }
 
-// TestLabelLogTruncationFallsBackToFlush: once the store's bounded label log
-// slides past the cache's generation, sync must fall back to a wholesale
-// flush — and still be correct.
-func TestLabelLogTruncationFallsBackToFlush(t *testing.T) {
+// TestCatchUpAfterLabelBurst: an entry stored before a burst of 9,000
+// labels catches up from all of them in one step, exactly.
+func TestCatchUpAfterLabelBurst(t *testing.T) {
 	kb := newKB(t)
 	c := New(kb, similarity.DefaultThreshold)
-	c.Resolve("Rome")
-	c.Resolve("Madrid")
-	// Push far past the log bound in one quiescent window.
+	queries := []string{"Rome", "Madrid", "bulk label 4242", "bulk label 17"}
+	for _, q := range queries {
+		c.Resolve(q)
+	}
+	_, misses0 := c.Stats()
 	for i := 0; i < 9000; i++ {
 		kb.AddFact(rdf.IRI(fmt.Sprintf("ex:bulk%d", i)), rdf.IRI(rdf.IRILabel),
 			rdf.Lit(fmt.Sprintf("bulk label %d", i)))
 	}
-	for _, q := range []string{"Rome", "Madrid", "bulk label 4242"} {
+	for _, q := range queries {
 		want := kb.MatchLabel(q, similarity.DefaultThreshold)
 		if got := c.Resolve(q); !reflect.DeepEqual(got, want) {
-			t.Fatalf("post-truncation Resolve(%q) = %v, want %v", q, got, want)
+			t.Fatalf("after the burst Resolve(%q) = %v, want %v", q, got, want)
 		}
 	}
-	if _, flushes := c.SyncStats(); flushes != 1 {
-		t.Fatalf("expected exactly one wholesale flush, got %d", flushes)
+	if got := c.Resolve("bulk label 4242"); len(got) == 0 {
+		t.Fatal("bulk label 4242 must resolve after the burst")
+	}
+	if _, misses := c.Stats(); misses != misses0 {
+		t.Fatalf("catch-ups must count as hits: misses %d -> %d", misses0, misses)
 	}
 }
 
-// TestPerLabelInvalidationRace exercises concurrent resolves racing the
-// per-label sync path (run under -race): one goroutine wins flushMu and
-// walks the reverse index while the rest insert fresh entries.
-func TestPerLabelInvalidationRace(t *testing.T) {
+// TestConcurrentCatchUp races resolves, catch-ups included, of the same
+// keys (run under -race): each round adds a label in a single-writer
+// window, then eight goroutines resolve. Every answer must equal the direct
+// lookup, and within a round all readers of a key must get one canonical
+// slice, whichever of them caught the entry up or missed it first.
+func TestConcurrentCatchUp(t *testing.T) {
 	kb := newKB(t)
 	c := New(kb, similarity.DefaultThreshold)
 	queries := make([]string, 40)
@@ -276,7 +326,11 @@ func TestPerLabelInvalidationRace(t *testing.T) {
 		// Single-writer window: enrich the KB while resolvers are quiescent.
 		kb.AddFact(rdf.IRI(fmt.Sprintf("ex:c%d", round)), rdf.IRI(rdf.IRILabel),
 			rdf.Lit(fmt.Sprintf("city %d", round)))
-		var wg sync.WaitGroup
+		var (
+			wg        sync.WaitGroup
+			mu        sync.Mutex
+			canonical = map[string]*rdf.LabelMatch{}
+		)
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
 			go func(w int) {
@@ -289,6 +343,16 @@ func TestPerLabelInvalidationRace(t *testing.T) {
 						t.Errorf("round %d: Resolve(%q) = %v, want %v", round, q, got, want)
 						return
 					}
+					if len(got) == 0 {
+						continue
+					}
+					mu.Lock()
+					if first, ok := canonical[q]; !ok {
+						canonical[q] = &got[0]
+					} else if first != &got[0] {
+						t.Errorf("round %d: Resolve(%q) returned two slices", round, q)
+					}
+					mu.Unlock()
 				}
 			}(w)
 		}

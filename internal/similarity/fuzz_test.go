@@ -34,12 +34,13 @@ var fuzzLabels = []string{
 
 // FuzzSimilarityLookup feeds arbitrary queries through Index.Lookup and
 // checks it against the reference scorer: no panic, Normalize idempotent,
-// and, at several thresholds and with the relaxed filter bound, exactly the
-// hits referenceLookup computes from the naive scorers over every stored
-// value — the same ids (every value that clears the trigram filter and
-// scores at least the threshold is returned, nothing else is), the same
-// scores bit for bit, best first with ascending-id tie-breaks — and the
-// whole call deterministic.
+// and, at several thresholds, exactly the hits referenceLookup computes from
+// the naive scorers over every stored value — the same ids (every value that
+// clears the trigram filter and scores at least the threshold is returned,
+// nothing else is), the same scores bit for bit, best first with
+// ascending-id tie-breaks — and the whole call deterministic. Under every id
+// floor, LookupNormalizedFrom must return exactly the reference hits whose
+// id is at least the floor.
 func FuzzSimilarityLookup(f *testing.F) {
 	ix := fuzzIndex()
 	values := make([]string, ix.Len())
@@ -64,12 +65,20 @@ func FuzzSimilarityLookup(f *testing.F) {
 		}
 		for _, threshold := range []float64{0.3, DefaultThreshold, 0.9} {
 			hits := ix.Lookup(q, threshold)
-			if want := referenceLookup(values, q, threshold, false); !sameHits(hits, want) {
+			want := referenceLookup(values, q, threshold)
+			if !sameHits(hits, want) {
 				t.Fatalf("Lookup(%q, %v):\n got  %v\n want %v (reference)", q, threshold, hits, want)
 			}
-			relaxed := ix.LookupNormalizedRelaxed(n, threshold)
-			if want := referenceLookup(values, q, threshold, true); !sameHits(relaxed, want) {
-				t.Fatalf("LookupNormalizedRelaxed(%q, %v):\n got  %v\n want %v (reference)", n, threshold, relaxed, want)
+			for from := int32(-1); from <= int32(len(values))+1; from++ {
+				var floored []Candidate
+				for _, h := range want {
+					if h.ID >= from {
+						floored = append(floored, h)
+					}
+				}
+				if got := ix.LookupNormalizedFrom(n, threshold, from); !sameHits(got, floored) {
+					t.Fatalf("LookupNormalizedFrom(%q, %v, %d):\n got  %v\n want %v (reference)", n, threshold, from, got, floored)
+				}
 			}
 			if again := ix.Lookup(q, threshold); !reflect.DeepEqual(hits, again) {
 				t.Fatalf("Lookup(%q) is not deterministic:\n%v\nvs\n%v", q, hits, again)

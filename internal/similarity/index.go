@@ -142,23 +142,17 @@ func (ix *Index) Lookup(q string, threshold float64) []Candidate {
 // idempotent (pinned by FuzzSimilarityLookup), so
 // Lookup(q) ≡ LookupNormalized(Normalize(q)) exactly.
 func (ix *Index) LookupNormalized(n string, threshold float64) []Candidate {
-	return ix.lookupNormalized(n, threshold, false)
+	return ix.LookupNormalizedFrom(n, threshold, 0)
 }
 
-// LookupNormalizedRelaxed is LookupNormalized with the trigram filter bound
-// forced down to a single shared trigram. Because the score is symmetric
-// and the standard bound is keyed on the QUERY's trigram count, the relaxed
-// probe with the roles swapped is a provable superset: any indexed string
-// that a forward LookupNormalized(v) would surface for some value v shares
-// at least one trigram with v, so probing with the indexed string finds v's
-// trigrams too. The resolve cache uses this for reverse invalidation — given
-// a newly indexed label, find every memoised value the label could now
-// match.
-func (ix *Index) LookupNormalizedRelaxed(n string, threshold float64) []Candidate {
-	return ix.lookupNormalized(n, threshold, true)
-}
-
-func (ix *Index) lookupNormalized(n string, threshold float64, relaxed bool) []Candidate {
+// LookupNormalizedFrom is LookupNormalized over the ids from on: exactly
+// LookupNormalized's hits whose id is at least from. The filter bound and a
+// candidate's score depend only on the query and that candidate, so the
+// floor drops the older ids and changes nothing else; posting lists and
+// exact-match lists are in ascending id order, so the older ids are skipped
+// by binary search, not visited. The rdf store uses it to look up only the
+// labels indexed since a given generation.
+func (ix *Index) LookupNormalizedFrom(n string, threshold float64, from int32) []Candidate {
 	sc := ix.pool.Get().(*scratch)
 	// Count shared distinct trigrams per candidate; a candidate matching at
 	// Jaccard threshold t over a query trigram set of size Q must share at
@@ -175,7 +169,7 @@ func (ix *Index) lookupNormalized(n string, threshold float64, relaxed bool) []C
 		}
 		qGrams++
 		sc.gram = encodeGram(sc.gram, sc.runes[i:i+3])
-		for _, id := range ix.postings[string(sc.gram)] {
+		for _, id := range since(ix.postings[string(sc.gram)], from) {
 			if sc.counts[id] == 0 {
 				sc.touched = append(sc.touched, id)
 			}
@@ -185,7 +179,7 @@ func (ix *Index) lookupNormalized(n string, threshold float64, relaxed bool) []C
 	// The counting pass bounds the result exactly: every hit is an exact
 	// match or a touched candidate, so one right-sized allocation serves the
 	// whole result (and a miss allocates nothing).
-	exact := ix.exact[n]
+	exact := since(ix.exact[n], from)
 	var out []Candidate
 	if len(exact)+len(sc.touched) > 0 {
 		out = make([]Candidate, 0, len(exact)+len(sc.touched))
@@ -193,10 +187,7 @@ func (ix *Index) lookupNormalized(n string, threshold float64, relaxed bool) []C
 	for _, id := range exact {
 		out = append(out, Candidate{ID: id, Score: 1})
 	}
-	minShared := qGrams / 4
-	if minShared < 1 || relaxed {
-		minShared = 1
-	}
+	minShared := max(qGrams/4, 1)
 	// Decode the query once for the verify kernel: its runes are the padded
 	// window's interior.
 	sc.kern.q = append(sc.kern.q[:0], sc.runes[2:len(sc.runes)-1]...)
@@ -219,6 +210,16 @@ func (ix *Index) lookupNormalized(n string, threshold float64, relaxed bool) []C
 	ix.pool.Put(sc)
 	sortCandidates(out)
 	return out
+}
+
+// since returns the suffix of ids, which ascend, from the first id at least
+// from on.
+func since(ids []int32, from int32) []int32 {
+	if from <= 0 {
+		return ids
+	}
+	i, _ := slices.BinarySearch(ids, from)
+	return ids[i:]
 }
 
 // sortCandidates orders hits best first, ties by ascending id — a total

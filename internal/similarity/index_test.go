@@ -141,7 +141,7 @@ func TestLookupAllocationLean(t *testing.T) {
 			for id := range values {
 				values[id] = ix.Value(int32(id))
 			}
-			if n := len(referenceLookup(values, tc.query, math.Inf(-1), false)); n < tc.minCands {
+			if n := len(referenceLookup(values, tc.query, math.Inf(-1))); n < tc.minCands {
 				t.Fatalf("%d candidates clear the filter, want >= %d", n, tc.minCands)
 			}
 			ix.Lookup(tc.query, DefaultThreshold) // warm the scratch pool

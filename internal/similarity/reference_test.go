@@ -193,17 +193,13 @@ func Match(a, b string) bool {
 // referenceLookup is Index.Lookup recomputed from the reference scorer over
 // every stored value: exact (post-normalisation) matches score 1; any other
 // value is a hit when it shares at least max(1, qGrams/4) distinct trigrams
-// with the query (1 when relaxed) — the lookup's filter bound — and Score
-// reaches threshold. Hits are ordered best first, ties by ascending id: a
+// with the query — the lookup's filter bound — and Score reaches threshold. Hits are ordered best first, ties by ascending id: a
 // stable sort by score alone over the id-ordered hits, so the oracle does
 // not share the production comparator.
-func referenceLookup(values []string, q string, threshold float64, relaxed bool) []Candidate {
+func referenceLookup(values []string, q string, threshold float64) []Candidate {
 	n := Normalize(q)
 	qset := gramSet(n)
-	minShared := len(qset) / 4
-	if minShared < 1 || relaxed {
-		minShared = 1
-	}
+	minShared := max(len(qset)/4, 1)
 	var out []Candidate
 	for id, v := range values {
 		if v == n {

@@ -256,7 +256,7 @@ func TestIndexLookupMatchesBruteForce(t *testing.T) {
 	}
 	for _, q := range queries {
 		for _, threshold := range []float64{0.5, DefaultThreshold, 0.85} {
-			if got, want := ix.Lookup(q, threshold), referenceLookup(stored, q, threshold, false); !sameHits(got, want) {
+			if got, want := ix.Lookup(q, threshold), referenceLookup(stored, q, threshold); !sameHits(got, want) {
 				t.Fatalf("Lookup(%q, %v):\n got  %v\n want %v", q, threshold, got, want)
 			}
 		}

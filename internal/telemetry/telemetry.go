@@ -65,11 +65,12 @@ const (
 	// after the budget or deadline ran out.
 	DegradedDecisions
 	// ResolverHits counts label resolutions served from the shared
-	// entity-resolution cache without touching the fuzzy index.
+	// entity-resolution cache, catch-ups included: a hit on an entry stored
+	// before labels were indexed looks up only those labels.
 	ResolverHits
 	// ResolverMisses counts label resolutions the cache had to ask the KB
-	// for (first sight of a value, or an entry a newly indexed label
-	// evicted); a frozen KB layer's memo may answer the KB's part.
+	// for (first sight of a value); a frozen KB layer's memo may answer the
+	// KB's part.
 	ResolverMisses
 	// CrowdQuestionsDeduped counts crowd questions answered from the
 	// distinct-signature memo instead of being issued: a duplicate row's

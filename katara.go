@@ -386,7 +386,8 @@ func NewCleaner(kb *KB, c *Crowd, opts Options) *Cleaner {
 func (c *Cleaner) SetPipeline(p *TelemetryPipeline) { c.opts.Pipeline = p }
 
 // ResolverStats returns the shared resolution cache's cumulative hit and
-// miss counts (all runs of this Cleaner combined).
+// miss counts (all runs of this Cleaner combined). Hits include catch-ups:
+// hits on entries stored before labels were indexed (see resolve.Cache).
 func (c *Cleaner) ResolverStats() (hits, misses int64) { return c.resolver.Stats() }
 
 // KB returns the cleaner's knowledge base.

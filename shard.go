@@ -81,7 +81,7 @@ func (c *Cleaner) run(ctx context.Context, t *Table, lo int) (*Report, string, e
 	ctx, tel, done := c.startRun(ctx)
 	defer done()
 
-	kb, resolver := c.kb, c.resolver
+	kb, resolver := c.kb, resolve.Source(c.resolver)
 	rep, span := &Report{}, "clean"
 	// Distinct-signature view (Options.Dedup, default on): built fresh per
 	// Clean — never cached on the Table, whose Rows callers mutate directly
@@ -90,10 +90,9 @@ func (c *Cleaner) run(ctx context.Context, t *Table, lo int) (*Report, string, e
 	// collapse onto distinct signatures.
 	var in *table.Interned
 	if appending {
-		if s.baseResolver == nil {
-			s.baseResolver = resolve.New(s.base, c.opts.Threshold)
-		}
-		kb, resolver = s.base, s.baseResolver
+		// An Append's discovery resolves on the snapshot directly: it is
+		// shared, so its frozen layer's memo answers each lookup once.
+		kb, resolver = s.base, nil
 		rep, span, in = s.report, "append", s.in
 		if in != nil {
 			in.Extend(t)
@@ -280,9 +279,9 @@ func (c *Cleaner) startRun(ctx context.Context) (context.Context, *telemetry.Pip
 }
 
 // generate runs candidate generation (§4.1) over t against kb, with
-// statistics taken from kb as it reads now, and resolver, fanned out at the
-// run's parallelism.
-func (c *Cleaner) generate(t *Table, kb *KB, resolver *resolve.Cache, tel *telemetry.Pipeline) *discovery.Candidates {
+// statistics taken from kb as it reads now, and resolver (nil resolves on
+// kb), fanned out at the run's parallelism.
+func (c *Cleaner) generate(t *Table, kb *KB, resolver resolve.Source, tel *telemetry.Pipeline) *discovery.Candidates {
 	return discovery.GenerateParallel(t, kbstats.New(kb), discovery.Options{
 		Threshold:     c.opts.Threshold,
 		MaxCandidates: c.opts.MaxCandidates,
