@@ -11,7 +11,8 @@ BENCH_OUT ?= BENCH_10.json
 BENCH_TIME ?= 200ms
 
 # Generous wall-clock ceiling for the full-paper-scale smoke assertion:
-# BenchmarkPersonFullScale runs ~3s/op on a modest dev box; 120s means only a
+# BenchmarkPersonFullScale runs about 0.3 s/op, and its whole -benchtime=1x
+# run takes under 10 s with set-up, on a 2-vCPU box; 120s means only a
 # pathological regression (dedup silently off, per-row KB scans) trips it.
 FULLSCALE_CEILING ?= 120s
 

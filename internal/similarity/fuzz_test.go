@@ -43,10 +43,7 @@ var fuzzLabels = []string{
 // id is at least the floor.
 func FuzzSimilarityLookup(f *testing.F) {
 	ix := fuzzIndex()
-	values := make([]string, ix.Len())
-	for id := range values {
-		values[id] = ix.Value(int32(id))
-	}
+	values := ix.values
 	f.Add("Rome")
 	f.Add("rome ")
 	f.Add("Pretorria")

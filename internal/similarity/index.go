@@ -104,22 +104,6 @@ func (ix *Index) Add(s string) int32 {
 // Len returns the number of indexed strings.
 func (ix *Index) Len() int { return len(ix.values) }
 
-// Grow reserves capacity for n additional strings, so a burst of Adds (an
-// incremental append extending the index in place) does not repeatedly
-// reallocate the id-indexed arrays. Growth keeps the single-writer contract:
-// Add calls must still be serialised with each other and with lookups;
-// pre-reserving only makes the quiescent windows between them cheap.
-func (ix *Index) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	ix.values = append(make([]string, 0, len(ix.values)+n), ix.values...)
-	ix.gramN = append(make([]int32, 0, len(ix.gramN)+n), ix.gramN...)
-}
-
-// Value returns the normalised string stored under id.
-func (ix *Index) Value(id int32) string { return ix.values[id] }
-
 // Candidate is a fuzzy lookup hit.
 type Candidate struct {
 	ID    int32

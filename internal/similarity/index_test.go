@@ -137,11 +137,7 @@ func TestLookupAllocationLean(t *testing.T) {
 			}
 			// Candidates the lookup verifies: every entry that clears the
 			// trigram filter (any score passes a -Inf threshold).
-			values := make([]string, ix.Len())
-			for id := range values {
-				values[id] = ix.Value(int32(id))
-			}
-			if n := len(referenceLookup(values, tc.query, math.Inf(-1))); n < tc.minCands {
+			if n := len(referenceLookup(ix.values, tc.query, math.Inf(-1))); n < tc.minCands {
 				t.Fatalf("%d candidates clear the filter, want >= %d", n, tc.minCands)
 			}
 			ix.Lookup(tc.query, DefaultThreshold) // warm the scratch pool
