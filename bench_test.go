@@ -487,7 +487,7 @@ func BenchmarkDisabledProvenance(b *testing.B) {
 		}
 		rec.RecordPattern("p", 1.0, true)
 		rec.RecordValidationStep("type(0)", 0.5, 2, "city", false)
-		rec.SetRowUnits(nil, false)
+		rec.SetRowUnits(0, nil, false)
 		_ = rec.UnitOf(i)
 		_ = rec.BeginTuple(i)
 		rec.RecordCheck(i, "node", "kb", nil, "", 0, true)
@@ -572,7 +572,15 @@ func fullScaleTable(b *testing.B) *workload.TableSpec {
 // the measured append costs less than 10% of it — the headroom that
 // justifies the session machinery at all. The ratio rides along as a custom
 // metric so benchsave snapshots track it.
-func BenchmarkAppendDelta(b *testing.B) {
+func BenchmarkAppendDelta(b *testing.B) { benchAppendDelta(b, false) }
+
+// BenchmarkAppendDeltaProvenance is BenchmarkAppendDelta with a provenance
+// recorder on the session and on the reference clean, the configuration the
+// benchmark of record's person-append workload and katarad run: each Append
+// also extends the recorder's row→unit mapping.
+func BenchmarkAppendDeltaProvenance(b *testing.B) { benchAppendDelta(b, true) }
+
+func benchAppendDelta(b *testing.B, provenance bool) {
 	e := env(b)
 	spec := fullScaleTable(b)
 	const deltaRows = 512
@@ -588,7 +596,7 @@ func BenchmarkAppendDelta(b *testing.B) {
 	}
 
 	newOpts := func(kb *workload.KB, incremental bool) Options {
-		return Options{
+		opts := Options{
 			FactOracle:       workload.WorldOracle{W: e.World, KB: kb},
 			ValidationOracle: workload.SpecOracle{Spec: spec, KB: kb},
 			Workers:          -1,
@@ -596,6 +604,10 @@ func BenchmarkAppendDelta(b *testing.B) {
 			MaxRows:          500, // cap discovery sampling; patterns saturate long before 316K rows
 			Incremental:      incremental,
 		}
+		if provenance {
+			opts.Provenance = NewProvenance()
+		}
+		return opts
 	}
 
 	// Reference: one batch clean of the merged table on a fresh KB.
@@ -631,7 +643,6 @@ func BenchmarkAppendDelta(b *testing.B) {
 		b.Fatalf("append of %d rows took %v, full re-clean %v; append must stay under 10%%",
 			deltaRows, appendDur, fullDur)
 	}
-	b.ReportMetric(float64(appendDur)/float64(fullDur), "append-vs-full-ratio")
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -642,6 +653,9 @@ func BenchmarkAppendDelta(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// After the loop: ResetTimer discards metrics reported before it. The
+	// /op suffix is what benchsave records.
+	b.ReportMetric(float64(appendDur)/float64(fullDur), "append-vs-full-ratio/op")
 }
 
 // BenchmarkPersonFullScale is the tentpole measurement: the end-to-end

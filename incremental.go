@@ -109,7 +109,10 @@ type session struct {
 // the pipeline can enrich the KB.
 func (c *Cleaner) beginIncremental(t *Table) {
 	c.session = &session{
-		tbl:  t.Clone(),
+		// Room for a quarter more rows, the headroom AnnotateRange leaves
+		// the report's annotations, so the first Append copies no row
+		// headers.
+		tbl:  t.CloneGrow(t.NumRows() / 4),
 		base: c.kb.CloneExact(),
 		memo: validation.NewAnswerMemo(),
 		ann:  &annotation.Session{},
@@ -145,6 +148,9 @@ func (c *Cleaner) AppendContext(ctx context.Context, rows [][]string) (*Report, 
 			return nil, fmt.Errorf("katara: appended row has %d cells, table has %d columns", len(r), cols)
 		}
 	}
+	// One arena for the delta's cells: the session owns its rows, so a
+	// caller may reuse its row buffers.
+	s.tbl.Grow(len(rows))
 	for _, r := range rows {
 		s.tbl.Append(r...)
 	}

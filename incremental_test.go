@@ -1,6 +1,7 @@
 package katara
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -138,6 +139,104 @@ func TestAppendChainMatchesBatch(t *testing.T) {
 	}
 	if g, w := canonReport(got, inc.KB()), canonReport(want, batch.KB()); g != w {
 		t.Fatalf("chained incremental != batch\n--- incremental\n%s--- batch\n%s", g, w)
+	}
+}
+
+// TestAppendCopiesCallerRows pins that a session owns its appended rows: a
+// caller that reuses one row buffer across Appends (csv.Reader with
+// ReuseRecord does) must not rewrite rows the session already holds. The
+// second Append enriches the KB, which re-ranks the first appended row's
+// repairs from the session's table.
+func TestAppendCopiesCallerRows(t *testing.T) {
+	kb, full := figure1()
+	inc := NewCleaner(kb, TrustingCrowd(), Options{Incremental: true, FactOracle: fig1Oracle{kb}})
+	base := NewTable(full.Name, full.Columns...)
+	base.Append(full.Rows[0]...)
+	if _, err := inc.Clean(base); err != nil {
+		t.Fatal(err)
+	}
+	// Appended in the order Pirlo (erroneous), then Klate (enriching).
+	appended := [][]string{full.Rows[2], full.Rows[1]}
+	buf := make([]string, len(full.Columns))
+	var got *Report
+	var err error
+	for _, r := range appended {
+		copy(buf, r)
+		if got, err = inc.Append([][]string{buf}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	kb2, _ := figure1()
+	merged := NewTable(full.Name, full.Columns...)
+	merged.Append(full.Rows[0]...)
+	for _, r := range appended {
+		merged.Append(r...)
+	}
+	batch := NewCleaner(kb2, TrustingCrowd(), Options{Incremental: true, FactOracle: fig1Oracle{kb2}})
+	want, err := batch.Clean(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := canonReport(got, inc.KB()), canonReport(want, batch.KB()); g != w {
+		t.Fatalf("appends from a reused buffer != batch\n--- incremental\n%s--- batch\n%s", g, w)
+	}
+}
+
+// TestAppendExtendsRowUnits pins the provenance mapping an Append extends
+// in place: after a Clean and two replayed Appends, every row's decision
+// unit is its signature group in a fresh interned view of the merged table
+// (the row itself with dedup off), and the journal covers every row.
+func TestAppendExtendsRowUnits(t *testing.T) {
+	for _, dedup := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dedup=%v", dedup), func(t *testing.T) {
+			d := dedup
+			kb, full := figure1()
+			rec := NewProvenance()
+			inc := NewCleaner(kb, TrustingCrowd(), Options{
+				Incremental: true, Dedup: &d, FactOracle: fig1Oracle{kb}, Provenance: rec,
+			})
+			merged := NewTable(full.Name, full.Columns...)
+			merged.Append(full.Rows[0]...)
+			merged.Append(full.Rows[1]...)
+			if _, err := inc.Clean(merged.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			// A new signature, then two repeats of earlier ones.
+			for _, delta := range [][][]string{full.Rows[2:], {full.Rows[0], full.Rows[2]}} {
+				if _, err := inc.Append(delta); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range delta {
+					merged.Append(r...)
+				}
+			}
+			if d := rec.Drifts(); len(d) != 0 {
+				t.Fatalf("append drifted (%+v): the in-place mapping went untested", d)
+			}
+			in := merged.Interned()
+			for i := 0; i < merged.NumRows(); i++ {
+				want := i
+				if dedup {
+					want = in.GroupOf(i)
+				}
+				if got := rec.UnitOf(i); got != want {
+					t.Errorf("row %d: unit %d, want %d", i, got, want)
+				}
+			}
+			var journal strings.Builder
+			if err := rec.WriteJournal(&journal); err != nil {
+				t.Fatal(err)
+			}
+			var meta struct{ Rows int }
+			first, _, _ := strings.Cut(journal.String(), "\n")
+			if err := json.Unmarshal([]byte(first), &meta); err != nil {
+				t.Fatal(err)
+			}
+			if meta.Rows != merged.NumRows() {
+				t.Fatalf("journal meta covers %d rows, table has %d", meta.Rows, merged.NumRows())
+			}
+		})
 	}
 }
 

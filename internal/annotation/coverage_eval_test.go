@@ -98,7 +98,7 @@ func TestEvaluateCoverageGroups(t *testing.T) {
 	// A clamped group range leaves other groups' rows untouched.
 	partial := make([]*pattern.Match, f.tbl.NumRows())
 	ann.EvaluateCoverageGroups(f.tbl, in.Groups(), 1, 100, partial, telemetry.New())
-	for _, row := range in.Group(0).Rows {
+	for _, row := range in.Groups()[0].Rows {
 		if partial[row] != nil {
 			t.Fatalf("row %d of group 0 outside [1, hi) was evaluated", row)
 		}

@@ -42,7 +42,7 @@ func lineageTable() *katara.Table {
 // (rows 1 and 5), unit 2 erroneous and repaired, unit 3 degraded Unknown.
 func lineageRecorder() *provenance.Recorder {
 	r := provenance.NewRecorder()
-	r.SetRowUnits([]int{0, 1, 2, 3, 0, 1}, true)
+	r.SetRowUnits(0, []int{0, 1, 2, 3, 0, 1}, true)
 
 	r.RecordPattern("type(0)=city,type(1)=country,rel(0,1)=capitalOf", 2.931, true)
 	r.RecordValidationStep("type(0)", 1.585, 3, "city", false)

@@ -6,6 +6,7 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -54,24 +55,20 @@ func (p *Pattern) Clone() *Pattern {
 
 // Columns returns the sorted set of columns covered by the pattern.
 func (p *Pattern) Columns() []int {
-	set := map[int]bool{}
+	// Collect with duplicates on the stack; only the set is returned.
+	var buf [16]int
+	cols := buf[:0]
 	for _, n := range p.Nodes {
-		set[n.Column] = true
+		cols = append(cols, n.Column)
 	}
 	for _, e := range p.Edges {
-		set[e.From] = true
-		set[e.To] = true
+		cols = append(cols, e.From, e.To)
 	}
 	for _, pe := range p.Paths {
-		set[pe.From] = true
-		set[pe.To] = true
+		cols = append(cols, pe.From, pe.To)
 	}
-	cols := make([]int, 0, len(set))
-	for c := range set {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
-	return cols
+	slices.Sort(cols)
+	return slices.Clone(slices.Compact(cols))
 }
 
 // NodeFor returns the node typing column col, or nil.

@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"katara/internal/rdf"
@@ -199,6 +201,39 @@ func TestColumnsAndAccessors(t *testing.T) {
 	}
 	if p.EdgeBetween(1, 2) == nil || p.EdgeBetween(2, 1) != nil {
 		t.Fatal("EdgeBetween direction broken")
+	}
+}
+
+// TestColumnsMatchesSetReference checks Columns against a map-based set of
+// every column a node, edge or path touches, on random patterns.
+func TestColumnsMatchesSetReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		p := &Pattern{}
+		want := map[int]bool{}
+		col := func() int {
+			c := rng.Intn(8)
+			want[c] = true
+			return c
+		}
+		for i := rng.Intn(4); i > 0; i-- {
+			p.Nodes = append(p.Nodes, Node{Column: col()})
+		}
+		for i := rng.Intn(4); i > 0; i-- {
+			p.Edges = append(p.Edges, Edge{From: col(), To: col()})
+		}
+		for i := rng.Intn(3); i > 0; i-- {
+			p.Paths = append(p.Paths, PathEdge{From: col(), To: col()})
+		}
+		got := p.Columns()
+		if len(got) != len(want) || !sort.IntsAreSorted(got) {
+			t.Fatalf("trial %d: Columns = %v, want the sorted set %v", trial, got, want)
+		}
+		for i, c := range got {
+			if !want[c] || (i > 0 && got[i-1] == c) {
+				t.Fatalf("trial %d: Columns = %v, want the sorted set %v", trial, got, want)
+			}
+		}
 	}
 }
 

@@ -20,6 +20,7 @@
 package provenance
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 )
@@ -162,20 +163,26 @@ func NewRecorder() *Recorder {
 // guard on it so the disabled path stays zero-cost.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// SetRowUnits installs the row→decision-unit mapping (the interned table's
-// signature groups) and marks whether dedup collapsed rows. A nil mapping
-// means every row is its own unit.
-func (r *Recorder) SetRowUnits(units []int, dedup bool) {
+// SetRowUnits installs the decision units (the interned table's signature
+// groups) of rows [lo, lo+len(units)) and marks whether dedup collapsed rows.
+// Rows below lo keep their units, so an Append maps only its own rows; the
+// mapping is cut to lo first, so a repeated call is idempotent. A Clean
+// passes lo = 0, and the recorder then keeps units itself instead of a copy.
+// A nil mapping at lo = 0 means every row is its own unit.
+func (r *Recorder) SetRowUnits(lo int, units []int, dedup bool) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if units == nil {
-		r.rowUnit, r.dedup = nil, dedup
-		return
+	if lo > len(r.rowUnit) {
+		panic(fmt.Sprintf("provenance: units set from row %d, but only %d rows are mapped", lo, len(r.rowUnit)))
 	}
-	r.rowUnit = append([]int(nil), units...)
+	if lo == 0 {
+		r.rowUnit = units
+	} else {
+		r.rowUnit = append(r.rowUnit[:lo], units...)
+	}
 	r.dedup = dedup
 }
 

@@ -15,7 +15,7 @@ import (
 // signatures).
 func sampleRecorder() *Recorder {
 	r := NewRecorder()
-	r.SetRowUnits([]int{0, 1, 2, 3, 0, 1}, true)
+	r.SetRowUnits(0, []int{0, 1, 2, 3, 0, 1}, true)
 
 	r.RecordPattern("type(0)=city,type(1)=country,rel(0,1)=capitalOf", 2.931, true)
 	r.RecordPattern("type(0)=city,type(1)=country", 2.114, false)
@@ -203,9 +203,9 @@ func TestExplainVerdictClasses(t *testing.T) {
 // tell a sharded run from a serial one.
 func TestChildMergeDeterminism(t *testing.T) {
 	direct := NewRecorder()
-	direct.SetRowUnits([]int{0, 1, 2, 3}, false)
+	direct.SetRowUnits(0, []int{0, 1, 2, 3}, false)
 	sharded := NewRecorder()
-	sharded.SetRowUnits([]int{0, 1, 2, 3}, false)
+	sharded.SetRowUnits(0, []int{0, 1, 2, 3}, false)
 
 	record := func(r *Recorder, unit int) {
 		r.BeginTuple(unit)

@@ -1,12 +1,12 @@
-// Interned columnar backing: per-column string dictionaries plus int32 cell
-// codes, grouped by distinct row signature. Dirty tables repeat a small set
-// of distinct values (the paper's 316K-row Person table aggregates extracted
-// bios, so the same person recurs thousands of times), so the cleaning
-// pipeline wants equality to be an int compare and per-row work to collapse
-// onto per-distinct-signature work. The Interned view is derived from the
-// Table and never replaces it — .Rows stays the API — and it is built fresh
-// by each consumer (Rows may be mutated directly, e.g. by InjectErrors, so a
-// cached view would have no invalidation hook).
+// Interned columnar backing: per-column string dictionaries of int32 codes,
+// with the rows grouped by distinct row signature. Dirty tables repeat a small
+// set of distinct values (the paper's 316K-row Person table aggregates
+// extracted bios, so the same person recurs thousands of times), so the
+// cleaning pipeline wants equality to be an int compare and per-row work to
+// collapse onto per-distinct-signature work. The Interned view is derived from
+// the Table and never replaces it — .Rows stays the API — and it is built
+// fresh by each consumer (Rows may be mutated directly, e.g. by InjectErrors,
+// so a cached view would have no invalidation hook).
 package table
 
 import (
@@ -56,54 +56,46 @@ type Group struct {
 	Rows []int
 }
 
-// Interned is the columnar dictionary view of a Table: per-column Dicts,
-// row-major cell codes, and the rows grouped by signature (the tuple of
-// column codes) in first-occurrence order. Two rows are duplicates exactly
-// when they share a group; all per-row work that is a pure function of the
-// tuple values can then run once per group and fan out.
+// Interned is the columnar dictionary view of a Table: per-column Dicts and
+// the rows grouped by signature (the tuple of column codes) in
+// first-occurrence order. Two rows are duplicates exactly when they share a
+// group; all per-row work that is a pure function of the tuple values can
+// then run once per group and fan out.
 //
 // The view is immutable and safe for concurrent readers. It snapshots the
 // Table at construction time: mutate Rows and the view is stale — rebuild it.
 type Interned struct {
-	cols    int
-	rows    int
-	dicts   []*Dict
-	codes   []int32 // row-major: codes[row*cols+col]
+	cols  int
+	rows  int
+	dicts []*Dict
+	// sigs maps each signature (the packed little-endian tuple of the row's
+	// column codes) to its group. It lives as long as the view, so Extend
+	// probes it instead of rebuilding it from every group.
+	sigs    map[string]int32
 	groupOf []int32
 	groups  []Group
 }
 
 // Interned builds the columnar dictionary view of t. Cost is one map probe
-// per cell plus one per row; memory is 4 bytes per cell plus the dictionaries
-// of distinct values.
+// per cell plus one per row; memory is 4 bytes per row plus the dictionaries
+// of distinct values and one signature key per group.
 func (t *Table) Interned() *Interned {
 	cols := t.NumCols()
 	in := &Interned{
 		cols:    cols,
 		rows:    len(t.Rows),
 		dicts:   make([]*Dict, cols),
-		codes:   make([]int32, len(t.Rows)*cols),
+		sigs:    make(map[string]int32),
 		groupOf: make([]int32, len(t.Rows)),
 	}
 	for j := range in.dicts {
 		in.dicts[j] = newDict()
 	}
 	sig := make([]byte, 4*cols)
-	byKey := make(map[string]int32)
 	var sizes []int32 // group -> member count, filled in pass 1
 	for i, row := range t.Rows {
-		base := i * cols
-		for j := 0; j < cols && j < len(row); j++ {
-			code := in.dicts[j].intern(row[j])
-			in.codes[base+j] = code
-			binary.LittleEndian.PutUint32(sig[4*j:], uint32(code))
-		}
-		// string(sig) in the map read does not allocate; the insert path
-		// copies the key once per distinct signature only.
-		g, ok := byKey[string(sig)]
-		if !ok {
-			g = int32(len(sizes))
-			byKey[string(sig)] = g
+		g := in.signature(row, sig)
+		if int(g) == len(sizes) {
 			sizes = append(sizes, 0)
 		}
 		in.groupOf[i] = g
@@ -129,48 +121,44 @@ func (t *Table) Interned() *Interned {
 	return in
 }
 
+// signature interns row's cells, packs their codes into sig and returns the
+// row's group, the next free group ID when the signature is new.
+func (in *Interned) signature(row []string, sig []byte) int32 {
+	for j := 0; j < in.cols && j < len(row); j++ {
+		binary.LittleEndian.PutUint32(sig[4*j:], uint32(in.dicts[j].intern(row[j])))
+	}
+	// string(sig) in the map read does not allocate; the insert path
+	// copies the key once per distinct signature only.
+	g, ok := in.sigs[string(sig)]
+	if !ok {
+		g = int32(len(in.sigs))
+		in.sigs[string(sig)] = g
+	}
+	return g
+}
+
 // Extend grows the view in place over rows appended to t since the view was
 // built (or last extended), preserving every existing dictionary code and
 // group ID: after Extend, the view is observationally identical to a fresh
 // t.Interned() — new distinct values take the next free codes and new
 // signatures the next group IDs, both in first-occurrence order, exactly as
 // a from-scratch build over the merged table would assign them. Cost is
-// proportional to the delta, not the table.
+// O(delta) map probes and appends, plus copying the member lists of the
+// groups the delta touches.
 //
 // Extend assumes rectangular rows (every row as wide as the header), the
 // invariant the ingestion paths enforce. It is a write to the view: callers
 // must serialise it against concurrent readers, the same single-writer
 // contract the KB follows between pipeline stages.
 func (in *Interned) Extend(t *Table) {
-	cols := in.cols
 	newRows := len(t.Rows)
 	if newRows <= in.rows {
 		return
 	}
-	// Rebuild the signature map from each group's representative codes; the
-	// construction pass deliberately does not retain it.
-	sig := make([]byte, 4*cols)
-	byKey := make(map[string]int32, len(in.groups))
-	for g := range in.groups {
-		base := in.groups[g].Rep * cols
-		for j := 0; j < cols; j++ {
-			binary.LittleEndian.PutUint32(sig[4*j:], uint32(in.codes[base+j]))
-		}
-		byKey[string(sig)] = int32(g)
-	}
-	in.codes = append(in.codes, make([]int32, (newRows-in.rows)*cols)...)
+	sig := make([]byte, 4*in.cols)
 	for i := in.rows; i < newRows; i++ {
-		row := t.Rows[i]
-		base := i * cols
-		for j := 0; j < cols && j < len(row); j++ {
-			code := in.dicts[j].intern(row[j])
-			in.codes[base+j] = code
-			binary.LittleEndian.PutUint32(sig[4*j:], uint32(code))
-		}
-		g, ok := byKey[string(sig)]
-		if !ok {
-			g = int32(len(in.groups))
-			byKey[string(sig)] = g
+		g := in.signature(t.Rows[i], sig)
+		if int(g) == len(in.groups) {
 			in.groups = append(in.groups, Group{Rep: i})
 		}
 		in.groupOf = append(in.groupOf, g)
@@ -195,46 +183,8 @@ func (in *Interned) NumGroups() int { return len(in.groups) }
 // slice; read-only.
 func (in *Interned) Groups() []Group { return in.groups }
 
-// Group returns the i-th signature group.
-func (in *Interned) Group(i int) Group { return in.groups[i] }
-
 // GroupOf returns the signature-group index of row.
 func (in *Interned) GroupOf(row int) int { return int(in.groupOf[row]) }
 
-// Code returns the dictionary code of cell (row, col).
-func (in *Interned) Code(row, col int) int32 { return in.codes[row*in.cols+col] }
-
 // Dict returns column col's dictionary.
 func (in *Interned) Dict(col int) *Dict { return in.dicts[col] }
-
-// RowsEqual reports whether rows i and j hold identical tuples — an int
-// compare, no string comparison.
-func (in *Interned) RowsEqual(i, j int) bool { return in.groupOf[i] == in.groupOf[j] }
-
-// Compact rebuilds t's row storage in place into a single flat cell arena
-// with every repeated cell value sharing one canonical string instance.
-// Semantically a no-op (cell values are unchanged); the point is memory: a
-// 316K-row table built from decoded JSON or CSV holds one string header per
-// cell and often one backing array each, where the compacted table holds one
-// []string arena and one backing string per distinct value. Returns t.
-func (t *Table) Compact() *Table {
-	cols := t.NumCols()
-	arena := make([]string, 0, len(t.Rows)*cols)
-	canon := make(map[string]string)
-	rows := make([][]string, len(t.Rows))
-	for i, row := range t.Rows {
-		base := len(arena)
-		for _, v := range row {
-			cv, ok := canon[v]
-			if !ok {
-				canon[v] = v
-				cv = v
-			}
-			arena = append(arena, cv)
-		}
-		rows[i] = arena[base:len(arena):len(arena)]
-	}
-	t.Rows = rows
-	t.arena = arena[:len(arena):len(arena)]
-	return t
-}

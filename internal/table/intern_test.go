@@ -56,17 +56,24 @@ func TestInternedRoundTrip(t *testing.T) {
 		if in.NumRows() != rows || in.NumCols() != cols {
 			t.Fatalf("seed %d: shape %dx%d, want %dx%d", seed, in.NumRows(), in.NumCols(), rows, cols)
 		}
-		// Round trip: every cell decodes to exactly the original string, and
-		// the dictionary maps it back to the same code.
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				code := in.Code(i, j)
-				if got := in.Dict(j).Value(code); got != tb.Rows[i][j] {
-					t.Fatalf("seed %d: cell (%d,%d) decoded %q, want %q", seed, i, j, got, tb.Rows[i][j])
+		// Round trip: every cell encodes to a code that decodes to exactly
+		// the original string, and each dictionary is a bijection onto the
+		// column's distinct values.
+		for j := 0; j < cols; j++ {
+			distinct := map[string]bool{}
+			for i := 0; i < rows; i++ {
+				cell := tb.Rows[i][j]
+				distinct[cell] = true
+				code := in.Dict(j).Code(cell)
+				if code < 0 {
+					t.Fatalf("seed %d: cell (%d,%d) %q has no code", seed, i, j, cell)
 				}
-				if back := in.Dict(j).Code(tb.Rows[i][j]); back != code {
-					t.Fatalf("seed %d: cell (%d,%d) re-encoded %d, want %d", seed, i, j, back, code)
+				if got := in.Dict(j).Value(code); got != cell {
+					t.Fatalf("seed %d: cell (%d,%d) decoded %q, want %q", seed, i, j, got, cell)
 				}
+			}
+			if in.Dict(j).Len() != len(distinct) {
+				t.Fatalf("seed %d: dict %d holds %d values, column has %d", seed, j, in.Dict(j).Len(), len(distinct))
 			}
 		}
 		// Grouping: rows share a group exactly when their tuples are equal.
@@ -79,8 +86,8 @@ func TestInternedRoundTrip(t *testing.T) {
 						break
 					}
 				}
-				if got := in.RowsEqual(i, k); got != equal {
-					t.Fatalf("seed %d: RowsEqual(%d,%d)=%v, want %v", seed, i, k, got, equal)
+				if got := in.GroupOf(i) == in.GroupOf(k); got != equal {
+					t.Fatalf("seed %d: rows %d and %d share a group = %v, want %v", seed, i, k, got, equal)
 				}
 			}
 		}
@@ -120,9 +127,9 @@ func opaqueCols(n int) []string {
 // rows must stay within a small per-table budget — the fixed backing arrays
 // plus one map entry per DISTINCT value/signature — never O(cells)
 // allocations. A heavily duplicated 512x4 table has 32 distinct rows, so
-// ~15 allocations (4 dicts + their map growth, codes, groupOf, signature
-// key copies amortised) is generous; a per-cell or per-row allocation would
-// blow through it by two orders of magnitude.
+// ~15 allocations (4 dicts + their map growth, groupOf, signature key copies
+// amortised) is generous; a per-cell or per-row allocation would blow
+// through it by two orders of magnitude.
 func TestInternedAllocationLean(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
@@ -136,10 +143,10 @@ func TestInternedAllocationLean(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		tb.Interned()
 	})
-	// Budget: the Interned struct, codes, groupOf, groups, 4 dicts with
-	// their value slices and maps, the signature map and its 32 key copies.
-	// All size with DISTINCT counts except codes/groupOf (one allocation
-	// each regardless of row count).
+	// Budget: the Interned struct, groupOf, groups, the member-list arena,
+	// 4 dicts with their value slices and maps, the signature map and its 32
+	// key copies. All size with DISTINCT counts except groupOf and the arena
+	// (one allocation each regardless of row count).
 	if allocs > 120 {
 		t.Errorf("Interned() allocates %.0f per table, want <= 120 (distinct-bounded)", allocs)
 	}
@@ -176,25 +183,6 @@ func TestAppendArena(t *testing.T) {
 	}
 }
 
-// TestCompactPreservesCells pins Compact as a semantic no-op that canonises
-// duplicate strings onto shared instances.
-func TestCompactPreservesCells(t *testing.T) {
-	tb := New("t", "A", "B")
-	// Build values that are equal but distinct instances.
-	v1 := "du" + "plicate"
-	v2 := "dupli" + "cate"
-	tb.Append(v1, "x")
-	tb.Append(v2, "y")
-	orig := tb.Clone()
-	if tb.Compact() != tb {
-		t.Fatal("Compact must return its receiver")
-	}
-	diff, err := tb.Diff(orig)
-	if err != nil || len(diff) != 0 {
-		t.Fatalf("Compact changed cells: diff=%v err=%v", diff, err)
-	}
-}
-
 // TestExtendMatchesFreshBuild pins the Extend contract: extending a view
 // over appended rows yields a view observationally identical to a fresh
 // build over the merged table — same codes, same group IDs, same members.
@@ -227,20 +215,60 @@ func TestExtendMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("trial %d: GroupOf(%d) = %d, want %d", trial, i, in.GroupOf(i), want.GroupOf(i))
 			}
 			for j := 0; j < cols; j++ {
-				if in.Code(i, j) != want.Code(i, j) {
-					t.Fatalf("trial %d: Code(%d,%d) = %d, want %d", trial, i, j, in.Code(i, j), want.Code(i, j))
+				if got, w := in.Dict(j).Code(rows[i][j]), want.Dict(j).Code(rows[i][j]); got != w {
+					t.Fatalf("trial %d: code of cell (%d,%d) = %d, want %d", trial, i, j, got, w)
 				}
 			}
 		}
-		for g := 0; g < want.NumGroups(); g++ {
-			if in.Group(g).Rep != want.Group(g).Rep || !reflect.DeepEqual(in.Group(g).Rows, want.Group(g).Rows) {
-				t.Fatalf("trial %d: group %d = %+v, want %+v", trial, g, in.Group(g), want.Group(g))
-			}
+		if !reflect.DeepEqual(in.Groups(), want.Groups()) {
+			t.Fatalf("trial %d: groups %+v, want %+v", trial, in.Groups(), want.Groups())
 		}
 		for j := 0; j < cols; j++ {
 			if in.Dict(j).Len() != want.Dict(j).Len() {
 				t.Fatalf("trial %d: dict %d len %d, want %d", trial, j, in.Dict(j).Len(), want.Dict(j).Len())
 			}
+		}
+	}
+}
+
+// TestExtendAllocationsPerDelta pins Extend's cost to the delta: extending a
+// view of many signatures by k rows allocates within a bound linear in k —
+// the touched groups' member lists, new keys and values, a few slice and map
+// growths — and independent of how many rows and groups the view holds.
+func TestExtendAllocationsPerDelta(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
+	}
+	const k, runs = 64, 5
+	for _, groups := range []int{2_000, 20_000} {
+		tb := New("t", "A", "B")
+		tb.Grow(groups + k)
+		for i := 0; i < groups; i++ {
+			tb.Append(fmt.Sprintf("p%d", i), fmt.Sprintf("c%d", i%97))
+		}
+		// AllocsPerRun calls f runs+1 times, each on a fresh view.
+		views := make([]*Interned, runs+1)
+		for i := range views {
+			views[i] = tb.Interned()
+		}
+		// Half the delta repeats existing signatures, half is new.
+		for i := 0; i < k; i++ {
+			if i%2 == 0 {
+				tb.Append(tb.Rows[i*7]...)
+			} else {
+				tb.Append(fmt.Sprintf("new%d", i), "c1")
+			}
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			views[next].Extend(tb)
+			next++
+		})
+		if bound := float64(4*k + 32); allocs > bound {
+			t.Errorf("%d groups: Extend by %d rows allocates %.0f, want <= %.0f", groups, k, allocs, bound)
+		}
+		if got := views[runs].NumRows(); got != groups+k {
+			t.Fatalf("%d groups: extended view covers %d rows, want %d", groups, got, groups+k)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -22,8 +23,8 @@ type Table struct {
 
 	// arena, when non-nil, is a flat cell store that Append carves rows out
 	// of: one allocation for many rows instead of one []string per row. It
-	// is populated by Grow and Compact; tables built without them behave
-	// exactly as before.
+	// is populated by Grow and Clone; without one, Append keeps the row it
+	// is given.
 	arena []string
 }
 
@@ -38,25 +39,22 @@ func (t *Table) NumRows() int { return len(t.Rows) }
 // NumCols returns the number of attributes.
 func (t *Table) NumCols() int { return len(t.Columns) }
 
-// Grow pre-allocates room for n more rows: the row-pointer slice plus a flat
-// cell arena that subsequent Appends carve full-capacity sub-slices out of.
-// Purely an allocation hint — semantics are unchanged either way.
+// Grow pre-allocates room for n more rows: the row-pointer slice, grown
+// geometrically so repeated Grows amortise, plus a flat cell arena that the
+// next n Appends copy their cells into.
 func (t *Table) Grow(n int) {
 	if n <= 0 || len(t.Columns) == 0 {
 		return
 	}
-	if cap(t.Rows)-len(t.Rows) < n {
-		rows := make([][]string, len(t.Rows), len(t.Rows)+n)
-		copy(rows, t.Rows)
-		t.Rows = rows
-	}
+	t.Rows = slices.Grow(t.Rows, n)
 	if cap(t.arena)-len(t.arena) < n*len(t.Columns) {
 		t.arena = make([]string, 0, n*len(t.Columns))
 	}
 }
 
-// Append adds a tuple. It panics if the arity is wrong — a programming
-// error, not an input error.
+// Append adds a tuple. Its cells are copied into the arena when it has room
+// (see Grow); otherwise the table keeps row itself. It panics if the arity is
+// wrong — a programming error, not an input error.
 func (t *Table) Append(row ...string) {
 	if len(row) != len(t.Columns) {
 		panic(fmt.Sprintf("table %s: row arity %d != %d", t.Name, len(row), len(t.Columns)))
@@ -86,9 +84,14 @@ func (t *Table) Column(name string) int {
 
 // Clone deep-copies the table. The copy is arena-backed: all cells live in
 // one flat allocation rather than one slice per row.
-func (t *Table) Clone() *Table {
+func (t *Table) Clone() *Table { return t.CloneGrow(0) }
+
+// CloneGrow is Clone with room for n more rows in the copy's row slice, but
+// not in its arena: a copy that is then appended to does not copy its row
+// headers again.
+func (t *Table) CloneGrow(n int) *Table {
 	nt := &Table{Name: t.Name, Columns: append([]string(nil), t.Columns...)}
-	nt.Rows = make([][]string, len(t.Rows))
+	nt.Rows = make([][]string, len(t.Rows), len(t.Rows)+n)
 	var cells int
 	for _, r := range t.Rows {
 		cells += len(r)
@@ -101,15 +104,6 @@ func (t *Table) Clone() *Table {
 	}
 	nt.arena = arena[:len(arena):len(arena)]
 	return nt
-}
-
-// ColumnValues returns the values of column col in row order.
-func (t *Table) ColumnValues(col int) []string {
-	out := make([]string, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = r[col]
-	}
-	return out
 }
 
 // crRun matches a run of CRs that ends a line inside a quoted field.

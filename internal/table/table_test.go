@@ -27,9 +27,8 @@ func TestAppendAndAccess(t *testing.T) {
 	if tb.Column("B") != 1 || tb.Column("Z") != -1 {
 		t.Fatal("Column lookup broken")
 	}
-	got := tb.ColumnValues(1)
-	if len(got) != 3 || got[0] != "Italy" {
-		t.Fatalf("ColumnValues = %v", got)
+	if got := tb.Rows[0][1]; got != "Italy" {
+		t.Fatalf("Rows[0][1] = %q", got)
 	}
 }
 

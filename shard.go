@@ -116,16 +116,24 @@ func (c *Cleaner) run(ctx context.Context, t *Table, lo int) (*Report, string, e
 		root.SetInt("signatures", int64(in.NumGroups()))
 	}
 	if rec.Enabled() {
-		// Decision units: signature groups under dedup, rows otherwise.
-		units := make([]int, t.NumRows())
+		// Decision units of the pass's rows: signature groups under dedup,
+		// rows otherwise. The recorder keeps a Clean's mapping, so a
+		// session's Clean leaves headroom for its Appends to extend it in
+		// place.
+		n := t.NumRows()
+		size := n - lo
+		if s != nil && !appending {
+			size += n / 4
+		}
+		units := make([]int, n-lo, size)
 		for i := range units {
 			if in != nil {
-				units[i] = in.GroupOf(i)
+				units[i] = in.GroupOf(lo + i)
 			} else {
-				units[i] = i
+				units[i] = lo + i
 			}
 		}
-		rec.SetRowUnits(units, in != nil)
+		rec.SetRowUnits(lo, units, in != nil)
 	}
 
 	start := tel.StartStage(telemetry.StageDiscover)
