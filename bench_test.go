@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"katara/internal/crowd"
 	"katara/internal/discovery"
 	"katara/internal/experiments"
+	"katara/internal/fd"
 	"katara/internal/pattern"
 	"katara/internal/repair"
 	"katara/internal/table"
@@ -227,7 +229,8 @@ func BenchmarkTable6RepairKatara(b *testing.B) {
 func BenchmarkTable6RepairEQ(b *testing.B) {
 	e := env(b)
 	spec := e.Dataset("RelationalTables").Specs[0]
-	fds := experiments.AppendixDFDs(spec.Table.Name)
+	// Appendix D's FD on Person (name, country, capital, language): A → B,C,D.
+	fds := []fd.FD{fd.New([]int{0}, []int{1, 2, 3})}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -459,7 +462,6 @@ func BenchmarkDisabledInstrumentation(b *testing.B) {
 		ps.End()
 		start := tel.StartTimer()
 		tel.ObserveSince(telemetry.HistCrowdQuestion, start)
-		tel.Observe(telemetry.HistRankJoinIter, time.Millisecond)
 		tel.Inc(telemetry.CrowdQuestions)
 		tel.EndStage(telemetry.StageAnnotate, tel.StartStage(telemetry.StageAnnotate))
 	}
@@ -467,7 +469,7 @@ func BenchmarkDisabledInstrumentation(b *testing.B) {
 		sp := tel.StartSpan("op")
 		sp.SetInt("k", 1)
 		sp.End()
-		tel.Observe(telemetry.HistRepairTopK, time.Microsecond)
+		tel.ObserveSince(telemetry.HistRepairTopK, tel.StartTimer())
 	}); allocs != 0 {
 		b.Fatalf("disabled instrumentation allocates %.1f per op", allocs)
 	}
@@ -488,7 +490,6 @@ func BenchmarkDisabledProvenance(b *testing.B) {
 		rec.RecordPattern("p", 1.0, true)
 		rec.RecordValidationStep("type(0)", 0.5, 2, "city", false)
 		rec.SetRowUnits(0, nil, false)
-		_ = rec.UnitOf(i)
 		_ = rec.BeginTuple(i)
 		rec.RecordCheck(i, "node", "kb", nil, "", 0, true)
 		rec.RecordVerdict(i, "validated_by_kb", false, false)
@@ -529,12 +530,13 @@ func BenchmarkEndToEndClean(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if h := tel.Hist(telemetry.HistAnnotateTuple); h.Count() > 0 {
-		b.ReportMetric(float64(h.Quantile(0.50)), "annotate-p50-ns/op")
-		b.ReportMetric(float64(h.Quantile(0.99)), "annotate-p99-ns/op")
+	hists := tel.Snapshot().Hists
+	if h := hists[telemetry.HistAnnotateTuple]; h.Count > 0 {
+		b.ReportMetric(float64(h.P50), "annotate-p50-ns/op")
+		b.ReportMetric(float64(h.P99), "annotate-p99-ns/op")
 	}
-	if h := tel.Hist(telemetry.HistRepairTopK); h.Count() > 0 {
-		b.ReportMetric(float64(h.Quantile(0.99)), "topk-p99-ns/op")
+	if h := hists[telemetry.HistRepairTopK]; h.Count > 0 {
+		b.ReportMetric(float64(h.P99), "topk-p99-ns/op")
 	}
 }
 
@@ -569,9 +571,9 @@ func fullScaleTable(b *testing.B) *workload.TableSpec {
 // and priced like a batch run; the session's win is the redundant case.)
 // The timed loop covers only Cleaner.Append; one batch clean of the merged
 // table runs outside the timer as the reference, and the run fails unless
-// the measured append costs less than 10% of it — the headroom that
-// justifies the session machinery at all. The ratio rides along as a custom
-// metric so benchsave snapshots track it.
+// the median of five untimed appends costs less than 10% of it — the
+// headroom that justifies the session machinery at all. That median ratio
+// rides along as a custom metric so benchsave snapshots track it.
 func BenchmarkAppendDelta(b *testing.B) { benchAppendDelta(b, false) }
 
 // BenchmarkAppendDeltaProvenance is BenchmarkAppendDelta with a provenance
@@ -631,17 +633,25 @@ func benchAppendDelta(b *testing.B, provenance bool) {
 		}
 		return cl
 	}
-	cl := newSession()
-	t1 := time.Now()
-	if _, err := cl.Append(delta); err != nil {
-		b.Fatal(err)
+	// The gate takes the median of five untimed appends, each on a fresh
+	// session as the timed loop makes them: single cold appends range from
+	// about 2% to 7% of the reference, too wide for one sample to gate on.
+	ratios := make([]float64, 5)
+	for i := range ratios {
+		cl := newSession()
+		t1 := time.Now()
+		if _, err := cl.Append(delta); err != nil {
+			b.Fatal(err)
+		}
+		ratios[i] = float64(time.Since(t1)) / float64(fullDur)
 	}
-	appendDur := time.Since(t1)
+	sort.Float64s(ratios)
+	ratio := ratios[len(ratios)/2]
 	// A drifted append recleans the whole merged table and lands near 100%
 	// of the reference cost, so the bound doubles as a no-drift assertion.
-	if appendDur*10 >= fullDur {
-		b.Fatalf("append of %d rows took %v, full re-clean %v; append must stay under 10%%",
-			deltaRows, appendDur, fullDur)
+	if ratio >= 0.1 {
+		b.Fatalf("appends of %d rows took a median %.1f%% of the full re-clean's %v; append must stay under 10%%",
+			deltaRows, 100*ratio, fullDur)
 	}
 
 	b.ResetTimer()
@@ -655,7 +665,7 @@ func benchAppendDelta(b *testing.B, provenance bool) {
 	}
 	// After the loop: ResetTimer discards metrics reported before it. The
 	// /op suffix is what benchsave records.
-	b.ReportMetric(float64(appendDur)/float64(fullDur), "append-vs-full-ratio/op")
+	b.ReportMetric(ratio, "append-vs-full-ratio/op")
 }
 
 // BenchmarkPersonFullScale is the tentpole measurement: the end-to-end

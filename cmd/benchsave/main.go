@@ -67,14 +67,15 @@ type Snapshot struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-// benchLine matches a complete benchmark result line. The name keeps any
-// sub-benchmark path; a trailing -N GOMAXPROCS suffix is split off after.
-var benchLine = regexp.MustCompile(
-	`(?m)^(Benchmark\S+)[ \t]+(\d+)[ \t]+([0-9.]+) ns/op(?:[ \t]+([0-9.]+) B/op)?(?:[ \t]+([0-9.]+) allocs/op)?([^\n]*)`)
+// benchLine matches a benchmark result line: the name, the iteration count
+// and the `value unit` pairs after it. The name keeps any sub-benchmark
+// path; a trailing -N GOMAXPROCS suffix is split off after.
+var benchLine = regexp.MustCompile(`(?m)^(Benchmark\S+)[ \t]+(\d+)[ \t]+([^\n]*)`)
 
-// metricPair matches one custom `value unit` pair reported through
-// testing.B.ReportMetric in the tail of a benchmark result line.
-var metricPair = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)[ \t]+(\S+/op)`)
+// valueUnit matches one `value unit` pair of a result line. -benchmem's
+// B/op and allocs/op come last, after any custom pair that
+// testing.B.ReportMetric adds, so pairs are told apart by unit, not place.
+var valueUnit = regexp.MustCompile(`(-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)[ \t]+(\S+)`)
 
 func main() {
 	out := flag.String("out", "", "snapshot file to write (default stdout)")
@@ -120,27 +121,32 @@ func main() {
 	var results []Benchmark
 	for _, pkg := range pkgs {
 		for _, m := range benchLine.FindAllStringSubmatch(perPkg[pkg].String(), -1) {
-			b := Benchmark{Package: pkg, Name: m[1]}
+			b := Benchmark{Package: pkg}
 			b.Name, b.Procs = splitProcs(m[1])
 			b.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-			b.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-			if m[4] != "" {
-				b.BytesPerOp, _ = strconv.ParseFloat(m[4], 64)
-			}
-			if m[5] != "" {
-				b.AllocsPerOp, _ = strconv.ParseFloat(m[5], 64)
-			}
-			for _, p := range metricPair.FindAllStringSubmatch(m[6], -1) {
+			timed := false
+			for _, p := range valueUnit.FindAllStringSubmatch(m[3], -1) {
 				v, err := strconv.ParseFloat(p[1], 64)
 				if err != nil {
 					continue
 				}
-				if b.Metrics == nil {
-					b.Metrics = map[string]float64{}
+				switch p[2] {
+				case "ns/op":
+					b.NsPerOp, timed = v, true
+				case "B/op":
+					b.BytesPerOp = v
+				case "allocs/op":
+					b.AllocsPerOp = v
+				default:
+					if b.Metrics == nil {
+						b.Metrics = map[string]float64{}
+					}
+					b.Metrics[p[2]] = v
 				}
-				b.Metrics[p[2]] = v
 			}
-			results = append(results, b)
+			if timed {
+				results = append(results, b)
+			}
 		}
 	}
 	snap.Benchmarks = aggregate(results)

@@ -29,8 +29,9 @@ func TestSplitProcs(t *testing.T) {
 }
 
 // TestMainParsesStream: feed a test2json stream — with a benchmark line
-// split across two output events, a custom ReportMetric pair, and non-JSON
-// noise — through main and check the written snapshot. main is invoked
+// split across two output events, custom ReportMetric pairs (one printed
+// between ns/op and -benchmem's B/op), and non-JSON noise — through main and
+// check the written snapshot. main is invoked
 // in-process exactly once (its flag definitions live on the global
 // CommandLine).
 func TestMainParsesStream(t *testing.T) {
@@ -38,6 +39,7 @@ func TestMainParsesStream(t *testing.T) {
 		`{"Action":"output","Package":"katara","Output":"BenchmarkEndToEndClean-8   \t     100\t  12`,
 		`{"Action":"output","Package":"katara","Output":"345678 ns/op\t 2048 B/op\t 99 allocs/op\n"}`,
 		`{"Action":"output","Package":"katara/internal/telemetry","Output":"BenchmarkQuantile \t 5000\t 111.5 ns/op\t 3.5 p50-ns/op\n"}`,
+		`{"Action":"output","Package":"katara/x","Output":"BenchmarkAppendDelta-2 \t 3\t 9400000 ns/op\t 0.03 append-vs-full-ratio/op\t 524288 B/op\t 1200 allocs/op\n"}`,
 		`{"Action":"run","Package":"katara"}`,
 		`not json at all`,
 		``,
@@ -74,8 +76,8 @@ func TestMainParsesStream(t *testing.T) {
 	if snap.GoVersion == "" || snap.GOOS == "" || snap.Timestamp == "" {
 		t.Fatalf("metadata missing: %+v", snap)
 	}
-	if len(snap.Benchmarks) != 1 {
-		t.Fatalf("got %d benchmarks, want 1 (the torn line must be dropped): %+v", len(snap.Benchmarks), snap.Benchmarks)
+	if len(snap.Benchmarks) != 2 {
+		t.Fatalf("got %d benchmarks, want 2 (the torn line must be dropped): %+v", len(snap.Benchmarks), snap.Benchmarks)
 	}
 	b := snap.Benchmarks[0]
 	if b.Name != "BenchmarkQuantile" || b.Iterations != 5000 || b.NsPerOp != 111.5 {
@@ -83,6 +85,14 @@ func TestMainParsesStream(t *testing.T) {
 	}
 	if b.Metrics["p50-ns/op"] != 3.5 {
 		t.Fatalf("custom metric not captured: %+v", b.Metrics)
+	}
+	b = snap.Benchmarks[1]
+	if b.Name != "BenchmarkAppendDelta" || b.Procs != 2 || b.NsPerOp != 9400000 ||
+		b.BytesPerOp != 524288 || b.AllocsPerOp != 1200 {
+		t.Fatalf("-benchmem figures after a custom metric parsed wrong: %+v", b)
+	}
+	if len(b.Metrics) != 1 || b.Metrics["append-vs-full-ratio/op"] != 0.03 {
+		t.Fatalf("custom metrics = %v, want only the ratio", b.Metrics)
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 	"katara/internal/rdf"
 	"katara/internal/repair"
 	"katara/internal/resolve"
+	"katara/internal/similarity"
 	"katara/internal/table"
 	"katara/internal/validation"
 )
@@ -177,7 +178,7 @@ func (c *Cleaner) recleanFromBase(ctx context.Context, reason string, deltaRows 
 		rec.RecordDrift(reason, deltaRows)
 	}
 	c.kb = s.base.CloneExact()
-	c.resolver = resolve.New(c.kb, c.opts.Threshold)
+	c.resolver = resolve.New(c.kb, similarity.DefaultThreshold)
 	rep, err := c.runClean(ctx, s.tbl)
 	if err != nil && c.session != nil {
 		// Leave the session usable: the table keeps its rows, and the next

@@ -220,7 +220,7 @@ func TestAppendExtendsRowUnits(t *testing.T) {
 				if dedup {
 					want = in.GroupOf(i)
 				}
-				if got := rec.UnitOf(i); got != want {
+				if got := rec.Explain(i, 0).Unit; got != want {
 					t.Errorf("row %d: unit %d, want %d", i, got, want)
 				}
 			}

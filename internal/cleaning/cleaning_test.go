@@ -22,7 +22,7 @@ func TestEQRepairsToPlurality(t *testing.T) {
 	if changes[0].Row != 2 || changes[0].To != "Rome" {
 		t.Fatalf("change = %+v", changes[0])
 	}
-	if !fd.Satisfied(tb, f) {
+	if len(fd.Violations(tb, f)) != 0 {
 		t.Fatal("table still violates the FD")
 	}
 }
@@ -60,7 +60,7 @@ func TestEQMultipleFDsFixpoint(t *testing.T) {
 	fds := []fd.FD{fd.New([]int{0}, []int{1}), fd.New([]int{1}, []int{2})}
 	EQ(tb, fds)
 	for _, f := range fds {
-		if !fd.Satisfied(tb, f) {
+		if len(fd.Violations(tb, f)) != 0 {
 			t.Fatalf("fixpoint not reached for %v", f)
 		}
 	}

@@ -36,8 +36,8 @@ func TestBudgetExhaustedMidEscalation(t *testing.T) {
 	b := NewBudget(0, 7)
 	c := Perfect(5,
 		WithTransport(split),
-		WithEscalation(EscalationPolicy{MinMargin: 0.9, MaxAssignments: 50}),
-		WithBudget(b),
+		withEscalation(EscalationPolicy{MinMargin: 0.9, MaxAssignments: 50}),
+		withBudget(b),
 	)
 
 	done := make(chan struct{})
@@ -64,7 +64,7 @@ func TestBudgetExhaustedMidEscalation(t *testing.T) {
 	if st.Escalations == 0 {
 		t.Fatal("low margin never escalated; the test exercised nothing")
 	}
-	if _, spent := b.Spent(); spent != 7 {
+	if spent := b.assignments; spent != 7 {
 		t.Fatalf("assignments spent = %d, want the full budget of 7", spent)
 	}
 
@@ -84,7 +84,7 @@ func TestDeadlineDuringRetryBackoff(t *testing.T) {
 	}}
 	c := Perfect(3,
 		WithTransport(flaky),
-		WithRetry(RetryPolicy{MaxAttempts: 50, BaseBackoff: 20 * time.Millisecond, MaxBackoff: 20 * time.Millisecond}),
+		withRetry(RetryPolicy{MaxAttempts: 50, BaseBackoff: 20 * time.Millisecond, MaxBackoff: 20 * time.Millisecond}),
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 35*time.Millisecond)
 	defer cancel()
@@ -111,7 +111,7 @@ func TestDeadlineBetweenAbandonmentAndReassignment(t *testing.T) {
 	ghosting := &scriptedTransport{deliver: func(int, Question) Delivery {
 		return Delivery{Err: ErrAbandoned, Latency: 20 * time.Millisecond}
 	}}
-	c := Perfect(5, WithTransport(ghosting), WithRetry(RetryPolicy{MaxAttempts: 50}))
+	c := Perfect(5, WithTransport(ghosting), withRetry(RetryPolicy{MaxAttempts: 50}))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 
@@ -133,7 +133,7 @@ func TestDeadlineBetweenAbandonmentAndReassignment(t *testing.T) {
 // TestBudgetExhaustedMidQuestionKeepsVotes: the budget covers only part of
 // the base redundancy; the collected votes still decide the question.
 func TestBudgetExhaustedMidQuestionKeepsVotes(t *testing.T) {
-	c := Perfect(5, WithBudget(NewBudget(0, 2)))
+	c := Perfect(5, withBudget(NewBudget(0, 2)))
 	got, err := c.AskContext(context.Background(), Boolean("partial", true))
 	if err != nil {
 		t.Fatalf("two collected votes must decide the question, got error %v", err)
@@ -148,7 +148,7 @@ func TestBudgetExhaustedMidQuestionKeepsVotes(t *testing.T) {
 // ask, escalation must fall through to the degenerate-pool answer instead
 // of picking from an empty permutation.
 func TestEmptyPoolEscalationDoesNotPanic(t *testing.T) {
-	c := Perfect(0, WithEscalation(EscalationPolicy{MinMargin: 0.6}))
+	c := Perfect(0, withEscalation(EscalationPolicy{MinMargin: 0.6}))
 	got, err := c.AskContext(context.Background(), Boolean("nobody home", true))
 	if err != nil {
 		t.Fatalf("empty pool: err = %v, want the degenerate nil error", err)
@@ -157,3 +157,8 @@ func TestEmptyPoolEscalationDoesNotPanic(t *testing.T) {
 		t.Fatalf("empty pool answer = %d, want 0", got)
 	}
 }
+
+// Constructor-option shorthands for the setters the pipeline calls.
+func withRetry(r RetryPolicy) Option           { return func(c *Crowd) { c.SetRetry(r) } }
+func withEscalation(e EscalationPolicy) Option { return func(c *Crowd) { c.SetEscalation(e) } }
+func withBudget(b *Budget) Option              { return func(c *Crowd) { c.SetBudget(b) } }

@@ -15,7 +15,6 @@
 package crowd
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -177,33 +176,9 @@ type Crowd struct {
 // Option configures a Crowd.
 type Option func(*Crowd)
 
-// WithAssignments overrides the per-question assignment count (default 3).
-func WithAssignments(n int) Option {
-	return func(c *Crowd) {
-		if n > 0 {
-			c.assignments = n
-		}
-	}
-}
-
 // WithTransport routes every assignment through t (nil = direct delivery).
 func WithTransport(t Transport) Option {
 	return func(c *Crowd) { c.transport = t }
-}
-
-// WithRetry overrides the per-assignment retry policy.
-func WithRetry(r RetryPolicy) Option {
-	return func(c *Crowd) { c.retry = r }
-}
-
-// WithEscalation enables adaptive redundancy under e.
-func WithEscalation(e EscalationPolicy) Option {
-	return func(c *Crowd) { c.escalate = e }
-}
-
-// WithBudget caps the crowd's total consumption (nil = unlimited).
-func WithBudget(b *Budget) Option {
-	return func(c *Crowd) { c.budget = b }
 }
 
 // jitterSeedSalt decorrelates the backoff-jitter rng from the decision rng
@@ -259,9 +234,6 @@ func Perfect(n int, opts ...Option) *Crowd {
 	}
 	return c.apply(opts)
 }
-
-// NumWorkers returns the pool size.
-func (c *Crowd) NumWorkers() int { return len(c.workers) }
 
 // Stats returns a copy of the accumulated accounting.
 func (c *Crowd) Stats() Stats {
@@ -325,20 +297,4 @@ func (c *Crowd) SetBudget(b *Budget) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.budget = b
-}
-
-// Ask routes q to `assignments` distinct randomly chosen workers and returns
-// the majority answer (ties broken toward the lowest option index). With
-// reliability estimates installed (Calibrate / EstimateReliability), votes
-// are weighted by each worker's log-odds accuracy instead. Ask is
-// AskContext without a deadline; resilience errors (exhausted budget, a
-// fully failed question) degrade to option 0.
-func (c *Crowd) Ask(q Question) int {
-	a, _ := c.AskContext(context.Background(), q)
-	return a
-}
-
-// AskBoolean asks a yes/no question and returns true for "Yes".
-func (c *Crowd) AskBoolean(prompt string, holds bool) bool {
-	return c.Ask(Boolean(prompt, holds)) == 0
 }

@@ -1,9 +1,17 @@
 package crowd
 
 import (
+	"context"
 	"math"
 	"testing"
 )
+
+// Ask is AskContext without a deadline; resilience errors (exhausted
+// budget, a fully failed question) degrade to option 0.
+func (c *Crowd) Ask(q Question) int {
+	a, _ := c.AskContext(context.Background(), q)
+	return a
+}
 
 func TestPerfectCrowdAlwaysCorrect(t *testing.T) {
 	c := Perfect(10)
@@ -22,10 +30,10 @@ func TestPerfectCrowdAlwaysCorrect(t *testing.T) {
 
 func TestBooleanQuestions(t *testing.T) {
 	c := Perfect(3)
-	if !c.AskBoolean("Does S. Africa hasCapital Pretoria?", true) {
+	if c.Ask(Boolean("Does S. Africa hasCapital Pretoria?", true)) != 0 {
 		t.Fatal("expected Yes")
 	}
-	if c.AskBoolean("Does Italy hasCapital Madrid?", false) {
+	if c.Ask(Boolean("Does Italy hasCapital Madrid?", false)) == 0 {
 		t.Fatal("expected No")
 	}
 }
@@ -76,7 +84,7 @@ func TestStatsAccounting(t *testing.T) {
 	c := Perfect(5)
 	c.Ask(Question{Kind: TypeValidation, Options: []string{"a", "b"}, Truth: 0})
 	c.Ask(Question{Kind: RelationshipValidation, Options: []string{"a", "b"}, Truth: 0})
-	c.AskBoolean("x?", true)
+	c.Ask(Boolean("x?", true))
 	s := c.Stats()
 	if s.Questions != 3 {
 		t.Fatalf("Questions = %d", s.Questions)
@@ -95,7 +103,7 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestStatsReturnsCopy(t *testing.T) {
 	c := Perfect(3)
-	c.AskBoolean("x?", true)
+	c.Ask(Boolean("x?", true))
 	s := c.Stats()
 	s.ByKind[TypeValidation] = 99
 	if c.Stats().ByKind[TypeValidation] == 99 {
@@ -105,17 +113,9 @@ func TestStatsReturnsCopy(t *testing.T) {
 
 func TestAssignmentsCappedByPoolSize(t *testing.T) {
 	c := Perfect(2)
-	c.AskBoolean("x?", true)
+	c.Ask(Boolean("x?", true))
 	if got := c.Stats().Assignments; got != 2 {
 		t.Fatalf("Assignments = %d, want 2", got)
-	}
-}
-
-func TestWithAssignmentsOption(t *testing.T) {
-	c := New(10, 1.0, 1, WithAssignments(5))
-	c.AskBoolean("x?", true)
-	if got := c.Stats().Assignments; got != 5 {
-		t.Fatalf("Assignments = %d, want 5", got)
 	}
 }
 

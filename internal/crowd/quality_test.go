@@ -183,8 +183,8 @@ func TestWeightedVoteOutweighsNoisyMajority(t *testing.T) {
 
 func TestStatsCost(t *testing.T) {
 	c := Perfect(5)
-	c.AskBoolean("x?", true)
-	c.AskBoolean("y?", true)
+	c.Ask(Boolean("x?", true))
+	c.Ask(Boolean("y?", true))
 	// 2 questions x 3 assignments at $0.05 each.
 	if got := c.Stats().Cost(0.05); math.Abs(got-0.30) > 1e-12 {
 		t.Fatalf("Cost = %f, want 0.30", got)

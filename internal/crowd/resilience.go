@@ -163,16 +163,6 @@ func (b *Budget) TakeAssignment() bool {
 	return true
 }
 
-// Spent reports the consumed questions and assignments.
-func (b *Budget) Spent() (questions, assignments int) {
-	if b == nil {
-		return 0, 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.questions, b.assignments
-}
-
 // vote is one collected answer with its voting weight (1 for plain
 // majority, log-odds reliability for weighted voting).
 type vote struct {
@@ -180,11 +170,15 @@ type vote struct {
 	weight float64
 }
 
-// AskContext is Ask with a deadline and the resilience layer engaged: each
-// assignment is routed through the transport, retried with capped
-// exponential backoff on transient errors, reassigned to a fresh worker on
-// abandonment or timeout, and — when an EscalationPolicy is configured —
-// topped up with extra assignments while the vote margin is low.
+// AskContext routes q to `assignments` distinct randomly chosen workers and
+// returns the majority answer (ties broken toward the lowest option index).
+// With reliability estimates installed (Calibrate / EstimateReliability),
+// votes are weighted by each worker's log-odds accuracy instead. The
+// resilience layer is engaged: each assignment is routed through the
+// transport, retried with capped exponential backoff on transient errors,
+// reassigned to a fresh worker on abandonment or timeout, and — when an
+// EscalationPolicy is configured — topped up with extra assignments while
+// the vote margin is low.
 //
 // If the context expires or the budget runs out mid-question, the answers
 // already collected still decide the question; only a question with no

@@ -57,12 +57,22 @@ func TestFaultInjectorRatesAndAccounting(t *testing.T) {
 	f := NewFaultInjector(FaultConfig{Seed: 1, AbandonRate: 0.3, TransientRate: 0.2, SpamRate: 0.1})
 	q := Boolean("x?", true)
 	const trials = 5000
+	var ab, tr, sp, ok int
 	for i := 0; i < trials; i++ {
-		f.Deliver(q, Worker{}, func() int { return q.Truth })
-	}
-	ab, tr, sp, ok := f.Faults()
-	if ab+tr+sp+ok != trials {
-		t.Fatalf("accounting does not add up: %d+%d+%d+%d != %d", ab, tr, sp, ok, trials)
+		honest := false
+		d := f.Deliver(q, Worker{}, func() int { honest = true; return q.Truth })
+		switch {
+		case errors.Is(d.Err, ErrAbandoned):
+			ab++
+		case errors.Is(d.Err, ErrTransient):
+			tr++
+		case d.Err != nil:
+			t.Fatalf("unexpected delivery error %v", d.Err)
+		case honest:
+			ok++
+		default:
+			sp++
+		}
 	}
 	check := func(name string, got int, rate float64) {
 		frac := float64(got) / trials
@@ -98,7 +108,7 @@ func TestZeroRateInjectorIdenticalToDirect(t *testing.T) {
 func TestTransientRetriesSameWorkerWithBackoff(t *testing.T) {
 	st := &scriptTransport{faults: []error{ErrTransient, ErrTransient}}
 	c := Perfect(5, WithTransport(st),
-		WithRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: 2 * time.Microsecond}))
+		withRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: 2 * time.Microsecond}))
 	a, err := c.AskContext(context.Background(), Boolean("x?", true))
 	if err != nil || a != 0 {
 		t.Fatalf("AskContext = %d, %v", a, err)
@@ -116,7 +126,7 @@ func TestTransientRetriesSameWorkerWithBackoff(t *testing.T) {
 func TestAbandonmentReassignsFreshWorker(t *testing.T) {
 	st := &scriptTransport{faults: []error{ErrAbandoned}}
 	c := Perfect(5, WithTransport(st),
-		WithRetry(RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}))
+		withRetry(RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}))
 	a, err := c.AskContext(context.Background(), Boolean("x?", true))
 	if err != nil || a != 0 {
 		t.Fatalf("AskContext = %d, %v", a, err)
@@ -145,7 +155,7 @@ func TestRetryBackoffCappedExponential(t *testing.T) {
 
 func TestEscalationTopsUpToCap(t *testing.T) {
 	// MinMargin 1.1 is unreachable, so every question escalates to the cap.
-	c := Perfect(10, WithEscalation(EscalationPolicy{MinMargin: 1.1, MaxAssignments: 7}))
+	c := Perfect(10, withEscalation(EscalationPolicy{MinMargin: 1.1, MaxAssignments: 7}))
 	a, err := c.AskContext(context.Background(), Boolean("x?", true))
 	if err != nil || a != 0 {
 		t.Fatalf("AskContext = %d, %v", a, err)
@@ -161,7 +171,7 @@ func TestEscalationTopsUpToCap(t *testing.T) {
 
 func TestEscalationStopsWhenMarginConvincing(t *testing.T) {
 	// A unanimous perfect crowd reaches margin 1.0 immediately: no escalation.
-	c := Perfect(10, WithEscalation(EscalationPolicy{MinMargin: 0.5, MaxAssignments: 9}))
+	c := Perfect(10, withEscalation(EscalationPolicy{MinMargin: 0.5, MaxAssignments: 9}))
 	c.Ask(Boolean("x?", true))
 	if s := c.Stats(); s.Escalations != 0 || s.Assignments != 3 {
 		t.Fatalf("unexpected escalation: %+v", s)
@@ -169,7 +179,7 @@ func TestEscalationStopsWhenMarginConvincing(t *testing.T) {
 }
 
 func TestQuestionBudgetExhaustion(t *testing.T) {
-	c := Perfect(5, WithBudget(NewBudget(2, 0)))
+	c := Perfect(5, withBudget(NewBudget(2, 0)))
 	q := Boolean("x?", true)
 	for i := 0; i < 2; i++ {
 		if _, err := c.AskContext(context.Background(), q); err != nil {
@@ -182,7 +192,7 @@ func TestQuestionBudgetExhaustion(t *testing.T) {
 }
 
 func TestAssignmentBudgetPartialVotesStillDecide(t *testing.T) {
-	c := Perfect(5, WithBudget(NewBudget(0, 4)))
+	c := Perfect(5, withBudget(NewBudget(0, 4)))
 	q := Boolean("x?", true)
 	if _, err := c.AskContext(context.Background(), q); err != nil {
 		t.Fatalf("first question failed: %v", err)
@@ -221,7 +231,7 @@ func TestDeadlineRespectedUnderLatency(t *testing.T) {
 func TestAssignmentTimeoutTreatedAsAbandonment(t *testing.T) {
 	c := Perfect(5,
 		WithTransport(NewFaultInjector(FaultConfig{Seed: 4, MinLatency: 20 * time.Millisecond, MaxLatency: 25 * time.Millisecond})),
-		WithRetry(RetryPolicy{
+		withRetry(RetryPolicy{
 			MaxAttempts:       3,
 			BaseBackoff:       time.Microsecond,
 			MaxBackoff:        time.Microsecond,
@@ -262,9 +272,9 @@ func TestChaosNeverPanicsAlwaysTerminates(t *testing.T) {
 				MinLatency:    100 * time.Microsecond,
 				MaxLatency:    500 * time.Microsecond,
 			})),
-			WithRetry(RetryPolicy{BaseBackoff: 50 * time.Microsecond, MaxBackoff: 200 * time.Microsecond}),
-			WithEscalation(EscalationPolicy{MinMargin: 0.4, MaxAssignments: 7}),
-			WithBudget(NewBudget(50, 200)))
+			withRetry(RetryPolicy{BaseBackoff: 50 * time.Microsecond, MaxBackoff: 200 * time.Microsecond}),
+			withEscalation(EscalationPolicy{MinMargin: 0.4, MaxAssignments: 7}),
+			withBudget(NewBudget(50, 200)))
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		start := time.Now()
 		for i := 0; i < 60; i++ {
@@ -283,16 +293,16 @@ func TestChaosNeverPanicsAlwaysTerminates(t *testing.T) {
 
 // Satellite: Perfect accepts the same Options as New.
 func TestPerfectAcceptsOptions(t *testing.T) {
-	c := Perfect(10, WithAssignments(5))
-	c.AskBoolean("x?", true)
-	if got := c.Stats().Assignments; got != 5 {
-		t.Fatalf("Assignments = %d, want 5", got)
+	tr := &scriptedTransport{deliver: func(int, Question) Delivery { return Delivery{Answer: 1} }}
+	c := Perfect(10, WithTransport(tr))
+	if got := c.Ask(Boolean("x?", true)); got != 1 || tr.n != 3 {
+		t.Fatalf("answer %d after %d deliveries, want the transport's 1 after 3", got, tr.n)
 	}
 	b := NewBudget(1, 0)
-	c2 := Perfect(3, WithBudget(b))
-	c2.AskBoolean("x?", true)
+	c2 := Perfect(3, withBudget(b))
+	c2.Ask(Boolean("x?", true))
 	if _, err := c2.AskContext(context.Background(), Boolean("y?", true)); !errors.Is(err, ErrBudget) {
-		t.Fatalf("Perfect ignored WithBudget: err = %v", err)
+		t.Fatalf("Perfect ignored the budget option: err = %v", err)
 	}
 }
 
@@ -300,7 +310,7 @@ func TestPerfectAcceptsOptions(t *testing.T) {
 func TestConcurrentAskIsRaceFree(t *testing.T) {
 	c := New(10, 0.85, 17,
 		WithTransport(NewFaultInjector(FaultConfig{Seed: 17, AbandonRate: 0.1, TransientRate: 0.1})),
-		WithRetry(RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}))
+		withRetry(RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}))
 	q := Boolean("x?", true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

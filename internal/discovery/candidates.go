@@ -20,24 +20,6 @@ import (
 type Options struct {
 	// Threshold is the label-similarity threshold (default 0.7, §7).
 	Threshold float64
-	// Band keeps only resource matches scoring within Band of a cell's best
-	// match (default 0.1) — the Lucene-style "take the top hits" behaviour.
-	// An exact match therefore suppresses distant fuzzy hits, while a typo
-	// cell (no exact match) still resolves through its best fuzzy matches.
-	Band float64
-	// MatchExponent sharpens the contribution weight of fuzzy matches:
-	// weight = score^MatchExponent (default 4). Exact matches keep weight 1.
-	MatchExponent int
-	// MinSupport drops candidates whose weighted support is below this
-	// fraction of the sampled rows (default 0.05), filtering the spurious
-	// types/relationships that fuzzy label noise would otherwise inject.
-	MinSupport float64
-	// MinEdgeConfidence drops whole column pairs whose best relationship is
-	// exhibited (weighted) by fewer than this fraction of rows (default
-	// 0.15): a pattern should only assert relationships the data actually
-	// carries. Low-coverage true relationships are sacrificed with it —
-	// exactly the paper's University×DBpedia recall behaviour (§7.4).
-	MinEdgeConfidence float64
 	// MaxCandidates caps each ranked candidate list (0 = unlimited).
 	MaxCandidates int
 	// MaxRows samples at most this many rows per table for candidate
@@ -55,21 +37,31 @@ type Options struct {
 	Resolver resolve.Source
 }
 
+// Candidate generation's fixed filters.
+const (
+	// band keeps only resource matches scoring within band of a cell's best
+	// match — the Lucene-style "take the top hits" behaviour. An exact match
+	// therefore suppresses distant fuzzy hits, while a typo cell (no exact
+	// match) still resolves through its best fuzzy matches.
+	band = 0.1
+	// matchExponent sharpens the contribution weight of fuzzy matches:
+	// weight = score^matchExponent. Exact matches keep weight 1.
+	matchExponent = 4
+	// minSupport drops candidates whose weighted support is below this
+	// fraction of the sampled rows, filtering the spurious
+	// types/relationships that fuzzy label noise would otherwise inject.
+	minSupport = 0.05
+	// minEdgeConfidence drops whole column pairs whose best relationship is
+	// exhibited (weighted) by fewer than this fraction of rows: a pattern
+	// should only assert relationships the data actually carries.
+	// Low-coverage true relationships are sacrificed with it — exactly the
+	// paper's University×DBpedia recall behaviour (§7.4).
+	minEdgeConfidence = 0.15
+)
+
 func (o Options) withDefaults() Options {
 	if o.Threshold == 0 {
 		o.Threshold = similarity.DefaultThreshold
-	}
-	if o.Band == 0 {
-		o.Band = 0.1
-	}
-	if o.MatchExponent == 0 {
-		o.MatchExponent = 4
-	}
-	if o.MinSupport == 0 {
-		o.MinSupport = 0.05
-	}
-	if o.MinEdgeConfidence == 0 {
-		o.MinEdgeConfidence = 0.15
 	}
 	return o
 }
@@ -226,11 +218,11 @@ func (ev *evidence) collect(tbl *table.Table, rows []int, lo, hi int, stats *kbs
 		if len(hits) > 0 {
 			best := hits[0].Score
 			for _, m := range hits {
-				if m.Score < best-opts.Band {
+				if m.Score < best-band {
 					break // hits are sorted by score
 				}
 				w := 1.0
-				for e := 0; e < opts.MatchExponent; e++ {
+				for e := 0; e < matchExponent; e++ {
 					w *= m.Score
 				}
 				out = append(out, weightedMatch{res: m.Resource, weight: w})
@@ -325,7 +317,7 @@ func (ev *evidence) collect(tbl *table.Table, rows []int, lo, hi int, stats *kbs
 func (ev *evidence) score(c *Candidates) {
 	stats, opts := c.Stats, c.Options
 	n := len(c.Rows)
-	minSupport := opts.MinSupport * float64(n)
+	floor := minSupport * float64(n)
 
 	for col, cellTypes := range ev.cellTypes {
 		cc := ColumnCandidates{Col: col, CellTypes: cellTypes}
@@ -342,7 +334,7 @@ func (ev *evidence) score(c *Candidates) {
 		}
 		maxScore := 0.0
 		for t, v := range tfidf {
-			if weighted[t] >= minSupport && v > maxScore {
+			if weighted[t] >= floor && v > maxScore {
 				maxScore = v
 			}
 		}
@@ -350,7 +342,7 @@ func (ev *evidence) score(c *Candidates) {
 			continue
 		}
 		for t, v := range tfidf {
-			if weighted[t] < minSupport {
+			if weighted[t] < floor {
 				continue
 			}
 			cc.Types = append(cc.Types, ScoredType{Type: t, TFIDF: v / maxScore, Support: support[t]})
@@ -380,7 +372,7 @@ func (ev *evidence) score(c *Candidates) {
 		}
 		maxScore := 0.0
 		for p, v := range tfidf {
-			if weighted[p] >= minSupport && v > maxScore {
+			if weighted[p] >= floor && v > maxScore {
 				maxScore = v
 			}
 		}
@@ -389,7 +381,7 @@ func (ev *evidence) score(c *Candidates) {
 		}
 		pc.LiteralObject = literalW > resourceW
 		for p, v := range tfidf {
-			if weighted[p] < minSupport {
+			if weighted[p] < floor {
 				continue
 			}
 			pc.Rels = append(pc.Rels, ScoredRel{
@@ -409,7 +401,7 @@ func (ev *evidence) score(c *Candidates) {
 				best = r.Confidence
 			}
 		}
-		if best < opts.MinEdgeConfidence {
+		if best < minEdgeConfidence {
 			continue
 		}
 		c.Pairs = append(c.Pairs, pc)

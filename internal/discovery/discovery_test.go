@@ -76,6 +76,12 @@ func countryCapitalTable() *table.Table {
 	return t
 }
 
+// NaiveScore computes naiveScore(φ) of §4.2: tf-idf only, no coherence —
+// the reference TopKNaive's search must agree with.
+func NaiveScore(p *pattern.Pattern, c *Candidates) float64 {
+	return scoreWith(p, c, 0)
+}
+
 func testCandidates(t *testing.T) *Candidates {
 	t.Helper()
 	kb := testKB()
@@ -317,7 +323,7 @@ func TestMaxLikeBaselinePicksRareCoveringType(t *testing.T) {
 func TestPGMTopK(t *testing.T) {
 	c := testCandidates(t)
 	kb := c.Stats.KB()
-	ps := PGMTopK(c, 3, PGMOptions{Iterations: 15})
+	ps := PGMTopK(c, 3, PGMOptions{})
 	if len(ps) == 0 {
 		t.Fatal("pgm produced nothing")
 	}
@@ -369,11 +375,10 @@ func TestPatternsAreDistinct(t *testing.T) {
 func TestRankJoinEmitsConnectedComponentsViaPattern(t *testing.T) {
 	c := testCandidates(t)
 	p := TopK(c, 1)[0]
-	if !p.Connected() {
-		// Two columns joined by an edge must be connected.
-		t.Fatal("expected a connected top pattern")
+	// The country/capital table's two columns must be joined by an edge.
+	if len(p.Columns()) != 2 || (p.EdgeBetween(0, 1) == nil && p.EdgeBetween(1, 0) == nil) {
+		t.Fatalf("expected a connected two-column top pattern, got %d edges", len(p.Edges))
 	}
-	var _ = pattern.Pattern{} // keep pattern import for clarity of intent
 }
 
 func TestRankJoinPrunesSearchSpace(t *testing.T) {
@@ -392,7 +397,7 @@ func TestRankJoinPrunesSearchSpace(t *testing.T) {
 		}
 		c.Columns = append(c.Columns, cc)
 	}
-	ps, stats := TopKWithStats(c, 3)
+	ps, stats := rankJoinStats(c, 3, 1)
 	if len(ps) == 0 {
 		t.Fatal("no patterns")
 	}

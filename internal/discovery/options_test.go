@@ -1,10 +1,12 @@
 package discovery
 
 import (
+	"math"
 	"testing"
 
 	"katara/internal/kbstats"
 	"katara/internal/rdf"
+	"katara/internal/similarity"
 	"katara/internal/table"
 )
 
@@ -22,8 +24,9 @@ var wordsB = []string{
 	"obsidian", "prairie", "quiver", "raven", "saddle", "thunder",
 }
 
-// wordKB builds a KB with a strong A→B relationship on every row and a
-// single backward noise fact.
+// wordKB builds a KB with a strong A→B relationship between wordsA[i] and
+// wordsB[i], and a backward "weak" relationship on the first pair only. Its
+// table holds one row per pair.
 func wordKB(t *testing.T) (*kbstats.Stats, *table.Table) {
 	t.Helper()
 	kb := rdf.New()
@@ -55,111 +58,150 @@ func TestConfidenceField(t *testing.T) {
 	}
 }
 
+// TestMinEdgeConfidenceFiltersPairs pins minEdgeConfidence (0.15): in a
+// 50-row table the backward pair's only relationship covers k rows, each
+// above the 5% support floor. At k = 7 (confidence 0.14) the pair is
+// dropped; at k = 8 (0.16) it is kept.
 func TestMinEdgeConfidenceFiltersPairs(t *testing.T) {
-	stats, tbl := wordKB(t)
-	// The backward pair's only relationship covers 1/20 rows: its best
-	// confidence (~0.05) is below the default 0.15 floor.
-	c := Generate(tbl, stats, Options{MinSupport: 0.01})
-	if rev := c.PairFor(1, 0); rev != nil {
-		t.Fatalf("low-confidence pair survived: %+v", rev.Rels)
-	}
-	// Lowering the floor lets it through.
-	c2 := Generate(tbl, stats, Options{MinSupport: 0.01, MinEdgeConfidence: 0.01})
-	if rev := c2.PairFor(1, 0); rev == nil {
-		t.Fatal("pair missing with floor disabled")
+	stats, _ := wordKB(t)
+	const n = 50
+	for _, tc := range []struct {
+		k    int
+		keep bool
+	}{{7, false}, {8, true}} {
+		tbl := table.New("t", "A", "B")
+		for r := 0; r < n; r++ {
+			i := 0 // the rows of the first pair carry the backward fact
+			if r >= tc.k {
+				i = 1 + r%(len(wordsA)-1)
+			}
+			tbl.Append(wordsA[i], wordsB[i])
+		}
+		c := Generate(tbl, stats, Options{})
+		if c.PairFor(0, 1) == nil {
+			t.Fatalf("k=%d: the fully covered forward pair is missing", tc.k)
+		}
+		rev := c.PairFor(1, 0)
+		if got := rev != nil; got != tc.keep {
+			t.Errorf("k=%d (confidence %.2f): backward pair kept = %v, want %v", tc.k, float64(tc.k)/n, got, tc.keep)
+		}
 	}
 }
 
+// TestMinSupportFiltersTypes pins minSupport (0.05): in a 50-row column a
+// type held by the entity of 2 rows (4%) is dropped, one held by the entity
+// of 3 rows (6%) is kept.
 func TestMinSupportFiltersTypes(t *testing.T) {
 	kb := rdf.New()
 	add := func(s, p, o string) { kb.AddFact(rdf.IRI(s), rdf.IRI(p), rdf.IRI(o)) }
 	lit := func(s, p, o string) { kb.AddFact(rdf.IRI(s), rdf.IRI(p), rdf.Lit(o)) }
-	tbl := table.New("t", "A")
 	for _, v := range wordsA {
 		add("r:"+v, rdf.IRIType, "common")
 		lit("r:"+v, rdf.IRILabel, v)
-		tbl.Append(v)
 	}
-	add("r:"+wordsA[0], rdf.IRIType, "rare")
-	stats := kbstats.New(kb)
-	c := Generate(tbl, stats, Options{MinSupport: 0.2})
-	cc := c.ColumnFor(0)
+	add("r:"+wordsA[0], rdf.IRIType, "rare")     // 2 of 50 rows
+	add("r:"+wordsA[1], rdf.IRIType, "uncommon") // 3 of 50 rows
+	tbl := table.New("t", "A")
+	for r := 0; r < 50; r++ {
+		switch {
+		case r < 2:
+			tbl.Append(wordsA[0])
+		case r < 5:
+			tbl.Append(wordsA[1])
+		default:
+			tbl.Append(wordsA[2+r%(len(wordsA)-2)])
+		}
+	}
+	cc := Generate(tbl, kbstats.New(kb), Options{}).ColumnFor(0)
 	if cc == nil {
 		t.Fatal("no candidates at all")
 	}
+	got := map[string]bool{}
 	for _, st := range cc.Types {
-		if kb.LabelOf(st.Type) == "rare" {
-			t.Fatal("rare type should be below the support floor")
-		}
+		got[kb.LabelOf(st.Type)] = true
 	}
-	c2 := Generate(tbl, stats, Options{MinSupport: 0.01})
-	found := false
-	for _, st := range c2.ColumnFor(0).Types {
-		if st.Support == 1 {
-			found = true
-		}
+	if got["rare"] {
+		t.Error("a type on 4% of the rows passed the 5% support floor")
 	}
-	if !found {
-		t.Fatal("rare type missing with floor lowered")
+	if !got["uncommon"] || !got["common"] {
+		t.Errorf("types on 6%% and 100%% of the rows were dropped: %v", got)
 	}
 }
 
+// TestBandSuppressesDistantFuzzyMatches pins band (0.1): next to an exact
+// match, a homonym scoring 0.911 (within the band) contributes its type and
+// one scoring 0.877 (above the 0.7 threshold, outside the band) does not.
 func TestBandSuppressesDistantFuzzyMatches(t *testing.T) {
 	kb := rdf.New()
 	add := func(s, p, o string) { kb.AddFact(rdf.IRI(s), rdf.IRI(p), rdf.IRI(o)) }
 	lit := func(s, p, o string) { kb.AddFact(rdf.IRI(s), rdf.IRI(p), rdf.Lit(o)) }
-	tbl := table.New("t", "A")
-	for _, v := range wordsA {
-		// Exact entity of type "city" plus a homonym "Old <v>" of type
-		// "club" — similar enough to pass the 0.7 threshold, far enough to
-		// fall outside the 0.1 band of the exact match.
-		add("c:"+v, rdf.IRIType, "city")
-		lit("c:"+v, rdf.IRILabel, v)
-		add("f:"+v, rdf.IRIType, "club")
-		lit("f:"+v, rdf.IRILabel, "Old "+v)
-		tbl.Append(v)
+	for _, e := range []struct{ label, typ string }{
+		{"apple", "fruit"},
+		{"apple pie", "dessert"},
+		{"apple orchard", "farm"},
+	} {
+		add("r:"+e.label, rdf.IRIType, e.typ)
+		lit("r:"+e.label, rdf.IRILabel, e.label)
 	}
-	stats := kbstats.New(kb)
-	c := Generate(tbl, stats, Options{MinSupport: 0.01})
-	cc := c.ColumnFor(0)
+	scores := map[string]float64{}
+	for _, m := range kb.MatchLabel("apple", similarity.DefaultThreshold) {
+		scores[kb.LabelOf(m.Resource)] = m.Score
+	}
+	if s := scores["apple pie"]; s < 0.9 || s >= 1 {
+		t.Fatalf("fixture: near homonym scores %v, want within 0.1 of the exact match", s)
+	}
+	if s := scores["apple orchard"]; s < similarity.DefaultThreshold || s >= 0.9 {
+		t.Fatalf("fixture: far homonym scores %v, want between the threshold and the band", s)
+	}
+
+	tbl := table.New("t", "A")
+	for r := 0; r < 20; r++ {
+		tbl.Append("apple")
+	}
+	cc := Generate(tbl, kbstats.New(kb), Options{}).ColumnFor(0)
 	if cc == nil {
 		t.Fatal("no candidates")
 	}
+	got := map[string]bool{}
 	for _, st := range cc.Types {
-		if kb.LabelOf(st.Type) == "club" {
-			t.Fatal("band should suppress the homonym club type (exact city match exists)")
-		}
+		got[kb.LabelOf(st.Type)] = true
 	}
-	// Widening the band admits the homonyms.
-	c2 := Generate(tbl, stats, Options{Band: 0.4, MinSupport: 0.01})
-	cc2 := c2.ColumnFor(0)
-	if cc2 == nil {
-		t.Fatal("no candidates with wide band")
+	if !got["fruit"] || !got["dessert"] {
+		t.Errorf("the exact match and the in-band homonym should both type the column: %v", got)
 	}
-	sawClub := false
-	for _, st := range cc2.Types {
-		if kb.LabelOf(st.Type) == "club" {
-			sawClub = true
-		}
-	}
-	if !sawClub {
-		t.Fatal("wide band should admit fuzzy homonyms")
+	if got["farm"] {
+		t.Error("the band should suppress the homonym 0.12 below the exact match")
 	}
 }
 
+// TestMatchExponentDampsFuzzyWeight pins matchExponent (4): with a one-char
+// typo on every subject cell, each row's relationship weight is its match
+// score to the fourth power, so the pair's confidence is their mean.
 func TestMatchExponentDampsFuzzyWeight(t *testing.T) {
 	stats, tbl := wordKB(t)
-	// With a typo'd table the weights drop but candidates survive.
+	kb := stats.KB()
 	dirty := tbl.Clone()
+	want := 0.0
 	for i := range dirty.Rows {
-		dirty.Rows[i][0] += "x" // one-char typo on every A cell
+		dirty.Rows[i][0] += "x"
+		score := 0.0
+		for _, m := range kb.MatchLabel(dirty.Rows[i][0], similarity.DefaultThreshold) {
+			if m.Resource == kb.LookupTerm(rdf.IRI("r:"+wordsA[i])) {
+				score = m.Score
+			}
+		}
+		if score == 0 || score == 1 {
+			t.Fatalf("fixture: %q scores %v against %q, want a fuzzy match", dirty.Rows[i][0], score, wordsA[i])
+		}
+		want += math.Pow(score, 4)
 	}
+	want /= float64(dirty.NumRows())
 	c := Generate(dirty, stats, Options{})
 	pc := c.PairFor(0, 1)
 	if pc == nil {
 		t.Fatal("typos should not kill the relationship")
 	}
-	if pc.Rels[0].Confidence >= 0.9 {
-		t.Fatalf("fuzzy-only confidence should be damped, got %f", pc.Rels[0].Confidence)
+	if got := pc.Rels[0].Confidence; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("fuzzy-only confidence = %v, want the mean score^4 %v", got, want)
 	}
 }

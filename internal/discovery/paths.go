@@ -17,10 +17,6 @@ import (
 // it.
 func DiscoverPathEdges(c *Candidates) []pattern.PathEdge {
 	kb := c.Stats.KB()
-	minSupport := c.Options.MinSupport
-	if minSupport <= 0 {
-		minSupport = 0.05
-	}
 	var out []pattern.PathEdge
 	for i := range c.Columns {
 		for j := range c.Columns {

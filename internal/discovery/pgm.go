@@ -17,26 +17,21 @@ import (
 // magnitude slower than the other discovery algorithms (Table 3: hours on
 // ~1K-tuple tables, N.A. on Person).
 
+// The belief-propagation schedule: pgmIterations sweeps with messages
+// damped by pgmDamping in [0,1).
+const (
+	pgmIterations = 25
+	pgmDamping    = 0.3
+)
+
 // PGMOptions tunes the belief-propagation run.
 type PGMOptions struct {
-	Iterations int     // BP sweeps (default 25)
-	Damping    float64 // message damping in [0,1) (default 0.3)
 	// MaxCells aborts (returns nil) when the reference model — which holds
 	// one variable per *table cell* — would exceed this many cell
 	// variables, standing in for the paper's "cannot finish within one day"
 	// at Person scale (0 = no limit). The full table size is used even when
 	// candidate generation sampled rows: the real PGM has no such escape.
 	MaxCells int
-}
-
-func (o PGMOptions) withDefaults() PGMOptions {
-	if o.Iterations == 0 {
-		o.Iterations = 25
-	}
-	if o.Damping == 0 {
-		o.Damping = 0.3
-	}
-	return o
 }
 
 // pgmVar is one variable node with its unary log-potential.
@@ -58,7 +53,6 @@ type pgmFactor struct {
 // returns up to k patterns ranked by their summed max-marginal beliefs.
 // It returns nil when the model exceeds opts.MaxCells.
 func PGMTopK(c *Candidates, k int, opts PGMOptions) []*pattern.Pattern {
-	opts = opts.withDefaults()
 	kb := c.Stats.KB()
 
 	if opts.MaxCells > 0 {
@@ -167,7 +161,7 @@ func PGMTopK(c *Candidates, k int, opts PGMOptions) []*pattern.Pattern {
 	if len(vars) == 0 {
 		return nil
 	}
-	runBP(vars, factors, opts)
+	runBP(vars, factors)
 
 	// Rank patterns by beliefs via the shared best-first machinery.
 	shadow := reScore(c,
@@ -216,7 +210,7 @@ func newFactor(a, b int, psi [][]float64) *pgmFactor {
 }
 
 // runBP performs damped loopy max-product BP and fills vars[i].belief.
-func runBP(vars []*pgmVar, factors []*pgmFactor, opts PGMOptions) {
+func runBP(vars []*pgmVar, factors []*pgmFactor) {
 	// incoming[v] lists factors touching v.
 	incoming := make([][]*pgmFactor, len(vars))
 	for _, f := range factors {
@@ -237,7 +231,7 @@ func runBP(vars []*pgmVar, factors []*pgmFactor, opts PGMOptions) {
 		}
 		return s
 	}
-	for it := 0; it < opts.Iterations; it++ {
+	for it := 0; it < pgmIterations; it++ {
 		for _, f := range factors {
 			// message factor -> a
 			for x := 0; x < len(f.msgToA); x++ {
@@ -247,7 +241,7 @@ func runBP(vars []*pgmVar, factors []*pgmFactor, opts PGMOptions) {
 						best = v
 					}
 				}
-				f.msgToA[x] = opts.Damping*f.msgToA[x] + (1-opts.Damping)*best
+				f.msgToA[x] = pgmDamping*f.msgToA[x] + (1-pgmDamping)*best
 			}
 			normalize(f.msgToA)
 			// message factor -> b
@@ -258,7 +252,7 @@ func runBP(vars []*pgmVar, factors []*pgmFactor, opts PGMOptions) {
 						best = v
 					}
 				}
-				f.msgToB[y] = opts.Damping*f.msgToB[y] + (1-opts.Damping)*best
+				f.msgToB[y] = pgmDamping*f.msgToB[y] + (1-pgmDamping)*best
 			}
 			normalize(f.msgToB)
 		}

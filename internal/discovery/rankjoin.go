@@ -45,11 +45,6 @@ func TopK(c *Candidates, k int) []*pattern.Pattern {
 	return ps
 }
 
-// TopKWithStats is TopK plus search statistics.
-func TopKWithStats(c *Candidates, k int) ([]*pattern.Pattern, SearchStats) {
-	return rankJoinStats(c, k, 1)
-}
-
 // TopKNaive returns the k best patterns under naiveScore (§4.2), i.e. with
 // the coherence term ablated.
 func TopKNaive(c *Candidates, k int) []*pattern.Pattern {
@@ -237,11 +232,6 @@ func buildPattern(c *Candidates, lists []searchList, colPos map[int]int, choices
 // Types or relationships absent from the candidate lists contribute 0.
 func Score(p *pattern.Pattern, c *Candidates) float64 {
 	return scoreWith(p, c, 1)
-}
-
-// NaiveScore computes naiveScore(φ): tf-idf only, no coherence.
-func NaiveScore(p *pattern.Pattern, c *Candidates) float64 {
-	return scoreWith(p, c, 0)
 }
 
 func scoreWith(p *pattern.Pattern, c *Candidates, coherenceWeight float64) float64 {

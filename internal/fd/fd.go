@@ -81,8 +81,3 @@ func Violations(t *table.Table, f FD) []Violation {
 	}
 	return out
 }
-
-// Satisfied reports whether t satisfies f.
-func Satisfied(t *table.Table, f FD) bool {
-	return len(Violations(t, f)) == 0
-}

@@ -69,12 +69,12 @@ func TestManagerAppendChain(t *testing.T) {
 	if st.Parent != rootID {
 		t.Fatalf("increment Parent = %q, want %q", st.Parent, rootID)
 	}
-	rep, _, _, err := m.Report(incID)
-	if err != nil || rep == nil {
-		t.Fatalf("Report: %v", err)
+	doc, _, _, err := m.Result(incID)
+	if err != nil || doc.Report == nil {
+		t.Fatalf("Result: %v", err)
 	}
-	if len(rep.Annotations) != dirty.NumRows() {
-		t.Fatalf("increment annotated %d rows, want the cumulative %d", len(rep.Annotations), dirty.NumRows())
+	if len(doc.Report.Annotations) != dirty.NumRows() {
+		t.Fatalf("increment annotated %d rows, want the cumulative %d", len(doc.Report.Annotations), dirty.NumRows())
 	}
 
 	batchID, err := m.Submit(dirty, Params{Workers: 2})

@@ -980,22 +980,6 @@ func (m *Manager) List() []JobStatus {
 	return out
 }
 
-// Report returns a terminal job's report (possibly nil for a failed,
-// early-cancelled or journal-recovered job) and its final state.
-// Non-terminal jobs return ok=false: the result is not ready yet.
-func (m *Manager) Report(id string) (rep *katara.Report, state State, ok bool, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	job, found := m.jobs[id]
-	if !found {
-		return nil, "", false, ErrUnknownJob
-	}
-	if !job.state.Terminal() {
-		return nil, job.state, false, nil
-	}
-	return job.report, job.state, true, nil
-}
-
 // Result returns a terminal job's result document — the exact bytes-stable
 // projection the HTTP layer serves, identical across restarts for
 // journal-recovered jobs. Non-terminal jobs return ok=false.

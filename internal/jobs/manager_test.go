@@ -72,12 +72,12 @@ func TestJobHappyPath(t *testing.T) {
 		t.Fatal("missing started/finished timestamps on a done job")
 	}
 
-	rep, state, done, err := m.Report(id)
-	if err != nil || !done || state != StateDone || rep == nil {
-		t.Fatalf("Report = (%v, %s, %v, %v)", rep != nil, state, done, err)
+	doc, state, done, err := m.Result(id)
+	if err != nil || !done || state != StateDone || doc.Report == nil {
+		t.Fatalf("Result = (%v, %s, %v, %v)", doc.Report != nil, state, done, err)
 	}
-	if len(rep.Annotations) != dirty.NumRows() {
-		t.Fatalf("report annotated %d/%d tuples", len(rep.Annotations), dirty.NumRows())
+	if len(doc.Report.Annotations) != dirty.NumRows() {
+		t.Fatalf("report annotated %d/%d tuples", len(doc.Report.Annotations), dirty.NumRows())
 	}
 
 	// Determinism across jobs: identical submission, byte-identical report
@@ -87,10 +87,10 @@ func TestJobHappyPath(t *testing.T) {
 		t.Fatalf("Submit #2: %v", err)
 	}
 	waitJob(t, m, id2)
-	rep2, _, _, _ := m.Report(id2)
-	doc1, _ := json.Marshal(BuildResult("x", StateDone, rep).Report)
-	doc2, _ := json.Marshal(BuildResult("x", StateDone, rep2).Report)
-	if !bytes.Equal(doc1, doc2) {
+	doc2, _, _, _ := m.Result(id2)
+	b1, _ := json.Marshal(doc.Report)
+	b2, _ := json.Marshal(doc2.Report)
+	if !bytes.Equal(b1, b2) {
 		t.Fatal("identical submissions produced different report documents")
 	}
 }
@@ -209,15 +209,15 @@ func TestJobCancelMidRun(t *testing.T) {
 	if st.State != StateCancelled {
 		t.Fatalf("state = %s, want cancelled", st.State)
 	}
-	rep, _, done, err := m.Report(id)
+	doc, _, done, err := m.Result(id)
 	if err != nil || !done {
-		t.Fatalf("Report after cancel: done=%v err=%v", done, err)
+		t.Fatalf("Result after cancel: done=%v err=%v", done, err)
 	}
-	if rep == nil {
+	if doc.Report == nil {
 		t.Fatal("cancelled run dropped its degraded report")
 	}
-	if !rep.Degraded.RepairsSkipped && rep.Degraded.Tuples == 0 {
-		t.Fatalf("cancelled run's report not degraded: %+v", rep.Degraded)
+	if !doc.Report.Degraded.RepairsSkipped && doc.Report.Degraded.Tuples == 0 {
+		t.Fatalf("cancelled run's report not degraded: %+v", doc.Report.Degraded)
 	}
 	// Cancelling a terminal job is a no-op, not an error.
 	if err := m.Cancel(id); err != nil {
@@ -267,7 +267,7 @@ func TestJobCancelQueued(t *testing.T) {
 		t.Fatalf("cancelled queued job %q still ran", name)
 	default:
 	}
-	_, _, done, err := m.Report(id2)
+	_, _, done, err := m.Result(id2)
 	if err != nil || !done {
 		t.Fatalf("cancelled queued job not terminal: done=%v err=%v", done, err)
 	}
@@ -289,11 +289,11 @@ func TestJobDeadlineDegrades(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("state = %s (err %q), want done", st.State, st.Error)
 	}
-	rep, _, _, err := m.Report(id)
-	if err != nil || rep == nil {
-		t.Fatalf("Report: %v", err)
+	doc, _, _, err := m.Result(id)
+	if err != nil || doc.Report == nil {
+		t.Fatalf("Result: %v", err)
 	}
-	if !rep.Degraded.RepairsSkipped && rep.Degraded.Tuples == 0 && !rep.Degraded.PatternFallback {
+	if d := doc.Report.Degraded; !d.RepairsSkipped && d.Tuples == 0 && !d.PatternFallback {
 		t.Fatalf("1ms deadline on %d rows produced an undegraded report", dirty.NumRows())
 	}
 }

@@ -124,24 +124,6 @@ func TestPatternPRNilAndUntyped(t *testing.T) {
 	}
 }
 
-func TestBestTopKF(t *testing.T) {
-	kb := hierKB()
-	person := kb.Res("person")
-	film := kb.Res("Film")
-	truth := &pattern.Pattern{Nodes: []pattern.Node{{Column: 0, Type: person}}}
-	bad := &pattern.Pattern{Nodes: []pattern.Node{{Column: 0, Type: film}}}
-	good := &pattern.Pattern{Nodes: []pattern.Node{{Column: 0, Type: person}}}
-	if f := BestTopKF(kb, []*pattern.Pattern{bad, good}, truth); f != 1 {
-		t.Fatalf("BestTopKF = %f, want 1", f)
-	}
-	if f := BestTopKF(kb, []*pattern.Pattern{bad}, truth); f != 0 {
-		t.Fatalf("BestTopKF(bad only) = %f, want 0", f)
-	}
-	if f := BestTopKF(kb, nil, truth); f != 0 {
-		t.Fatal("empty top-k must score 0")
-	}
-}
-
 func TestRepairCounts(t *testing.T) {
 	c := RepairCounts{Changes: 10, CorrectChanges: 8, Errors: 20}
 	pr := c.PR()

@@ -21,9 +21,6 @@ type PathEdge struct {
 	Props    []rdf.ID
 }
 
-// Hops returns the path length.
-func (pe PathEdge) Hops() int { return len(pe.Props) }
-
 // HasPath reports whether a chain x -Props[0]-> m1 -Props[1]-> … -> y exists
 // in kb, with each hop satisfied by the property or one of its
 // sub-properties. Intermediates must be resources.
@@ -57,31 +54,6 @@ func HasPath(kb *rdf.Store, x rdf.ID, props []rdf.ID, y rdf.ID) bool {
 		frontier = next
 	}
 	return false
-}
-
-// PathTargets returns all resources reachable from x via the property chain.
-func PathTargets(kb *rdf.Store, x rdf.ID, props []rdf.ID) []rdf.ID {
-	frontier := map[rdf.ID]bool{x: true}
-	for _, p := range props {
-		next := map[rdf.ID]bool{}
-		subs := append([]rdf.ID{p}, kb.SubProperties(p)...)
-		for n := range frontier {
-			for _, q := range subs {
-				for _, o := range kb.Objects(n, q) {
-					next[o] = true
-				}
-			}
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			return nil
-		}
-	}
-	out := make([]rdf.ID, 0, len(frontier))
-	for o := range frontier {
-		out = append(out, o)
-	}
-	return out
 }
 
 // PathEdgeBetween returns the path edge from col i to col j, or nil.

@@ -9,6 +9,12 @@ import (
 	"katara/internal/similarity"
 )
 
+// Evaluate is EvaluateWith resolving labels on kb itself, with no memo in
+// between: the reference the tests evaluate patterns with.
+func Evaluate(p *Pattern, kb *rdf.Store, tuple []string, threshold float64) *Match {
+	return EvaluateWith(p, kb, kb, tuple, threshold)
+}
+
 // kbFixture builds the Fig. 2 KB fragment: person/country/capital types,
 // nationality and hasCapital relationships. Italy→Rome and Spain→Madrid have
 // capitals; S. Africa's capital fact is missing (KB incompleteness).
@@ -68,9 +74,6 @@ func TestFullMatch(t *testing.T) {
 	if !m.Full {
 		t.Fatalf("t1 should fully match: %+v", m)
 	}
-	if m.Partial() {
-		t.Fatal("full match must not report partial")
-	}
 	if len(m.Assignment) != 3 {
 		t.Fatalf("assignment = %v", m.Assignment)
 	}
@@ -84,9 +87,6 @@ func TestPartialMatchMissingEdge(t *testing.T) {
 	m := Evaluate(p, kb, []string{"Klate", "S. Africa", "Pretoria"}, similarity.DefaultThreshold)
 	if m.Full {
 		t.Fatal("t2 must not fully match")
-	}
-	if !m.Partial() {
-		t.Fatal("t2 should partially match")
 	}
 	if !m.NodeOK[0] || !m.NodeOK[1] || !m.NodeOK[2] {
 		t.Fatalf("nodes should all validate: %v", m.NodeOK)
@@ -234,31 +234,6 @@ func TestColumnsMatchesSetReference(t *testing.T) {
 				t.Fatalf("trial %d: Columns = %v, want the sorted set %v", trial, got, want)
 			}
 		}
-	}
-}
-
-func TestConnectedAndComponents(t *testing.T) {
-	kb := kbFixture()
-	p := figure2Pattern(kb)
-	if !p.Connected() {
-		t.Fatal("figure-2 pattern is connected")
-	}
-	// Add an isolated node: now two components.
-	p2 := p.Clone()
-	p2.Nodes = append(p2.Nodes, Node{Column: 5, Type: kb.Res("y:city")})
-	if p2.Connected() {
-		t.Fatal("pattern with isolated node is not connected")
-	}
-	comps := p2.Components()
-	if len(comps) != 2 {
-		t.Fatalf("components = %d, want 2", len(comps))
-	}
-	total := 0
-	for _, c := range comps {
-		total += len(c.Nodes)
-	}
-	if total != len(p2.Nodes) {
-		t.Fatal("components lost nodes")
 	}
 }
 

@@ -186,16 +186,8 @@ func (r *Recorder) SetRowUnits(lo int, units []int, dedup bool) {
 	r.dedup = dedup
 }
 
-// UnitOf returns row's decision unit (identity when no mapping installed).
-func (r *Recorder) UnitOf(row int) int {
-	if r == nil {
-		return row
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.unitOfLocked(row)
-}
-
+// unitOfLocked returns row's decision unit (identity when no mapping is
+// installed).
 func (r *Recorder) unitOfLocked(row int) int {
 	if r.rowUnit == nil || row < 0 || row >= len(r.rowUnit) {
 		return row

@@ -50,25 +50,6 @@ func DisplayName(iri string) string {
 	return strings.TrimSpace(displaySpaces.Replace(iri))
 }
 
-// ResourcesLabeled returns the resources whose normalised label equals the
-// normalised value. Shared slice; read-only.
-func (s *Store) ResourcesLabeled(value string) []ID {
-	return s.ResourcesLabeledNorm(similarity.Normalize(value))
-}
-
-// ResourcesLabeledNorm is ResourcesLabeled for an already-normalised value —
-// for callers that hold a Normalize result (the resolve cache keys on one)
-// and must not recompute it per probe. Shared slice; read-only.
-func (s *Store) ResourcesLabeledNorm(norm string) []ID {
-	if ids, ok := s.labelIndex[norm]; ok {
-		return ids
-	}
-	if s.base != nil {
-		return s.base.labelIndex[norm]
-	}
-	return nil
-}
-
 // LabelMatch is a fuzzy label resolution hit.
 type LabelMatch struct {
 	Resource ID

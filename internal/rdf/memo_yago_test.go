@@ -53,10 +53,24 @@ func mintNear(kb *rdf.Store, queries []string, tag string) {
 		q := queries[i]
 		kb.AddFact(rdf.IRI(fmt.Sprintf("ex:minted-%s-%d", tag, i)), rdf.IRI(rdf.IRILabel), rdf.Lit(q+"x"))
 		kb.AddFact(rdf.IRI(fmt.Sprintf("ex:twin-%s-%d", tag, i)), rdf.IRI(rdf.IRILabel), rdf.Lit(q))
-		if ids := kb.ResourcesLabeledNorm(q); len(ids) > 0 {
-			kb.Add(ids[0], kb.LabelID, kb.Literal(q+" "+tag))
+		if id := labeledNorm(kb, q); id != rdf.NoID {
+			kb.Add(id, kb.LabelID, kb.Literal(q+" "+tag))
 		}
 	}
+}
+
+// labeledNorm returns the first resource with a label that normalises to
+// norm, or NoID. It scans the labels rather than resolving, so it leaves the
+// label memos untouched.
+func labeledNorm(kb *rdf.Store, norm string) rdf.ID {
+	for _, s := range kb.SubjectsWithPredicate(kb.LabelID) {
+		for _, l := range kb.LabelsOf(s) {
+			if similarity.Normalize(l) == norm {
+				return s
+			}
+		}
+	}
+	return rdf.NoID
 }
 
 // answers resolves every query at threshold on kb.

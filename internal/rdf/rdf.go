@@ -126,35 +126,32 @@ type Store struct {
 
 // layer is one level of a store's indexes. pso: P -> S -> sorted []O.
 // pos: P -> O -> sorted []S. sp: S -> (P,O) pairs in insertion order, for
-// subject description. labelIndex maps a normalised label to the resources
-// carrying it, fuzzy is the trigram index over the labels and fuzzyIDs
-// maps a fuzzy slot to its resource. In a written share's own layer, a key
-// present in a map holds that key's whole entry (copied from the base on
-// first touch), terms are the terms interned after base's, and added lists
-// the triples written since the first write, in order. memo holds the
-// layer's fuzzy-lookup answers once it is frozen (see labelMemo); every
-// copy of the layer value shares it.
+// subject description. fuzzy is the trigram index over the labels and
+// fuzzyIDs maps a fuzzy slot to its resource. In a written share's own
+// layer, a key present in a map holds that key's whole entry (copied from
+// the base on first touch), terms are the terms interned after base's, and
+// added lists the triples written since the first write, in order. memo
+// holds the layer's fuzzy-lookup answers once it is frozen (see labelMemo);
+// every copy of the layer value shares it.
 type layer struct {
-	terms      []Term
-	lookup     map[Term]ID
-	pso, pos   map[ID]map[ID][]ID
-	sp         map[ID][]pair
-	labelIndex map[string][]ID
-	fuzzy      *similarity.Index
-	fuzzyIDs   []ID
-	added      []Triple
-	memo       *labelMemo
+	terms    []Term
+	lookup   map[Term]ID
+	pso, pos map[ID]map[ID][]ID
+	sp       map[ID][]pair
+	fuzzy    *similarity.Index
+	fuzzyIDs []ID
+	added    []Triple
+	memo     *labelMemo
 }
 
 func newLayer() layer {
 	return layer{
-		lookup:     make(map[Term]ID),
-		pso:        make(map[ID]map[ID][]ID),
-		pos:        make(map[ID]map[ID][]ID),
-		sp:         make(map[ID][]pair),
-		labelIndex: make(map[string][]ID),
-		fuzzy:      similarity.NewIndex(),
-		memo:       &labelMemo{},
+		lookup: make(map[Term]ID),
+		pso:    make(map[ID]map[ID][]ID),
+		pos:    make(map[ID]map[ID][]ID),
+		sp:     make(map[ID][]pair),
+		fuzzy:  similarity.NewIndex(),
+		memo:   &labelMemo{},
 	}
 }
 
@@ -281,10 +278,7 @@ func (s *Store) Add(sub, pred, obj ID) bool {
 		s.gen++ // invalidate hierarchy closures
 	case s.LabelID:
 		if s.IsLiteral(obj) {
-			value := s.Term(obj).Value
-			norm := similarity.Normalize(value)
-			s.labelIndex[norm] = append(entry(s.labelIndex, base.labelIndex, norm), sub)
-			s.fuzzy.Add(value)
+			s.fuzzy.Add(s.Term(obj).Value)
 			s.fuzzyIDs = append(s.fuzzyIDs, sub)
 			s.labelGen++
 		}
@@ -355,16 +349,6 @@ func (s *Store) PredicatesBetween(sub, obj ID) []ID {
 		if po.o == obj {
 			out = append(out, po.p)
 		}
-	}
-	slices.Sort(out)
-	return dedupe(out)
-}
-
-// PredicatesOf returns the distinct predicates with sub as subject.
-func (s *Store) PredicatesOf(sub ID) []ID {
-	var out []ID
-	for _, po := range s.pairs(sub) {
-		out = append(out, po.p)
 	}
 	slices.Sort(out)
 	return dedupe(out)

@@ -5,7 +5,23 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"katara/internal/similarity"
 )
+
+// ResourcesLabeled returns the resources carrying a label that normalises
+// like value, one entry per label triple, found by scanning every triple:
+// the reference the fuzzy label index's exact matches are checked against.
+func (s *Store) ResourcesLabeled(value string) []ID {
+	norm := similarity.Normalize(value)
+	var out []ID
+	s.ForEachTriple(func(t Triple) {
+		if t.P == s.LabelID && s.IsLiteral(t.O) && similarity.Normalize(s.Term(t.O).Value) == norm {
+			out = append(out, t.S)
+		}
+	})
+	return out
+}
 
 // fixture builds the paper's running-example fragment of Yago (§1, Fig. 2).
 func fixture() *Store {
@@ -283,9 +299,12 @@ func TestDescriptionAndPredicates(t *testing.T) {
 	if len(desc) != 4 { // type, label, nationality, height
 		t.Fatalf("Description(Rossi) = %d triples, want 4", len(desc))
 	}
-	preds := s.PredicatesOf(rossi)
+	preds := map[ID]bool{}
+	for _, tr := range desc {
+		preds[tr.P] = true
+	}
 	if len(preds) != 4 {
-		t.Fatalf("PredicatesOf(Rossi) = %v", preds)
+		t.Fatalf("Description(Rossi) has %d distinct predicates, want 4", len(preds))
 	}
 }
 

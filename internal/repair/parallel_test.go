@@ -49,24 +49,22 @@ func randKB(seed int64, nPeople, nCountries int) (*rdf.Store, *pattern.Pattern) 
 }
 
 func TestParallelBuildIndexMatchesSerial(t *testing.T) {
-	for _, maxGraphs := range []int{0, 7} {
-		kb, pat := randKB(1, 60, 20)
-		serial := BuildIndex(kb, pat, Options{MaxGraphs: maxGraphs})
-		for _, workers := range []int{2, 4, 8} {
-			par := BuildIndex(kb, pat, Options{MaxGraphs: maxGraphs, Workers: workers})
-			if !reflect.DeepEqual(serial.Graphs, par.Graphs) {
-				t.Fatalf("maxGraphs=%d workers=%d: %d graphs vs serial %d, or different order",
-					maxGraphs, workers, par.NumGraphs(), serial.NumGraphs())
-			}
-			if !reflect.DeepEqual(serial.numbers, par.numbers) {
-				t.Fatalf("maxGraphs=%d workers=%d: value numbering differs", maxGraphs, workers)
-			}
-			if !reflect.DeepEqual(serial.posts, par.posts) {
-				t.Fatalf("maxGraphs=%d workers=%d: inverted lists differ", maxGraphs, workers)
-			}
-			if !reflect.DeepEqual(serial.vals, par.vals) {
-				t.Fatalf("maxGraphs=%d workers=%d: per-graph value numbers differ", maxGraphs, workers)
-			}
+	kb, pat := randKB(1, 60, 20)
+	serial := BuildIndex(kb, pat, Options{})
+	for _, workers := range []int{2, 4, 8} {
+		par := BuildIndex(kb, pat, Options{Workers: workers})
+		if !reflect.DeepEqual(serial.Graphs, par.Graphs) {
+			t.Fatalf("workers=%d: %d graphs vs serial %d, or different order",
+				workers, par.NumGraphs(), serial.NumGraphs())
+		}
+		if !reflect.DeepEqual(serial.numbers, par.numbers) {
+			t.Fatalf("workers=%d: value numbering differs", workers)
+		}
+		if !reflect.DeepEqual(serial.posts, par.posts) {
+			t.Fatalf("workers=%d: inverted lists differ", workers)
+		}
+		if !reflect.DeepEqual(serial.vals, par.vals) {
+			t.Fatalf("workers=%d: per-graph value numbers differ", workers)
 		}
 	}
 }

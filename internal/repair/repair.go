@@ -45,17 +45,13 @@ type Repair struct {
 
 // Options configures index construction and retrieval.
 type Options struct {
-	// MaxGraphs caps instance-graph enumeration (0 = unlimited). When the
-	// cap trips, the index is partial and recall degrades gracefully.
-	MaxGraphs int
 	// Weights holds optional per-column change costs (§6.2: "the cost can
 	// also be weighted with confidences on data values"). Missing columns
 	// cost 1.
 	Weights map[int]float64
 	// Workers splits instance-graph enumeration into that many contiguous
 	// ranges of root resources; <= 1 enumerates serially. Ranges merge in
-	// root order and truncate at MaxGraphs, so the index is identical for
-	// every worker count.
+	// root order, so the index is identical for every worker count.
 	Workers int
 	// Telemetry receives the GraphsEnumerated / RepairsGenerated counters;
 	// nil disables instrumentation.
@@ -128,7 +124,7 @@ func BuildIndex(kb *rdf.Store, p *pattern.Pattern, opts Options) *Index {
 		ix.weights[j] = ix.weight(col)
 		ix.numbers[j] = make(map[string]int32)
 	}
-	for _, g := range enumerate(kb, p, opts.MaxGraphs, opts.Workers) {
+	for _, g := range enumerate(kb, p, opts.Workers) {
 		g.ID = len(ix.Graphs)
 		opts.Telemetry.Inc(telemetry.GraphsEnumerated)
 		g.Value = make(map[int]string, len(g.Resource))
@@ -172,20 +168,6 @@ func (ix *Index) WithTelemetry(tel *telemetry.Pipeline) *Index {
 	cp := *ix
 	cp.opts.Telemetry = tel
 	return &cp
-}
-
-// PostingList returns the graph IDs, ascending, holding value v on column
-// col (nil when none does) — exposed for tests.
-func (ix *Index) PostingList(col int, v string) []int {
-	j := slices.Index(ix.cols, col)
-	if j < 0 {
-		return nil
-	}
-	num, ok := ix.numbers[j][similarity.Normalize(v)]
-	if !ok {
-		return nil
-	}
-	return ix.posts[j][num]
 }
 
 // TopK implements Algorithm 4 with Example 13's counting evaluation: each
@@ -370,11 +352,9 @@ func (ix *Index) align(tuple []string, g *InstanceGraph) (Repair, int) {
 
 // enumerate materialises the instance graphs of p, fanning the root
 // resources out over workers contiguous ranges. Each range enumerates its
-// roots exactly like the serial loop, capped at maxGraphs; the ranges then
-// concatenate in root order and truncate at maxGraphs. A range's output is a
-// prefix of the serial output restricted to its roots, so the merged prefix
-// is exactly the serial output for any worker count.
-func enumerate(kb *rdf.Store, p *pattern.Pattern, maxGraphs, workers int) []InstanceGraph {
+// roots exactly like the serial loop, and the ranges concatenate in root
+// order, so the result is exactly the serial output for any worker count.
+func enumerate(kb *rdf.Store, p *pattern.Pattern, workers int) []InstanceGraph {
 	cols := p.Columns()
 	if len(cols) == 0 {
 		return nil
@@ -391,53 +371,36 @@ func enumerate(kb *rdf.Store, p *pattern.Pattern, maxGraphs, workers int) []Inst
 	}
 	perRange := make([][]InstanceGraph, max(1, workers))
 	fanout.Run("repair-enumerate", len(roots), workers, nil, nil, func(part fanout.Part) {
-		var out []InstanceGraph
+		e := &enumerator{kb: kb, p: p, order: order, via: via}
 		for _, root := range roots[part.Lo:part.Hi] {
-			e := &enumerator{kb: kb, p: p, order: order, via: via, max: maxGraphs - len(out)}
-			if maxGraphs == 0 {
-				e.max = 0
-			}
-			out = append(out, e.fromRoot(root)...)
-			if maxGraphs > 0 && len(out) >= maxGraphs {
-				break
-			}
+			e.fromRoot(root)
 		}
-		perRange[part.Index] = out
+		perRange[part.Index] = e.out
 	})
 	out := perRange[0]
 	for _, gs := range perRange[1:] {
-		if maxGraphs > 0 && len(out) >= maxGraphs {
-			break
-		}
 		out = append(out, gs...)
-	}
-	if maxGraphs > 0 && len(out) > maxGraphs {
-		out = out[:maxGraphs]
 	}
 	return out
 }
 
-// enumerator is one depth-first expansion of the traversal plan. max caps
-// the number of graphs produced (0 = unlimited).
+// enumerator is one depth-first expansion of the traversal plan.
 type enumerator struct {
 	kb     *rdf.Store
 	p      *pattern.Pattern
 	order  []int
 	via    map[int]*edgeRef
-	max    int
 	out    []InstanceGraph
 	assign map[int]rdf.ID
 }
 
-// fromRoot enumerates every instance graph whose root column takes resource
-// root, in deterministic depth-first order.
-func (e *enumerator) fromRoot(root rdf.ID) []InstanceGraph {
-	e.out = nil
+// fromRoot appends every instance graph whose root column takes resource
+// root to e.out, in deterministic depth-first order.
+func (e *enumerator) fromRoot(root rdf.ID) {
 	e.assign = map[int]rdf.ID{e.order[0]: root}
 	if e.edgesHold() {
 		e.rec(1)
 	}
-	return e.out
 }
 
 // edgesHold verifies every pattern edge whose endpoints are both assigned.
@@ -453,30 +416,23 @@ func (e *enumerator) edgesHold() bool {
 	return true
 }
 
-func (e *enumerator) rec(step int) bool {
-	if e.max > 0 && len(e.out) >= e.max {
-		return false
-	}
+func (e *enumerator) rec(step int) {
 	if step == len(e.order) {
 		cp := make(map[int]rdf.ID, len(e.assign))
 		for k, v := range e.assign {
 			cp[k] = v
 		}
 		e.out = append(e.out, InstanceGraph{Resource: cp})
-		return true
+		return
 	}
 	col := e.order[step]
 	for _, cand := range candidatesFor(e.kb, e.p, col, e.via[col], e.assign) {
 		e.assign[col] = cand
 		if e.edgesHold() {
-			if !e.rec(step + 1) {
-				delete(e.assign, col)
-				return false
-			}
+			e.rec(step + 1)
 		}
 		delete(e.assign, col)
 	}
-	return true
 }
 
 // edgeRef points at the pattern edge used to reach a column during

@@ -97,12 +97,6 @@ func (c *Cache) SetTelemetry(tel *telemetry.Pipeline) {
 	c.tel.Store(tel)
 }
 
-// KB returns the underlying store.
-func (c *Cache) KB() *rdf.Store { return c.kb }
-
-// Threshold returns the threshold the memo is keyed for.
-func (c *Cache) Threshold() float64 { return c.threshold }
-
 // MatchLabel implements Source. Calls at the cache's threshold are memoized;
 // calls at any other threshold fall through to the store uncached, so a
 // Cache can stand in for its store anywhere without changing results.
@@ -169,18 +163,6 @@ func (sh *shard) store(key string, e entry) []rdf.LabelMatch {
 // Stats returns the cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// Len returns the number of memoized values.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
 }
 
 // fnvMask hashes key (FNV-1a) and masks it down to a shard index.

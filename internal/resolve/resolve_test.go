@@ -10,6 +10,18 @@ import (
 	"katara/internal/similarity"
 )
 
+// Len returns the number of memoized values.
+func (c *Cache) Len() int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
 func newKB(t *testing.T) *rdf.Store {
 	t.Helper()
 	kb := rdf.New()

@@ -110,32 +110,21 @@ type Candidate struct {
 	Score float64
 }
 
-// Lookup returns ids whose strings match q at or above threshold, best
-// first; ties break by ascending id, so the order is deterministic. Exact
-// (post-normalisation) matches are always returned with score 1.
+// LookupNormalizedFrom returns the ids from on whose strings match n, a
+// Normalize result, at or above threshold, best first; ties break by
+// ascending id, so the order is deterministic. Exact (post-normalisation)
+// matches are always returned with score 1. Callers hold the normalised form
+// (the resolve cache keys on it); Normalize is idempotent (pinned by
+// FuzzSimilarityLookup).
+//
+// The filter bound and a candidate's score depend only on the query and that
+// candidate, so the floor from drops the older ids and changes nothing else;
+// posting lists and exact-match lists are in ascending id order, so the
+// older ids are skipped by binary search, not visited. The rdf store passes
+// from to look up only the labels indexed since a given generation.
 //
 // Safe for concurrent use while the index is quiescent (no Add in flight),
 // matching the store-wide single-writer contract.
-func (ix *Index) Lookup(q string, threshold float64) []Candidate {
-	return ix.LookupNormalized(Normalize(q), threshold)
-}
-
-// LookupNormalized is Lookup for a query that is already normalised —
-// the entry point for callers that hold a Normalize result (the resolve
-// cache keys on it) and must not pay for recomputing it. Normalize is
-// idempotent (pinned by FuzzSimilarityLookup), so
-// Lookup(q) ≡ LookupNormalized(Normalize(q)) exactly.
-func (ix *Index) LookupNormalized(n string, threshold float64) []Candidate {
-	return ix.LookupNormalizedFrom(n, threshold, 0)
-}
-
-// LookupNormalizedFrom is LookupNormalized over the ids from on: exactly
-// LookupNormalized's hits whose id is at least from. The filter bound and a
-// candidate's score depend only on the query and that candidate, so the
-// floor drops the older ids and changes nothing else; posting lists and
-// exact-match lists are in ascending id order, so the older ids are skipped
-// by binary search, not visited. The rdf store uses it to look up only the
-// labels indexed since a given generation.
 func (ix *Index) LookupNormalizedFrom(n string, threshold float64, from int32) []Candidate {
 	sc := ix.pool.Get().(*scratch)
 	// Count shared distinct trigrams per candidate; a candidate matching at

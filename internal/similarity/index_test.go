@@ -8,6 +8,17 @@ import (
 	"testing"
 )
 
+// LookupNormalized is LookupNormalizedFrom over every id.
+func (ix *Index) LookupNormalized(n string, threshold float64) []Candidate {
+	return ix.LookupNormalizedFrom(n, threshold, 0)
+}
+
+// Lookup is LookupNormalized on the normalised query: the raw-string entry
+// the tests query through.
+func (ix *Index) Lookup(q string, threshold float64) []Candidate {
+	return ix.LookupNormalized(Normalize(q), threshold)
+}
+
 func TestLookupEmptyQuery(t *testing.T) {
 	ix := NewIndex()
 	ix.Add("Rome")

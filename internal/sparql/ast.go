@@ -6,15 +6,11 @@
 //
 // Supported grammar:
 //
-//	Query      := Prologue? (SelectQuery | AskQuery)
-//	SelectQuery:= 'SELECT' 'DISTINCT'? ( Var+ | CountExpr | '*' ) 'WHERE'?
-//	              GroupGraph ('ORDER' 'BY' ('DESC'? '(' Var ')' | Var))? ('LIMIT' INT)?
-//	CountExpr  := '(' 'COUNT' '(' ('*' | Var) ')' 'AS' Var ')'
+//	Query      := SelectQuery | AskQuery
+//	SelectQuery:= 'SELECT' 'DISTINCT'? ( Var+ | '*' ) 'WHERE'? GroupGraph ('LIMIT' INT)?
 //	AskQuery   := 'ASK' GroupGraph
 //	GroupGraph := '{' Block* '}'
 //	Block      := Triple | 'FILTER' Constraint
-//	            | 'OPTIONAL' GroupGraph
-//	            | GroupGraph ('UNION' GroupGraph)+
 //	Triple     := VarOrTerm Path VarOrTerm
 //	Path       := PathElt ( '/' PathElt )*
 //	PathElt    := (IRI | 'a' | Var) '*'?
@@ -23,8 +19,6 @@
 // Terms are `?var`, `<iri>`, prefixed names such as rdfs:label (treated as
 // opaque IRIs), and double-quoted literals. `a` abbreviates rdf:type.
 package sparql
-
-import "fmt"
 
 // QueryKind discriminates SELECT from ASK.
 type QueryKind int
@@ -43,14 +37,6 @@ type Query struct {
 	Vars     []string // projected variables; empty means '*' (all bound)
 	Where    []Node   // graph pattern nodes, evaluated in order
 	Limit    int      // 0 means no limit
-	// CountVar, when set, makes the query an aggregate:
-	// SELECT (COUNT(*) AS ?CountVar). CountOf restricts the count to
-	// solutions where that variable is bound (COUNT(?v)).
-	CountVar string
-	CountOf  string
-	// OrderBy sorts solutions by this variable; OrderDesc reverses.
-	OrderBy   string
-	OrderDesc bool
 }
 
 // Node is one element of a group graph pattern.
@@ -62,17 +48,8 @@ type TripleNode struct{ Pattern Pattern }
 // FilterNode wraps a FILTER constraint.
 type FilterNode struct{ Filter Filter }
 
-// OptionalNode wraps an OPTIONAL group: solutions are extended where the
-// group matches and kept unchanged where it does not.
-type OptionalNode struct{ Where []Node }
-
-// UnionNode is a disjunction of groups.
-type UnionNode struct{ Branches [][]Node }
-
-func (TripleNode) isNode()   {}
-func (FilterNode) isNode()   {}
-func (OptionalNode) isNode() {}
-func (UnionNode) isNode()    {}
+func (TripleNode) isNode() {}
+func (FilterNode) isNode() {}
 
 // Pattern is one triple pattern with a property path in predicate position.
 type Pattern struct {
@@ -111,15 +88,4 @@ type PathElt struct {
 type Filter struct {
 	Left, Right NodeSpec
 	Negated     bool // true for !=
-}
-
-func (n NodeSpec) String() string {
-	switch n.Kind {
-	case VarNode:
-		return "?" + n.Value
-	case LitNode:
-		return fmt.Sprintf("%q", n.Value)
-	default:
-		return "<" + n.Value + ">"
-	}
 }

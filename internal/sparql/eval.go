@@ -21,10 +21,9 @@ type Binding map[string]rdf.ID
 
 // Result carries the outcome of a query.
 type Result struct {
-	Vars  []string  // projected variables (Select)
-	Rows  []Binding // one binding per solution (Select)
-	Bool  bool      // Ask outcome
-	Count int       // aggregate value for COUNT queries
+	Vars []string  // projected variables (Select)
+	Rows []Binding // one binding per solution (Select)
+	Bool bool      // Ask outcome
 }
 
 // Run parses and evaluates src.
@@ -47,37 +46,12 @@ func (e *Engine) Eval(q *Query) (*Result, error) {
 		return &Result{Bool: len(bindings) > 0}, nil
 	}
 
-	if q.CountVar != "" {
-		n := 0
-		if q.CountOf != "" {
-			seen := map[rdf.ID]bool{}
-			for _, b := range bindings {
-				if id, ok := b[q.CountOf]; ok {
-					if q.Distinct {
-						if seen[id] {
-							continue
-						}
-						seen[id] = true
-					}
-					n++
-				}
-			}
-		} else {
-			n = len(bindings)
-		}
-		return &Result{Vars: []string{q.CountVar}, Count: n}, nil
-	}
-
 	vars := q.Vars
 	if len(vars) == 0 {
-		vars = allVars(q.Where, nil)
+		vars = allVars(q.Where)
 	}
 	rows := project(bindings, vars, q.Distinct)
-	if q.OrderBy != "" {
-		e.orderRows(rows, q.OrderBy, q.OrderDesc)
-	} else {
-		sortRows(rows, vars)
-	}
+	sortRows(rows, vars)
 	if q.Limit > 0 && len(rows) > q.Limit {
 		rows = rows[:q.Limit]
 	}
@@ -104,30 +78,6 @@ func (e *Engine) evalNodes(nodes []Node, bindings []Binding) ([]Binding, error) 
 			bindings = next
 		case FilterNode:
 			bindings = e.applyFilter(n.Filter, bindings)
-		case OptionalNode:
-			var next []Binding
-			for _, b := range bindings {
-				ext, oerr := e.evalNodes(n.Where, []Binding{b})
-				if oerr != nil {
-					return nil, oerr
-				}
-				if len(ext) == 0 {
-					next = append(next, b)
-				} else {
-					next = append(next, ext...)
-				}
-			}
-			bindings = next
-		case UnionNode:
-			var next []Binding
-			for _, br := range n.Branches {
-				ext, uerr := e.evalNodes(br, bindings)
-				if uerr != nil {
-					return nil, uerr
-				}
-				next = append(next, ext...)
-			}
-			bindings = next
 		default:
 			err = fmt.Errorf("sparql: unknown pattern node %T", n)
 		}
@@ -153,24 +103,6 @@ func (e *Engine) applyFilter(f Filter, bindings []Binding) []Binding {
 	return out
 }
 
-// orderRows sorts by the lexical form of the ordering variable's term.
-func (e *Engine) orderRows(rows []Binding, v string, desc bool) {
-	key := func(b Binding) string {
-		id, ok := b[v]
-		if !ok {
-			return ""
-		}
-		return e.store.Term(id).Value
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := key(rows[i]), key(rows[j])
-		if desc {
-			return a > b
-		}
-		return a < b
-	})
-}
-
 func (e *Engine) resolveFilterTerm(n NodeSpec, b Binding) (rdf.ID, bool) {
 	switch n.Kind {
 	case VarNode:
@@ -185,11 +117,11 @@ func (e *Engine) resolveFilterTerm(n NodeSpec, b Binding) (rdf.ID, bool) {
 	}
 }
 
-func allVars(nodes []Node, vars []string) []string {
+// allVars lists the variables of the triple patterns in nodes, in order of
+// first appearance.
+func allVars(nodes []Node) []string {
+	var vars []string
 	set := map[string]bool{}
-	for _, v := range vars {
-		set[v] = true
-	}
 	add := func(name string) {
 		if name != "" && !set[name] {
 			set[name] = true
@@ -208,21 +140,8 @@ func allVars(nodes []Node, vars []string) []string {
 		}
 	}
 	for _, n := range nodes {
-		switch n := n.(type) {
-		case TripleNode:
+		if n, ok := n.(TripleNode); ok {
 			addPattern(n.Pattern)
-		case OptionalNode:
-			vars = allVars(n.Where, vars)
-			for _, v := range vars {
-				set[v] = true
-			}
-		case UnionNode:
-			for _, br := range n.Branches {
-				vars = allVars(br, vars)
-				for _, v := range vars {
-					set[v] = true
-				}
-			}
 		}
 	}
 	return vars

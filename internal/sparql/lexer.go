@@ -40,9 +40,7 @@ type lexer struct {
 
 var keywords = map[string]bool{
 	"SELECT": true, "ASK": true, "WHERE": true, "DISTINCT": true,
-	"FILTER": true, "LIMIT": true, "PREFIX": true,
-	"OPTIONAL": true, "UNION": true, "ORDER": true, "BY": true,
-	"DESC": true, "ASC": true, "COUNT": true, "AS": true,
+	"FILTER": true, "LIMIT": true,
 }
 
 func lex(src string) ([]token, error) {

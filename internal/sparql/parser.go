@@ -3,7 +3,6 @@ package sparql
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Parse compiles a query string into its AST.
@@ -21,15 +20,6 @@ func Parse(src string) (*Query, error) {
 		return nil, p.errf("trailing input %q", p.peek().text)
 	}
 	return q, nil
-}
-
-// MustParse is Parse for statically known queries; it panics on error.
-func MustParse(src string) *Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
 }
 
 type parser struct {
@@ -60,15 +50,6 @@ func (p *parser) keyword(word string) bool {
 }
 
 func (p *parser) parseQuery() (*Query, error) {
-	// Skip PREFIX declarations (prefixed names are opaque to the engine).
-	for p.keyword("PREFIX") {
-		if _, err := p.expect(tokIRI, "prefix name"); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokIRI, "prefix IRI"); err != nil {
-			return nil, err
-		}
-	}
 	t := p.peek()
 	if t.kind != tokKeyword {
 		return nil, p.errf("expected SELECT or ASK, got %q", t.text)
@@ -95,35 +76,6 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, err
 	}
 	q.Where = where
-	if p.keyword("ORDER") {
-		if !p.keyword("BY") {
-			return nil, p.errf("expected BY after ORDER")
-		}
-		desc := false
-		switch {
-		case p.keyword("DESC"):
-			desc = true
-		case p.keyword("ASC"):
-		}
-		var v token
-		if p.peek().kind == tokLParen {
-			p.next()
-			v, err = p.expect(tokVar, "ORDER BY variable")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokRParen, "')'"); err != nil {
-				return nil, err
-			}
-		} else {
-			v, err = p.expect(tokVar, "ORDER BY variable")
-			if err != nil {
-				return nil, err
-			}
-		}
-		q.OrderBy = v.text
-		q.OrderDesc = desc
-	}
 	if p.keyword("LIMIT") {
 		n, err := p.expect(tokInt, "LIMIT count")
 		if err != nil {
@@ -138,49 +90,17 @@ func (p *parser) parseQuery() (*Query, error) {
 	return q, nil
 }
 
-// parseProjection handles `*`, a variable list, or (COUNT(...) AS ?v).
+// parseProjection handles `*` or a variable list.
 func (p *parser) parseProjection(q *Query) error {
 	if p.peek().kind == tokStar {
 		p.next()
-		return nil
-	}
-	if p.peek().kind == tokLParen {
-		p.next()
-		if !p.keyword("COUNT") {
-			return p.errf("expected COUNT in aggregate projection")
-		}
-		if _, err := p.expect(tokLParen, "'(' after COUNT"); err != nil {
-			return err
-		}
-		switch p.peek().kind {
-		case tokStar:
-			p.next()
-		case tokVar:
-			q.CountOf = p.next().text
-		default:
-			return p.errf("expected '*' or variable in COUNT")
-		}
-		if _, err := p.expect(tokRParen, "')'"); err != nil {
-			return err
-		}
-		if !p.keyword("AS") {
-			return p.errf("expected AS in aggregate projection")
-		}
-		v, err := p.expect(tokVar, "aggregate alias variable")
-		if err != nil {
-			return err
-		}
-		if _, err := p.expect(tokRParen, "')'"); err != nil {
-			return err
-		}
-		q.CountVar = v.text
 		return nil
 	}
 	for p.peek().kind == tokVar {
 		q.Vars = append(q.Vars, p.next().text)
 	}
 	if len(q.Vars) == 0 {
-		return p.errf("SELECT needs at least one variable, an aggregate, or '*'")
+		return p.errf("SELECT needs at least one variable or '*'")
 	}
 	return nil
 }
@@ -206,32 +126,6 @@ func (p *parser) parseGroup() ([]Node, error) {
 				return nil, err
 			}
 			nodes = append(nodes, FilterNode{Filter: f})
-		case t.kind == tokKeyword && t.text == "OPTIONAL":
-			p.next()
-			inner, err := p.parseGroup()
-			if err != nil {
-				return nil, err
-			}
-			nodes = append(nodes, OptionalNode{Where: inner})
-		case t.kind == tokLBrace:
-			// A nested group: either a UNION chain or a plain subgroup.
-			first, err := p.parseGroup()
-			if err != nil {
-				return nil, err
-			}
-			if p.peek().kind == tokKeyword && p.peek().text == "UNION" {
-				branches := [][]Node{first}
-				for p.keyword("UNION") {
-					b, err := p.parseGroup()
-					if err != nil {
-						return nil, err
-					}
-					branches = append(branches, b)
-				}
-				nodes = append(nodes, UnionNode{Branches: branches})
-			} else {
-				nodes = append(nodes, first...)
-			}
 		case t.kind == tokEOF:
 			return nil, p.errf("unterminated group")
 		default:
@@ -326,93 +220,4 @@ func (p *parser) parseFilter() (Filter, error) {
 		return Filter{}, err
 	}
 	return Filter{Left: left, Right: right, Negated: op.kind == tokNeq}, nil
-}
-
-// String renders the query back to (normalised) SPARQL text, for debugging.
-func (q *Query) String() string {
-	var b strings.Builder
-	if q.Kind == Ask {
-		b.WriteString("ASK")
-	} else {
-		b.WriteString("SELECT")
-		if q.Distinct {
-			b.WriteString(" DISTINCT")
-		}
-		switch {
-		case q.CountVar != "":
-			of := "*"
-			if q.CountOf != "" {
-				of = "?" + q.CountOf
-			}
-			fmt.Fprintf(&b, " (COUNT(%s) AS ?%s)", of, q.CountVar)
-		case len(q.Vars) == 0:
-			b.WriteString(" *")
-		default:
-			for _, v := range q.Vars {
-				b.WriteString(" ?" + v)
-			}
-		}
-		b.WriteString(" WHERE")
-	}
-	b.WriteString(" ")
-	writeNodes(&b, q.Where)
-	if q.OrderBy != "" {
-		b.WriteString(" ORDER BY ")
-		if q.OrderDesc {
-			fmt.Fprintf(&b, "DESC(?%s)", q.OrderBy)
-		} else {
-			b.WriteString("?" + q.OrderBy)
-		}
-	}
-	if q.Limit > 0 {
-		fmt.Fprintf(&b, " LIMIT %d", q.Limit)
-	}
-	return b.String()
-}
-
-func writeNodes(b *strings.Builder, nodes []Node) {
-	b.WriteString("{ ")
-	for _, n := range nodes {
-		switch n := n.(type) {
-		case TripleNode:
-			writePattern(b, n.Pattern)
-		case FilterNode:
-			op := "="
-			if n.Filter.Negated {
-				op = "!="
-			}
-			fmt.Fprintf(b, "FILTER(%s %s %s) ", n.Filter.Left, op, n.Filter.Right)
-		case OptionalNode:
-			b.WriteString("OPTIONAL ")
-			writeNodes(b, n.Where)
-			b.WriteString(" ")
-		case UnionNode:
-			for i, br := range n.Branches {
-				if i > 0 {
-					b.WriteString("UNION ")
-				}
-				writeNodes(b, br)
-				b.WriteString(" ")
-			}
-		}
-	}
-	b.WriteString("}")
-}
-
-func writePattern(b *strings.Builder, pat Pattern) {
-	b.WriteString(pat.Subject.String() + " ")
-	for i, e := range pat.Path {
-		if i > 0 {
-			b.WriteString("/")
-		}
-		if e.Var != "" {
-			b.WriteString("?" + e.Var)
-		} else {
-			b.WriteString("<" + e.IRI + ">")
-		}
-		if e.Star {
-			b.WriteString("*")
-		}
-	}
-	b.WriteString(" " + pat.Object.String() + " . ")
 }

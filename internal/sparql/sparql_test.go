@@ -65,18 +65,22 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseRoundTrip(t *testing.T) {
-	src := `SELECT DISTINCT ?c WHERE { ?x rdfs:label "Rome" . ?x rdf:type/rdfs:subClassOf* ?c } LIMIT 5`
-	q, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
+// TestExtensionParseErrors pins that SPARQL beyond the supported grammar —
+// PREFIX declarations, OPTIONAL, UNION and nested groups, ORDER BY and COUNT
+// aggregates — is rejected with a parse error, never half-read.
+func TestExtensionParseErrors(t *testing.T) {
+	bad := []string{
+		`PREFIX y: <http://yago/> SELECT ?x WHERE { ?x a y:c }`,
+		`SELECT ?x WHERE { ?x a y:c . OPTIONAL { ?x y:h ?h } }`,
+		`SELECT ?x WHERE { { ?x a y:c } UNION { ?x a y:d } }`,
+		`SELECT ?x WHERE { { ?x a y:c } }`,
+		`SELECT ?x WHERE { ?x a y:c } ORDER BY ?x`,
+		`SELECT (COUNT(*) AS ?n) WHERE { ?x a y:c }`,
 	}
-	if !q.Distinct || q.Limit != 5 || len(q.Where) != 2 || len(q.Vars) != 1 {
-		t.Fatalf("parsed %+v", q)
-	}
-	// Re-parse the printed form; must be stable.
-	if _, err := Parse(q.String()); err != nil {
-		t.Fatalf("re-parse of %q: %v", q.String(), err)
+	for _, src := range bad {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("expected parse error for %q", src)
+		}
 	}
 }
 
@@ -289,12 +293,26 @@ func TestDeterministicOrdering(t *testing.T) {
 	}
 }
 
+// TestCountUsedForKBStatistics: the §4.1 statistics are expressible as
+// queries — the number of entities of a type is the row count of a DISTINCT
+// select through the subclass closure.
+func TestCountUsedForKBStatistics(t *testing.T) {
+	s := fixture()
+	res := run(t, s, `SELECT DISTINCT ?x WHERE { ?x rdf:type/rdfs:subClassOf* y:location }`)
+	if len(res.Rows) != 4 { // Italy, Spain, Rome, Madrid
+		t.Fatalf("entities under location = %d, want 4", len(res.Rows))
+	}
+}
+
 func BenchmarkQTypes(b *testing.B) {
 	s := fixture()
 	eng := NewEngine(s)
-	q := MustParse(`SELECT DISTINCT ?c WHERE {
+	q, err := Parse(`SELECT DISTINCT ?c WHERE {
 		?x rdfs:label "Rome" .
 		?x rdf:type/rdfs:subClassOf* ?c }`)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Eval(q); err != nil {

@@ -13,40 +13,16 @@ import (
 	"encoding/binary"
 )
 
-// Dict is one column's string dictionary: a bijection between the column's
-// distinct cell values and dense int32 codes in first-occurrence order.
-type Dict struct {
-	byVal map[string]int32
-	vals  []string
-}
-
-func newDict() *Dict {
-	return &Dict{byVal: make(map[string]int32)}
-}
-
-// intern returns v's code, assigning the next free code on first sight.
-func (d *Dict) intern(v string) int32 {
-	if c, ok := d.byVal[v]; ok {
+// intern returns v's code in dict, one column's dictionary, assigning the
+// next free code on first sight: codes are dense int32s in first-occurrence
+// order.
+func intern(dict map[string]int32, v string) int32 {
+	if c, ok := dict[v]; ok {
 		return c
 	}
-	c := int32(len(d.vals))
-	d.byVal[v] = c
-	d.vals = append(d.vals, v)
+	c := int32(len(dict))
+	dict[v] = c
 	return c
-}
-
-// Len returns the number of distinct values.
-func (d *Dict) Len() int { return len(d.vals) }
-
-// Value returns the canonical string stored under code.
-func (d *Dict) Value(code int32) string { return d.vals[code] }
-
-// Code returns the code of v, or -1 when v never occurred in the column.
-func (d *Dict) Code(v string) int32 {
-	if c, ok := d.byVal[v]; ok {
-		return c
-	}
-	return -1
 }
 
 // Group is one distinct row signature: the representative row (first
@@ -56,8 +32,8 @@ type Group struct {
 	Rows []int
 }
 
-// Interned is the columnar dictionary view of a Table: per-column Dicts and
-// the rows grouped by signature (the tuple of column codes) in
+// Interned is the columnar dictionary view of a Table: per-column
+// dictionaries and the rows grouped by signature (the tuple of column codes) in
 // first-occurrence order. Two rows are duplicates exactly when they share a
 // group; all per-row work that is a pure function of the tuple values can
 // then run once per group and fan out.
@@ -67,7 +43,7 @@ type Group struct {
 type Interned struct {
 	cols  int
 	rows  int
-	dicts []*Dict
+	dicts []map[string]int32
 	// sigs maps each signature (the packed little-endian tuple of the row's
 	// column codes) to its group. It lives as long as the view, so Extend
 	// probes it instead of rebuilding it from every group.
@@ -84,12 +60,12 @@ func (t *Table) Interned() *Interned {
 	in := &Interned{
 		cols:    cols,
 		rows:    len(t.Rows),
-		dicts:   make([]*Dict, cols),
+		dicts:   make([]map[string]int32, cols),
 		sigs:    make(map[string]int32),
 		groupOf: make([]int32, len(t.Rows)),
 	}
 	for j := range in.dicts {
-		in.dicts[j] = newDict()
+		in.dicts[j] = make(map[string]int32)
 	}
 	sig := make([]byte, 4*cols)
 	var sizes []int32 // group -> member count, filled in pass 1
@@ -125,7 +101,7 @@ func (t *Table) Interned() *Interned {
 // row's group, the next free group ID when the signature is new.
 func (in *Interned) signature(row []string, sig []byte) int32 {
 	for j := 0; j < in.cols && j < len(row); j++ {
-		binary.LittleEndian.PutUint32(sig[4*j:], uint32(in.dicts[j].intern(row[j])))
+		binary.LittleEndian.PutUint32(sig[4*j:], uint32(intern(in.dicts[j], row[j])))
 	}
 	// string(sig) in the map read does not allocate; the insert path
 	// copies the key once per distinct signature only.
@@ -173,9 +149,6 @@ func (in *Interned) Extend(t *Table) {
 // NumRows returns the number of rows the view covers.
 func (in *Interned) NumRows() int { return in.rows }
 
-// NumCols returns the number of columns.
-func (in *Interned) NumCols() int { return in.cols }
-
 // NumGroups returns the number of distinct row signatures.
 func (in *Interned) NumGroups() int { return len(in.groups) }
 
@@ -185,6 +158,3 @@ func (in *Interned) Groups() []Group { return in.groups }
 
 // GroupOf returns the signature-group index of row.
 func (in *Interned) GroupOf(row int) int { return int(in.groupOf[row]) }
-
-// Dict returns column col's dictionary.
-func (in *Interned) Dict(col int) *Dict { return in.dicts[col] }

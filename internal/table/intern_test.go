@@ -53,27 +53,29 @@ func TestInternedRoundTrip(t *testing.T) {
 		}
 
 		in := tb.Interned()
-		if in.NumRows() != rows || in.NumCols() != cols {
-			t.Fatalf("seed %d: shape %dx%d, want %dx%d", seed, in.NumRows(), in.NumCols(), rows, cols)
+		if in.NumRows() != rows || in.cols != cols {
+			t.Fatalf("seed %d: shape %dx%d, want %dx%d", seed, in.NumRows(), in.cols, rows, cols)
 		}
-		// Round trip: every cell encodes to a code that decodes to exactly
-		// the original string, and each dictionary is a bijection onto the
-		// column's distinct values.
+		// Every cell has a code, and each dictionary is a bijection between
+		// the column's distinct values and the dense codes 0..n-1.
 		for j := 0; j < cols; j++ {
 			distinct := map[string]bool{}
 			for i := 0; i < rows; i++ {
 				cell := tb.Rows[i][j]
 				distinct[cell] = true
-				code := in.Dict(j).Code(cell)
-				if code < 0 {
+				if _, ok := in.dicts[j][cell]; !ok {
 					t.Fatalf("seed %d: cell (%d,%d) %q has no code", seed, i, j, cell)
 				}
-				if got := in.Dict(j).Value(code); got != cell {
-					t.Fatalf("seed %d: cell (%d,%d) decoded %q, want %q", seed, i, j, got, cell)
-				}
 			}
-			if in.Dict(j).Len() != len(distinct) {
-				t.Fatalf("seed %d: dict %d holds %d values, column has %d", seed, j, in.Dict(j).Len(), len(distinct))
+			if len(in.dicts[j]) != len(distinct) {
+				t.Fatalf("seed %d: dict %d holds %d values, column has %d", seed, j, len(in.dicts[j]), len(distinct))
+			}
+			taken := make([]bool, len(distinct))
+			for v, code := range in.dicts[j] {
+				if code < 0 || int(code) >= len(taken) || taken[code] {
+					t.Fatalf("seed %d: dict %d code %d for %q is out of range or taken", seed, j, code, v)
+				}
+				taken[code] = true
 			}
 		}
 		// Grouping: rows share a group exactly when their tuples are equal.
@@ -215,7 +217,7 @@ func TestExtendMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("trial %d: GroupOf(%d) = %d, want %d", trial, i, in.GroupOf(i), want.GroupOf(i))
 			}
 			for j := 0; j < cols; j++ {
-				if got, w := in.Dict(j).Code(rows[i][j]), want.Dict(j).Code(rows[i][j]); got != w {
+				if got, w := in.dicts[j][rows[i][j]], want.dicts[j][rows[i][j]]; got != w {
 					t.Fatalf("trial %d: code of cell (%d,%d) = %d, want %d", trial, i, j, got, w)
 				}
 			}
@@ -224,8 +226,8 @@ func TestExtendMatchesFreshBuild(t *testing.T) {
 			t.Fatalf("trial %d: groups %+v, want %+v", trial, in.Groups(), want.Groups())
 		}
 		for j := 0; j < cols; j++ {
-			if in.Dict(j).Len() != want.Dict(j).Len() {
-				t.Fatalf("trial %d: dict %d len %d, want %d", trial, j, in.Dict(j).Len(), want.Dict(j).Len())
+			if len(in.dicts[j]) != len(want.dicts[j]) {
+				t.Fatalf("trial %d: dict %d len %d, want %d", trial, j, len(in.dicts[j]), len(want.dicts[j]))
 			}
 		}
 	}

@@ -72,16 +72,6 @@ func (t *Table) Append(row ...string) {
 // Cell returns the value at (row, col).
 func (t *Table) Cell(row, col int) string { return t.Rows[row][col] }
 
-// Column returns the index of the named column, or -1.
-func (t *Table) Column(name string) int {
-	for i, c := range t.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Clone deep-copies the table. The copy is arena-backed: all cells live in
 // one flat allocation rather than one slice per row.
 func (t *Table) Clone() *Table { return t.CloneGrow(0) }

@@ -24,9 +24,6 @@ func TestAppendAndAccess(t *testing.T) {
 	if tb.Cell(2, 2) != "Madrid" {
 		t.Fatalf("Cell(2,2) = %q", tb.Cell(2, 2))
 	}
-	if tb.Column("B") != 1 || tb.Column("Z") != -1 {
-		t.Fatal("Column lookup broken")
-	}
 	if got := tb.Rows[0][1]; got != "Italy" {
 		t.Fatalf("Rows[0][1] = %q", got)
 	}

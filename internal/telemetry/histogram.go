@@ -267,14 +267,6 @@ func (h *Histogram) stat(name string) HistStat {
 	return s
 }
 
-// Observe records d into histogram h (no-op when disabled).
-func (p *Pipeline) Observe(h Hist, d time.Duration) {
-	if p == nil {
-		return
-	}
-	p.hists[h].Record(d)
-}
-
 // StartTimer returns the start time for a later ObserveSince. Disabled
 // pipelines return the zero Time without reading the clock.
 func (p *Pipeline) StartTimer() time.Time {
@@ -291,13 +283,4 @@ func (p *Pipeline) ObserveSince(h Hist, start time.Time) {
 		return
 	}
 	p.hists[h].Record(time.Since(start))
-}
-
-// Hist returns the pipeline's histogram h (nil when disabled), for direct
-// Record/Quantile access.
-func (p *Pipeline) Hist(h Hist) *Histogram {
-	if p == nil {
-		return nil
-	}
-	return &p.hists[h]
 }

@@ -179,12 +179,12 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				p.Observe(HistResolverLookup, time.Duration(w*1000+i)*time.Nanosecond)
+				p.hists[HistResolverLookup].Record(time.Duration(w*1000+i) * time.Nanosecond)
 			}
 		}(w)
 	}
 	wg.Wait()
-	h := p.Hist(HistResolverLookup)
+	h := &p.hists[HistResolverLookup]
 	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("Count = %d, want %d", got, workers*perWorker)
 	}
@@ -202,25 +202,22 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 
 func TestSnapshotHistograms(t *testing.T) {
 	p := New()
-	p.Observe(HistCrowdQuestion, 5*time.Millisecond)
+	p.hists[HistCrowdQuestion].Record(5 * time.Millisecond)
 	p.ObserveSince(HistAnnotateTuple, time.Now().Add(-time.Millisecond))
 	snap := p.Snapshot()
 	if len(snap.Hists) != int(numHists) {
 		t.Fatalf("snapshot has %d hists, want %d", len(snap.Hists), numHists)
 	}
-	hq := snap.HistByName("crowd-question")
-	if hq == nil || hq.Count != 1 {
+	hq := snap.Hists[HistCrowdQuestion]
+	if hq.Name != "crowd-question" || hq.Count != 1 {
 		t.Fatalf("crowd-question hist missing or wrong: %+v", hq)
 	}
 	if hq.P50 <= 0 || hq.Max < 5*time.Millisecond {
 		t.Fatalf("crowd-question percentiles wrong: %+v", hq)
 	}
-	at := snap.HistByName("annotate-tuple")
-	if at == nil || at.Count != 1 || at.Sum < 500*time.Microsecond {
+	at := snap.Hists[HistAnnotateTuple]
+	if at.Name != "annotate-tuple" || at.Count != 1 || at.Sum < 500*time.Microsecond {
 		t.Fatalf("annotate-tuple hist wrong: %+v", at)
-	}
-	if snap.HistByName("no-such-hist") != nil {
-		t.Fatal("HistByName should return nil for unknown names")
 	}
 }
 

@@ -22,10 +22,10 @@ func populatedSnapshot() *Snapshot {
 	p.EndStage(StageBuildIndex, p.StartStage(StageBuildIndex))
 	p.EndStage(StageRepair, rs)
 	for i := 1; i <= 50; i++ {
-		p.Observe(HistCrowdQuestion, time.Duration(i)*time.Millisecond)
-		p.Observe(HistResolverLookup, time.Duration(i*i)*time.Nanosecond)
+		p.hists[HistCrowdQuestion].Record(time.Duration(i) * time.Millisecond)
+		p.hists[HistResolverLookup].Record(time.Duration(i*i) * time.Nanosecond)
 	}
-	p.Observe(HistAnnotateTuple, 3*time.Microsecond)
+	p.hists[HistAnnotateTuple].Record(3 * time.Microsecond)
 	return p.Snapshot()
 }
 

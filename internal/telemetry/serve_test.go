@@ -30,7 +30,7 @@ func TestServerEndpoints(t *testing.T) {
 	p.Add(CrowdQuestions, 4)
 	p.Add(TuplesAnnotated, 10)
 	p.EndStage(StageDiscover, p.StartStage(StageDiscover))
-	p.Observe(HistCrowdQuestion, 2*time.Millisecond)
+	p.hists[HistCrowdQuestion].Record(2 * time.Millisecond)
 
 	s := NewServer(p)
 	s.SetTotalTuples(325)

@@ -347,19 +347,6 @@ func (p *Pipeline) Snapshot() *Snapshot {
 	return snap
 }
 
-// HistByName returns the named histogram snapshot, or nil if absent.
-func (s *Snapshot) HistByName(name string) *HistStat {
-	if s == nil {
-		return nil
-	}
-	for i := range s.Hists {
-		if s.Hists[i].Name == name {
-			return &s.Hists[i]
-		}
-	}
-	return nil
-}
-
 // Counter returns the value of the named counter, or 0 if absent.
 func (s *Snapshot) Counter(name string) int64 {
 	if s == nil {

@@ -149,9 +149,9 @@ func TestPipelineMerge(t *testing.T) {
 	b.Add(TuplesAnnotated, 10)
 	a.EndStage(StageAnnotate, a.StartStage(StageAnnotate))
 	b.EndStage(StageAnnotate, b.StartStage(StageAnnotate))
-	a.Observe(HistRepairTopK, 2*time.Millisecond)
-	b.Observe(HistRepairTopK, 8*time.Millisecond)
-	b.Observe(HistAnnotateTuple, time.Millisecond)
+	a.hists[HistRepairTopK].Record(2 * time.Millisecond)
+	b.hists[HistRepairTopK].Record(8 * time.Millisecond)
+	b.hists[HistAnnotateTuple].Record(time.Millisecond)
 
 	a.Merge(b)
 	if got := a.Get(CrowdQuestions); got != 7 {
@@ -170,11 +170,11 @@ func TestPipelineMerge(t *testing.T) {
 	if annotate == nil || annotate.Calls != 2 {
 		t.Fatalf("merged annotate stage = %+v, want 2 calls", annotate)
 	}
-	h := a.Hist(HistRepairTopK)
+	h := &a.hists[HistRepairTopK]
 	if h.Count() != 2 || h.Sum() != 10*time.Millisecond || h.Max() != 8*time.Millisecond {
 		t.Fatalf("merged hist count=%d sum=%v max=%v", h.Count(), h.Sum(), h.Max())
 	}
-	if a.Hist(HistAnnotateTuple).Count() != 1 {
+	if a.hists[HistAnnotateTuple].Count() != 1 {
 		t.Fatal("merged annotate-tuple hist missing b's observation")
 	}
 	// b is untouched by the merge.

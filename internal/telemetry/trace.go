@@ -133,9 +133,6 @@ type Span struct {
 	ended  bool
 }
 
-// Enabled reports whether the span records anything.
-func (s *Span) Enabled() bool { return s != nil && s.p != nil }
-
 // attr lazily sets one attribute. Caller has checked s.p != nil.
 func (s *Span) attr(key string, v any) {
 	if s.attrs == nil {
@@ -155,14 +152,6 @@ func (s *Span) SetInt(key string, v int64) {
 
 // SetStr attaches a string attribute.
 func (s *Span) SetStr(key, v string) {
-	if s == nil || s.p == nil || s.ended {
-		return
-	}
-	s.attr(key, v)
-}
-
-// SetFloat attaches a float attribute.
-func (s *Span) SetFloat(key string, v float64) {
 	if s == nil || s.p == nil || s.ended {
 		return
 	}

@@ -111,9 +111,6 @@ type AnswerMemo struct {
 // NewAnswerMemo returns an empty memo.
 func NewAnswerMemo() *AnswerMemo { return &AnswerMemo{m: make(map[string]rdf.ID)} }
 
-// Len returns the number of memoised decisions.
-func (m *AnswerMemo) Len() int { return len(m.m) }
-
 func memoKey(v Variable, domain []rdf.ID) string {
 	var b strings.Builder
 	b.WriteString(v.String())
@@ -282,39 +279,6 @@ func VariableEntropy(ps []*pattern.Pattern, probs []float64, v Variable) float64
 		vals = append(vals, dist[id])
 	}
 	return Entropy(vals)
-}
-
-// ExpectedUncertaintyReduction computes E[ΔH(φ)](v) from first principles
-// (the left-hand side of Theorem 1), for testing the theorem numerically.
-func ExpectedUncertaintyReduction(ps []*pattern.Pattern, probs []float64, v Variable) float64 {
-	byVal := map[rdf.ID][]float64{}
-	for i, p := range ps {
-		byVal[Assignment(p, v)] = append(byVal[Assignment(p, v)], probs[i])
-	}
-	hNow := Entropy(probs)
-	// Same deterministic summation order as VariableEntropy.
-	ids := make([]rdf.ID, 0, len(byVal))
-	for id := range byVal {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	expected := 0.0
-	for _, id := range ids {
-		sub := byVal[id]
-		pa := 0.0
-		for _, x := range sub {
-			pa += x
-		}
-		if pa == 0 {
-			continue
-		}
-		cond := make([]float64, len(sub))
-		for i, x := range sub {
-			cond[i] = x / pa
-		}
-		expected += pa * Entropy(cond)
-	}
-	return hNow - expected
 }
 
 // MUVF runs Algorithm 3: repeatedly validate the variable with maximal

@@ -3,6 +3,7 @@ package validation
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"katara/internal/crowd"
@@ -10,6 +11,40 @@ import (
 	"katara/internal/rdf"
 	"katara/internal/table"
 )
+
+// ExpectedUncertaintyReduction computes E[ΔH(φ)](v) from first principles
+// (the left-hand side of Theorem 1): the reference MUVF's entropy shortcut
+// is checked against.
+func ExpectedUncertaintyReduction(ps []*pattern.Pattern, probs []float64, v Variable) float64 {
+	byVal := map[rdf.ID][]float64{}
+	for i, p := range ps {
+		byVal[Assignment(p, v)] = append(byVal[Assignment(p, v)], probs[i])
+	}
+	hNow := Entropy(probs)
+	// Same deterministic summation order as VariableEntropy.
+	ids := make([]rdf.ID, 0, len(byVal))
+	for id := range byVal {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	expected := 0.0
+	for _, id := range ids {
+		sub := byVal[id]
+		pa := 0.0
+		for _, x := range sub {
+			pa += x
+		}
+		if pa == 0 {
+			continue
+		}
+		cond := make([]float64, len(sub))
+		for i, x := range sub {
+			cond[i] = x / pa
+		}
+		expected += pa * Entropy(cond)
+	}
+	return hNow - expected
+}
 
 // example8 reproduces the five patterns of Example 8 over columns B (type),
 // C (type) and the pair (B,C). Scores: 2.8, 2, 2, 0.8, 0.4 giving

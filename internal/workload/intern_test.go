@@ -11,7 +11,8 @@ import (
 // character edit away from real table values. Near-duplicates are exactly
 // where a sloppy interner would go wrong (sharing a code across values that
 // merely normalise alike), so the test pins that dictionary codes are
-// assigned per *exact* string and every cell round-trips byte-identically.
+// assigned per *exact* string: rows group together exactly when their cells
+// are byte-identical.
 // It lives here rather than in internal/table because workload imports
 // table — the interner package cannot exercise the adversary directly.
 func TestInternerRoundTripsCollisionLabels(t *testing.T) {
@@ -47,26 +48,28 @@ func TestInternerRoundTripsCollisionLabels(t *testing.T) {
 		tb.Append(d, orig, d, d) // exact duplicate: must share a group
 	}
 
-	in := tb.Interned()
-	for i := range tb.Rows {
-		for j, cell := range tb.Rows[i] {
-			if got := in.Dict(j).Value(in.Dict(j).Code(cell)); got != cell {
-				t.Fatalf("cell (%d,%d) round-tripped %q, want %q", i, j, got, cell)
-			}
-		}
+	// Each decoy row gets a probe that differs from it only in column 0,
+	// where it carries the imitated value.
+	base := tb.NumRows()
+	for i, d := range decoys {
+		orig := values[i%len(values)]
+		tb.Append(orig, orig, d, d)
 	}
+
+	in := tb.Interned()
 	// The decoy rows were appended in exact-duplicate pairs: each pair must
 	// collapse into one signature group, and a decoy label must never share
-	// a dictionary code with the value it imitates.
-	base := spec.Table.NumRows()
+	// a dictionary code with the value it imitates, which would put the
+	// decoy row and its probe in one group.
+	decoyBase := spec.Table.NumRows()
 	for k := 0; k < len(decoys); k++ {
-		r := base + 2*k
+		r := decoyBase + 2*k
 		if in.GroupOf(r) != in.GroupOf(r+1) {
 			t.Fatalf("duplicate decoy rows %d/%d landed in different groups", r, r+1)
 		}
 		d, orig := decoys[k], values[k%len(values)]
-		if d != orig && in.Dict(0).Code(d) == in.Dict(0).Code(orig) && in.Dict(0).Code(d) >= 0 {
-			t.Fatalf("near-duplicates %q and %q share a dictionary code", d, orig)
+		if same := in.GroupOf(r) == in.GroupOf(base+k); same != (d == orig) {
+			t.Fatalf("near-duplicates %q and %q: rows grouped together = %v", d, orig, same)
 		}
 	}
 }

@@ -84,7 +84,7 @@ func TestKBIncomplete(t *testing.T) {
 	// Coverage < 1 means some persons are missing.
 	missing := 0
 	for _, p := range w.Persons {
-		if len(kb.Store.ResourcesLabeled(p.Name)) == 0 {
+		if len(kb.Store.MatchLabel(p.Name, 1)) == 0 {
 			missing++
 		}
 	}

@@ -128,7 +128,8 @@ func NewFaultInjector(cfg FaultConfig) *crowd.FaultInjector {
 }
 
 // NewBudget caps a run's crowd consumption: questions and/or assignments
-// (0 = unlimited). Pass via Options or crowd.WithBudget.
+// (0 = unlimited). Install it with Crowd.SetBudget; Options.Budget sets
+// one per run instead.
 func NewBudget(questions, assignments int) *crowd.Budget {
 	return crowd.NewBudget(questions, assignments)
 }
@@ -169,19 +170,9 @@ func TrustingCrowd() *Crowd { return crowd.Perfect(3) }
 
 // Options configures a Cleaner.
 type Options struct {
-	// TopK is the number of candidate patterns discovered (default 10).
-	TopK int
 	// RepairK is the number of possible repairs per erroneous tuple
 	// (default 3, the paper's operating point).
 	RepairK int
-	// Threshold is the value↔label similarity threshold (default 0.7).
-	Threshold float64
-	// QuestionsPerVariable (q) and TuplesPerQuestion (k_t) configure
-	// pattern validation (defaults 3 and 5).
-	QuestionsPerVariable int
-	TuplesPerQuestion    int
-	// Enrich adds crowd-confirmed facts to the KB (default true).
-	Enrich *bool
 	// Dedup enables distinct-signature execution (default true): the run
 	// interns the table into per-column dictionaries, computes KB coverage
 	// once per distinct row signature (fanning the verdict out to duplicate
@@ -191,26 +182,16 @@ type Options struct {
 	// crowd accounting: dedup asks strictly fewer questions on tables with
 	// duplicate rows (the propcheck dedup differential pins this down).
 	Dedup *bool
-	// MaxCandidates / MaxRows / MinSupport tune candidate generation; see
-	// the discovery package. Zero values take the engine defaults.
+	// MaxCandidates / MaxRows tune candidate generation; see the discovery
+	// package. Zero values take the engine defaults.
 	MaxCandidates int
 	MaxRows       int
-	MinSupport    float64
 	// DiscoverPaths enables the §9 extension: column pairs with no direct
 	// KB relationship are probed for two-hop property chains through
 	// intermediate resources, attached to the validated pattern.
 	DiscoverPaths bool
 	// Seed drives tuple sampling for crowd questions (default 1).
 	Seed int64
-	// RepairMaxGraphs caps instance-graph enumeration during repair-index
-	// construction (default 0 = unlimited). On large KBs an uncapped
-	// enumeration can dwarf the rest of the pipeline; when the cap trips
-	// the index is partial and repair recall degrades gracefully.
-	RepairMaxGraphs int
-	// RepairWeights holds optional per-column repair change costs (§6.2:
-	// "the cost can also be weighted with confidences on data values").
-	// Missing columns cost 1; default nil = unit costs everywhere.
-	RepairWeights map[int]float64
 	// Workers is the run's parallelism: candidate generation, per-tuple KB
 	// coverage, instance-graph enumeration and per-row top-k retrieval each
 	// split their units into this many contiguous ranges, run on their own
@@ -291,25 +272,22 @@ type Options struct {
 	FactOracle FactOracle
 }
 
+// The pipeline's fixed operating points. Every run uses the paper's 0.7
+// label-similarity threshold (similarity.DefaultThreshold) and enriches the
+// KB with crowd-confirmed facts; the experiments that vary q or the pattern
+// top-k do so on the validator and the rank join directly.
+const (
+	// topK is the number of candidate patterns discovery ranks (§4.3).
+	topK = 10
+	// questionsPerVariable (q) and tuplesPerQuestion (k_t) configure pattern
+	// validation (§5).
+	questionsPerVariable = 3
+	tuplesPerQuestion    = 5
+)
+
 func (o Options) withDefaults() Options {
-	if o.TopK == 0 {
-		o.TopK = 10
-	}
 	if o.RepairK == 0 {
 		o.RepairK = 3
-	}
-	if o.Threshold == 0 {
-		o.Threshold = similarity.DefaultThreshold
-	}
-	if o.QuestionsPerVariable == 0 {
-		o.QuestionsPerVariable = 3
-	}
-	if o.TuplesPerQuestion == 0 {
-		o.TuplesPerQuestion = 5
-	}
-	if o.Enrich == nil {
-		t := true
-		o.Enrich = &t
 	}
 	if o.Dedup == nil {
 		t := true
@@ -376,7 +354,7 @@ func NewCleaner(kb *KB, c *Crowd, opts Options) *Cleaner {
 		kb:       kb,
 		crowd:    c,
 		opts:     opts,
-		resolver: resolve.New(kb, opts.Threshold),
+		resolver: resolve.New(kb, similarity.DefaultThreshold),
 	}
 }
 
@@ -395,7 +373,7 @@ func (c *Cleaner) KB() *KB { return c.kb }
 
 // DiscoverPatterns returns the top-k table patterns for t (§4).
 func (c *Cleaner) DiscoverPatterns(t *Table) []*Pattern {
-	return discovery.TopK(c.generate(t, c.kb, c.resolver, nil), c.opts.TopK)
+	return discovery.TopK(c.generate(t, c.kb, c.resolver, nil), topK)
 }
 
 // ValidatePattern selects one pattern from candidates via the crowd (§5).
@@ -423,8 +401,8 @@ func (c *Cleaner) validatePattern(ctx context.Context, t *Table, kb *KB, candida
 		Table:                t,
 		Crowd:                c.crowd,
 		Oracle:               c.opts.ValidationOracle,
-		QuestionsPerVariable: c.opts.QuestionsPerVariable,
-		TuplesPerQuestion:    c.opts.TuplesPerQuestion,
+		QuestionsPerVariable: questionsPerVariable,
+		TuplesPerQuestion:    tuplesPerQuestion,
 		Rng:                  rand.New(rand.NewSource(c.opts.Seed)),
 		Ctx:                  ctx,
 		Replay:               replay,
@@ -459,8 +437,7 @@ func (c *Cleaner) annotator(ctx context.Context, p *Pattern, tel *telemetry.Pipe
 		Oracle:    oracle,
 		Ctx:       ctx,
 		Degrade:   c.opts.Degrade,
-		Threshold: c.opts.Threshold,
-		Enrich:    *c.opts.Enrich,
+		Enrich:    true,
 		Workers:   c.opts.Workers,
 		Telemetry: tel,
 		Resolver:  c.resolver,
@@ -547,10 +524,8 @@ func BestKB(t *Table, kbs []*KB, opts Options) (int, float64) {
 	for i, kb := range kbs {
 		stats := kbstats.New(kb)
 		cands := discovery.Generate(t, stats, discovery.Options{
-			Threshold:     opts.Threshold,
 			MaxCandidates: opts.MaxCandidates,
 			MaxRows:       opts.MaxRows,
-			MinSupport:    opts.MinSupport,
 		})
 		ps := discovery.TopK(cands, 1)
 		if len(ps) > 0 && (bestIdx == -1 || ps[0].Score > bestScore) {

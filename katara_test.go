@@ -145,7 +145,7 @@ func TestTrustingPolicy(t *testing.T) {
 
 func TestDiscoverPatternsShape(t *testing.T) {
 	kb, tbl := figure1()
-	c := NewCleaner(kb, TrustingCrowd(), Options{TopK: 5})
+	c := NewCleaner(kb, TrustingCrowd(), Options{})
 	ps := c.DiscoverPatterns(tbl)
 	if len(ps) == 0 {
 		t.Fatal("no patterns")
@@ -169,7 +169,7 @@ func TestDiscoverPatternsShape(t *testing.T) {
 // reads, exactly as a new Cleaner on that KB does.
 func TestReusedCleanerScoresItsEnrichedKB(t *testing.T) {
 	kb, tbl := figure1()
-	c := NewCleaner(kb, TrustingCrowd(), Options{FactOracle: fig1Oracle{kb}, TopK: 5})
+	c := NewCleaner(kb, TrustingCrowd(), Options{FactOracle: fig1Oracle{kb}})
 	triples := kb.NumTriples()
 	if _, err := c.Clean(tbl); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestReusedCleanerScoresItsEnrichedKB(t *testing.T) {
 		t.Fatal("the Clean enriched nothing; the check needs a KB write")
 	}
 	got := c.DiscoverPatterns(tbl)
-	want := NewCleaner(kb, TrustingCrowd(), Options{TopK: 5}).DiscoverPatterns(tbl)
+	want := NewCleaner(kb, TrustingCrowd(), Options{}).DiscoverPatterns(tbl)
 	if len(got) != len(want) {
 		t.Fatalf("%d patterns after the Clean, a new Cleaner finds %d", len(got), len(want))
 	}

@@ -138,7 +138,7 @@ func (c *Cleaner) run(ctx context.Context, t *Table, lo int) (*Report, string, e
 
 	start := tel.StartStage(telemetry.StageDiscover)
 	cands := c.generate(t, kb, resolver, tel)
-	candidates := discovery.TopK(cands, c.opts.TopK)
+	candidates := discovery.TopK(cands, topK)
 	tel.EndStage(telemetry.StageDiscover, start)
 	if len(candidates) == 0 {
 		if appending {
@@ -291,10 +291,8 @@ func (c *Cleaner) startRun(ctx context.Context) (context.Context, *telemetry.Pip
 // kb), fanned out at the run's parallelism.
 func (c *Cleaner) generate(t *Table, kb *KB, resolver resolve.Source, tel *telemetry.Pipeline) *discovery.Candidates {
 	return discovery.GenerateParallel(t, kbstats.New(kb), discovery.Options{
-		Threshold:     c.opts.Threshold,
 		MaxCandidates: c.opts.MaxCandidates,
 		MaxRows:       c.opts.MaxRows,
-		MinSupport:    c.opts.MinSupport,
 		Telemetry:     tel,
 		Resolver:      resolver,
 	}, c.opts.Workers)
@@ -351,8 +349,6 @@ func (c *Cleaner) buildRepairIndex(p *Pattern, tel *telemetry.Pipeline) *repair.
 	start := tel.StartStage(telemetry.StageBuildIndex)
 	defer tel.EndStage(telemetry.StageBuildIndex, start)
 	return repair.BuildIndex(c.kb, p, repair.Options{
-		MaxGraphs: c.opts.RepairMaxGraphs,
-		Weights:   c.opts.RepairWeights,
 		Workers:   c.opts.Workers,
 		Telemetry: tel,
 	})

@@ -64,39 +64,29 @@ func TestCleanTableSkipsIndexConstruction(t *testing.T) {
 	}
 }
 
-// TestRepairOptionsReachTheEngine asserts the public repair knobs actually
-// arrive at the repair engine: RepairMaxGraphs caps enumeration (visible in
-// the counter) and RepairWeights reprice the suggested changes.
+// TestRepairOptionsReachTheEngine asserts the public repair knob actually
+// arrives at the repair engine: RepairK bounds every erroneous row's ranked
+// list, where the default (3) returns more than one candidate.
 func TestRepairOptionsReachTheEngine(t *testing.T) {
-	kb, dirty := figure1()
-	c := NewCleaner(kb, TrustingCrowd(), Options{
-		FactOracle:      fig1Oracle{kb},
-		Telemetry:       true,
-		RepairMaxGraphs: 1,
-	})
-	report, err := c.Clean(dirty)
-	if err != nil {
-		t.Fatal(err)
+	clean := func(k int) *Report {
+		kb, dirty := figure1()
+		report, err := NewCleaner(kb, TrustingCrowd(), Options{FactOracle: fig1Oracle{kb}, RepairK: k}).Clean(dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report
 	}
-	if got := report.Timings.Counter("graphs-enumerated"); got != 1 {
-		t.Fatalf("graphs-enumerated = %d with RepairMaxGraphs: 1", got)
+	if reps := clean(0).Repairs[2]; len(reps) < 2 { // t3: Madrid under Italy
+		t.Fatalf("default RepairK ranked %d repairs for the erroneous row, want at least 2", len(reps))
 	}
-
-	kb2, dirty2 := figure1()
-	c2 := NewCleaner(kb2, TrustingCrowd(), Options{
-		FactOracle:    fig1Oracle{kb2},
-		RepairWeights: map[int]float64{2: 5},
-	})
-	report2, err := c2.Clean(dirty2)
-	if err != nil {
-		t.Fatal(err)
+	report := clean(1)
+	if len(report.Repairs) == 0 {
+		t.Fatal("no repairs with RepairK: 1")
 	}
-	reps := report2.Repairs[2] // t3's top repair fixes col 2 Madrid→Rome
-	if len(reps) == 0 {
-		t.Fatal("no repairs for the erroneous row")
-	}
-	if reps[0].Cost != 5 {
-		t.Fatalf("weighted top repair cost = %g, want 5", reps[0].Cost)
+	for row, reps := range report.Repairs {
+		if len(reps) != 1 {
+			t.Fatalf("row %d: %d repairs with RepairK: 1", row, len(reps))
+		}
 	}
 }
 
