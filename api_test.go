@@ -15,8 +15,8 @@ import (
 	"testing"
 )
 
-// testOnlyAllowlist names the exported functions and methods under internal/
-// that may lack a non-test caller, each with the reason it stays.
+// testOnlyAllowlist names the functions and methods under internal/ that
+// may lack a non-test caller, each with the reason it stays.
 var testOnlyAllowlist = map[string]string{
 	"katara/internal/propcheck.RunSeed": "the oracle harness's entry point; its tests and fuzz target drive it",
 
@@ -28,9 +28,10 @@ var testOnlyAllowlist = map[string]string{
 }
 
 // TestInternalExportsHaveCallers type-checks every non-test package of the
-// module and of bench/ and fails on any exported function or method under
-// internal/ that no non-test file calls: code only tests reach is code the
-// tests and docs must carry while nothing runs it. A method also counts as
+// module and of bench/ and fails on any package-level function or method
+// under internal/, exported or not, that no non-test file calls: code only
+// tests reach, or nothing at all, is code the tests and docs must carry
+// while nothing runs it. A method also counts as
 // called when its receiver satisfies, through it, an interface declared in
 // or imported by the loaded packages (sort.Interface, slog.Handler,
 // crowd.Transport, ...), since calls through the interface do not name it.
@@ -85,7 +86,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if !strings.HasPrefix(path, "katara/internal/") {
 			continue
 		}
-		for _, fn := range p.exportedFuncs() {
+		for _, fn := range p.funcs() {
 			if !called[fn] && !satisfiesInterface(fn, ifaces) {
 				testOnly = append(testOnly, funcName(fn))
 			}
@@ -98,11 +99,11 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			allowed[name] = true
 			continue
 		}
-		t.Errorf("%s is exported but only tests call it: delete it, move it into a _test.go file, or allowlist it with a reason", name)
+		t.Errorf("%s has no non-test caller: delete it, move it into a _test.go file, or allowlist it with a reason", name)
 	}
 	for name, reason := range testOnlyAllowlist {
 		if !allowed[name] {
-			t.Errorf("allowlist entry %s names no test-only export: drop it", name)
+			t.Errorf("allowlist entry %s names no test-only function: drop it", name)
 		}
 		if strings.TrimSpace(reason) == "" {
 			t.Errorf("allowlist entry %s gives no reason", name)
@@ -222,13 +223,13 @@ func (l *moduleLoader) interfaces() []*types.Interface {
 	return out
 }
 
-// exportedFuncs lists the package's exported top-level functions and the
-// exported methods of its concrete types.
-func (p *loadedPackage) exportedFuncs() []*types.Func {
+// funcs lists the package's top-level functions, init aside, and the
+// methods of its concrete types.
+func (p *loadedPackage) funcs() []*types.Func {
 	var out []*types.Func
 	for _, obj := range p.info.Defs {
 		fn, ok := obj.(*types.Func)
-		if !ok || !fn.Exported() {
+		if !ok || fn.Name() == "init" {
 			continue
 		}
 		if recv := fn.Type().(*types.Signature).Recv(); recv == nil {

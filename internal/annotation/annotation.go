@@ -193,7 +193,9 @@ type Annotator struct {
 	// an enrichment could have changed are re-evaluated, serially.
 	Workers int
 	// Telemetry receives the TuplesAnnotated / KBLookups / CrowdQuestions
-	// counters; nil disables instrumentation.
+	// counters and one annotate-tuple span and histogram sample per decided
+	// tuple (replayed duplicates are counted once per pass, not timed); nil
+	// disables instrumentation.
 	Telemetry *telemetry.Pipeline
 	// Resolver, when non-nil, handles label resolution instead of direct
 	// KB.MatchLabel calls — typically the resolve.Cache shared with discovery
@@ -231,10 +233,10 @@ type Annotator struct {
 	Session *Session
 
 	// qmemo caches crowd answers within one AnnotateWith pass (dedup mode
-	// only). Keyed by prompt AND ground truth: two distinct KB terms can
-	// share a display label, yielding identical prompts with different
-	// truths. Degraded (unanswered) outcomes are never memoized — budget
-	// and deadline exhaustion are transient, not properties of the question.
+	// only), keyed by what the prompt is made of and by the ground truth
+	// (see questionKey). Degraded (unanswered) outcomes are never memoized —
+	// budget and deadline exhaustion are transient, not properties of the
+	// question.
 	qmemo map[questionKey]memoAnswer
 
 	// provUnit is the decision unit the current tuple's evidence is
@@ -250,10 +252,31 @@ type Annotator struct {
 	asks int
 }
 
-// questionKey identifies one crowd check for the dedup memo.
+// questionKey identifies one crowd check for the dedup memo by the parts
+// its prompt is built from, so a memo hit formats nothing. The prompt
+// quotes both values, which makes it a one-to-one function of kind, label,
+// subject and object: the key groups checks exactly as the prompt would.
+// An edge check and its recheck share kind and prompt. The label is the
+// display label, not the KB term: two distinct terms can share a label,
+// yielding identical prompts, so they share entries — split by holds, the
+// ground truth, which may differ between them.
 type questionKey struct {
-	prompt string
-	holds  bool
+	kind      byte // 'n' node type, 'e' edge, 'p' §9 path
+	label     string
+	subj, obj string
+	holds     bool
+}
+
+// prompt is the question put to the crowd for the check.
+func (k questionKey) prompt() string {
+	switch k.kind {
+	case 'n':
+		return fmt.Sprintf("Is %q a %s?", k.subj, k.label)
+	case 'e':
+		return fmt.Sprintf("Does %q %s %q?", k.subj, k.label, k.obj)
+	default:
+		return fmt.Sprintf("Is %q related to %q through %s?", k.subj, k.obj, k.label)
+	}
 }
 
 // memoAnswer is one memoized crowd answer plus the provenance ID of the
@@ -356,19 +379,19 @@ func (a *Annotator) Annotate(tbl *table.Table) *Result {
 // [lo, hi) into out, which must have length tbl.NumRows(). Coverage is a
 // pure function of the (read-only) KB, the pattern and the tuple, so
 // disjoint ranges may be evaluated concurrently — this is the per-range
-// body of the coverage fan-out. tel receives the KBLookups counter and may
-// be a range-local pipeline merged by the caller. Call
+// body of the coverage fan-out — and within a range each distinct cell
+// value is resolved once (pattern.Evaluator). tel receives the KBLookups
+// counter and may be a range-local pipeline merged by the caller. Call
 // KB.WarmClosures() before fanning out: the lazily-memoised hierarchy
 // closures must not be forced by racing workers.
 func (a *Annotator) EvaluateCoverage(tbl *table.Table, lo, hi int, out []*pattern.Match, tel *telemetry.Pipeline) {
-	threshold := a.threshold()
-	labels := a.labels()
+	ev := pattern.NewEvaluator(a.Pattern, a.KB, a.labels(), a.threshold())
 	if hi > tbl.NumRows() {
 		hi = tbl.NumRows()
 	}
 	for i := lo; i < hi; i++ {
 		tel.Inc(telemetry.KBLookups)
-		out[i] = pattern.EvaluateWith(a.Pattern, a.KB, labels, tbl.Rows[i], threshold)
+		out[i] = ev.Evaluate(tbl.Rows[i])
 	}
 }
 
@@ -381,15 +404,14 @@ func (a *Annotator) EvaluateCoverage(tbl *table.Table, lo, hi int, out []*patter
 // read-only. Disjoint group ranges may run concurrently, exactly like
 // EvaluateCoverage's row ranges.
 func (a *Annotator) EvaluateCoverageGroups(tbl *table.Table, groups []table.Group, lo, hi int, out []*pattern.Match, tel *telemetry.Pipeline) {
-	threshold := a.threshold()
-	labels := a.labels()
+	ev := pattern.NewEvaluator(a.Pattern, a.KB, a.labels(), a.threshold())
 	if hi > len(groups) {
 		hi = len(groups)
 	}
 	for g := lo; g < hi; g++ {
 		gr := groups[g]
 		tel.Inc(telemetry.KBLookups)
-		m := pattern.EvaluateWith(a.Pattern, a.KB, labels, tbl.Rows[gr.Rep], threshold)
+		m := ev.Evaluate(tbl.Rows[gr.Rep])
 		for _, row := range gr.Rows {
 			out[row] = m
 		}
@@ -476,19 +498,44 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, matches []*pattern.Match, lo
 		}
 		defer func() { a.qmemo = nil }()
 	}
-	a.provUnit = -1
+	// Replayed rows make no instrument call: they are counted here and
+	// reported once, after the loop.
+	var replays, replayedAsks int64
 	for row := lo; row < hi; row++ {
-		// One scoped span per tuple: the crowd-question spans issued inside
-		// annotateTuple (serially, on this goroutine) attach as its children.
-		tStart := a.Telemetry.StartTimer()
-		tSpan := a.Telemetry.PushSpan("annotate-tuple")
 		var g *groupMemo
+		var m *pattern.Match
 		unit := row
 		if in != nil {
 			unit = in.GroupOf(row)
 			g = &cov.groups[unit]
+			if g.m != nil && a.exact(g.m, g, tbl.Rows[row], threshold) {
+				if v := g.v; v != nil {
+					// A duplicate of a decided signature whose Match is still
+					// exact: re-deciding would ask only memoised questions and
+					// reach the same verdict, so replay it. Provenance has
+					// nothing to record either: a group holds a verdict only
+					// once its unit carries a settled, non-degraded record
+					// (degraded verdicts are never cached), so BeginTuple
+					// would decline the row.
+					ta := v.ta
+					ta.Row = row
+					res.Tuples = append(res.Tuples, ta)
+					res.Breakdown.add(v.bd)
+					replays++
+					replayedAsks += int64(v.asks)
+					continue
+				}
+				m = g.m
+			}
 		}
-		m := a.match(g, matches, tbl, row, threshold)
+		// One scoped span per decided tuple: the crowd-question spans issued
+		// inside annotateTuple (serially, on this goroutine) attach as its
+		// children.
+		tStart := a.Telemetry.StartTimer()
+		tSpan := a.Telemetry.PushSpan("annotate-tuple")
+		if m == nil {
+			m = a.match(g, matches, tbl, row, threshold)
+		}
 		// Provenance is recorded once per decision unit: the first row of a
 		// signature group writes the unit's evidence, duplicates share it on
 		// read. A degraded record is retried — degradation is a property of
@@ -497,37 +544,26 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, matches []*pattern.Match, lo
 		if a.Prov.BeginTuple(unit) {
 			a.provUnit = unit
 		}
-		var ta TupleAnnotation
-		if g != nil && g.v != nil && a.provUnit < 0 {
-			// A duplicate of a decided signature whose Match is still exact:
-			// re-deciding would ask only memoised questions and reach the
-			// same verdict, so replay it.
-			ta = g.v.ta
-			ta.Row = row
-			res.Breakdown.add(g.v.bd)
-			a.Telemetry.Add(telemetry.CrowdQuestionsDeduped, int64(g.v.asks))
-		} else {
-			asks := a.asks
-			ta = a.annotateTuple(tbl, row, m)
-			if a.provUnit >= 0 {
-				a.Prov.RecordVerdict(a.provUnit, ta.Label.String(), ta.Degraded, m.Full)
+		asks := a.asks
+		ta := a.annotateTuple(tbl, row, m)
+		if a.provUnit >= 0 {
+			a.Prov.RecordVerdict(a.provUnit, ta.Label.String(), ta.Degraded, m.Full)
+		}
+		bd := a.tally(ta)
+		res.Breakdown.add(bd)
+		for _, f := range ta.NewFacts {
+			k := factKey(f)
+			if !seenFacts[k] {
+				seenFacts[k] = true
+				res.NewFacts = append(res.NewFacts, f)
 			}
-			bd := a.tally(ta)
-			res.Breakdown.add(bd)
-			for _, f := range ta.NewFacts {
-				k := factKey(f)
-				if !seenFacts[k] {
-					seenFacts[k] = true
-					res.NewFacts = append(res.NewFacts, f)
-				}
-			}
-			// Degraded verdicts depend on the remaining budget, and an
-			// enriching verdict was decided against a KB it then changed:
-			// neither is replayed.
-			enriching := a.Enrich && ta.Label == ValidatedByCrowd && len(ta.NewFacts) > 0
-			if g != nil && !ta.Degraded && !enriching {
-				g.v = &verdict{ta: ta, bd: bd, asks: a.asks - asks}
-			}
+		}
+		// Degraded verdicts depend on the remaining budget, and an enriching
+		// verdict was decided against a KB it then changed: neither is
+		// replayed.
+		enriching := a.Enrich && ta.Label == ValidatedByCrowd && len(ta.NewFacts) > 0
+		if g != nil && !ta.Degraded && !enriching {
+			g.v = &verdict{ta: ta, bd: bd, asks: a.asks - asks}
 		}
 		tSpan.SetInt("row", int64(row))
 		tSpan.SetStr("label", ta.Label.String())
@@ -540,6 +576,8 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, matches []*pattern.Match, lo
 		}
 		res.Tuples = append(res.Tuples, ta)
 	}
+	a.Telemetry.Add(telemetry.TuplesAnnotated, replays)
+	a.Telemetry.Add(telemetry.CrowdQuestionsDeduped, replayedAsks)
 	return res
 }
 
@@ -551,14 +589,12 @@ func (a *Annotator) threshold() float64 {
 	return a.Threshold
 }
 
-// match returns row's step-1 coverage: the signature's memoised Match, or
-// else the precomputed one, while it is still exact; a fresh evaluation
-// otherwise, which replaces the signature's memo and drops its verdict.
+// match returns row's step-1 coverage when the signature memo g (nil
+// without dedup) holds no Match that is still exact: the precomputed Match
+// while it is exact, a fresh evaluation otherwise. It replaces the
+// signature's memo, dropping its verdict.
 func (a *Annotator) match(g *groupMemo, matches []*pattern.Match, tbl *table.Table, row int, threshold float64) *pattern.Match {
 	tuple := tbl.Rows[row]
-	if g != nil && g.m != nil && a.exact(g.m, g, tuple, threshold) {
-		return g.m
-	}
 	var m *pattern.Match
 	if matches != nil && matches[row] != nil && (g == nil || matches[row] != g.m) &&
 		a.exact(matches[row], nil, tuple, threshold) {
@@ -634,7 +670,8 @@ func (a *Annotator) ctx() context.Context {
 // ask consults the crowd for one boolean check. degraded reports that the
 // crowd was unreachable (budget or deadline exhausted): under
 // DegradeTrustKB the check counts as confirmed (but unverified), under
-// DegradeMarkUnknown the caller must mark the tuple Unknown.
+// DegradeMarkUnknown the caller must mark the tuple Unknown. prompt is q's
+// prompt when the caller has already formatted it, "" otherwise.
 //
 // In dedup mode (qmemo active) a repeated question — a duplicate row's
 // identical check — is answered from the memo without consuming crowd
@@ -644,21 +681,24 @@ func (a *Annotator) ctx() context.Context {
 // qid is the provenance ID of the question that decided the check (the
 // memoized original on a memo hit; 0 when provenance is disabled) and memo
 // reports a memo hit.
-func (a *Annotator) ask(prompt string, holds bool) (confirmed, degraded bool, qid int64, memo bool) {
+func (a *Annotator) ask(q questionKey, prompt string) (confirmed, degraded bool, qid int64, memo bool) {
 	a.asks++
 	if a.qmemo != nil {
-		if ans, ok := a.qmemo[questionKey{prompt, holds}]; ok {
+		if ans, ok := a.qmemo[q]; ok {
 			a.Telemetry.Inc(telemetry.CrowdQuestionsDeduped)
 			return ans.yes, false, ans.qid, true
 		}
 	}
-	yes, err := a.Crowd.AskBooleanContext(a.ctx(), prompt, holds)
+	if prompt == "" {
+		prompt = q.prompt()
+	}
+	yes, err := a.Crowd.AskBooleanContext(a.ctx(), prompt, q.holds)
 	qid = a.Prov.LastQuestionID()
 	if err != nil {
 		return a.Degrade == DegradeTrustKB, true, qid, false
 	}
 	if a.qmemo != nil {
-		a.qmemo[questionKey{prompt, holds}] = memoAnswer{yes: yes, qid: qid}
+		a.qmemo[q] = memoAnswer{yes: yes, qid: qid}
 	}
 	return yes, false, qid, false
 }
@@ -775,11 +815,16 @@ func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) T
 	// confirm then applies the degradation policy: trust-KB answers "yes"
 	// without minting a fact, mark-unknown aborts the tuple.
 	unknown := false
-	confirm := func(kind string, c1, c2 int, prompt string, holds bool) (confirmed, verified bool) {
+	confirm := func(kind string, c1, c2 int, q questionKey) (confirmed, verified bool) {
 		if unknown {
 			return false, false
 		}
-		yes, degraded, qid, memo := a.ask(prompt, holds)
+		// The prompt is formatted only for the evidence record or the crowd.
+		var prompt string
+		if a.provUnit >= 0 {
+			prompt = q.prompt()
+		}
+		yes, degraded, qid, memo := a.ask(q, prompt)
 		if degraded {
 			ta.Degraded = true
 			if a.Degrade == DegradeMarkUnknown {
@@ -813,8 +858,8 @@ func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) T
 		}
 		val := tuple[n.Column]
 		holds := a.Oracle != nil && a.Oracle.TypeHolds(val, n.Type)
-		prompt := fmt.Sprintf("Is %q a %s?", val, a.KB.LabelOf(n.Type))
-		confirmed, verified := confirm("node", n.Column, -1, prompt, holds)
+		q := questionKey{kind: 'n', label: a.KB.LabelOf(n.Type), subj: val, holds: holds}
+		confirmed, verified := confirm("node", n.Column, -1, q)
 		if verified {
 			ta.NewFacts = append(ta.NewFacts, Fact{IsType: true, Subject: val, Type: n.Type})
 		}
@@ -831,8 +876,8 @@ func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) T
 		}
 		sv, ov := tuple[e.From], tuple[e.To]
 		holds := a.Oracle != nil && a.Oracle.RelHolds(sv, e.Prop, ov)
-		prompt := fmt.Sprintf("Does %q %s %q?", sv, a.KB.LabelOf(e.Prop), ov)
-		confirmed, verified := confirm("edge", e.From, e.To, prompt, holds)
+		q := questionKey{kind: 'e', label: a.KB.LabelOf(e.Prop), subj: sv, obj: ov, holds: holds}
+		confirmed, verified := confirm("edge", e.From, e.To, q)
 		if verified {
 			ta.NewFacts = append(ta.NewFacts, Fact{Subject: sv, Prop: e.Prop, Object: ov})
 		}
@@ -853,9 +898,8 @@ func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) T
 		if po, ok := a.Oracle.(PathOracle); ok {
 			holds = po.PathHolds(sv, pe.Props, ov)
 		}
-		prompt := fmt.Sprintf("Is %q related to %q through %s?",
-			sv, ov, pathLabel(a.KB, pe.Props))
-		confirmed, verified := confirm("path", pe.From, pe.To, prompt, holds)
+		q := questionKey{kind: 'p', label: pathLabel(a.KB, pe.Props), subj: sv, obj: ov, holds: holds}
+		confirmed, verified := confirm("path", pe.From, pe.To, q)
 		if verified {
 			ta.NewFacts = append(ta.NewFacts, Fact{Subject: sv, Path: pe.Props, Object: ov})
 		}
@@ -880,9 +924,8 @@ func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) T
 			}
 			sv, ov := tuple[e.From], tuple[e.To]
 			holds := a.Oracle != nil && a.Oracle.RelHolds(sv, e.Prop, ov)
-			prompt := fmt.Sprintf("Does %q %s %q?", sv, a.KB.LabelOf(e.Prop), ov)
-
-			if confirmed, _ := confirm("recheck", e.From, e.To, prompt, holds); !confirmed && !unknown {
+			q := questionKey{kind: 'e', label: a.KB.LabelOf(e.Prop), subj: sv, obj: ov, holds: holds}
+			if confirmed, _ := confirm("recheck", e.From, e.To, q); !confirmed && !unknown {
 				allConfirmed = false
 				if &ta.EdgeByKB[0] == &m.EdgeOK[0] {
 					ta.EdgeByKB = append([]bool(nil), m.EdgeOK...)

@@ -6,7 +6,6 @@ import (
 	"katara/internal/discovery"
 	"katara/internal/metrics"
 	"katara/internal/pattern"
-	"katara/internal/workload"
 )
 
 // --- Figures 7 and 12: validated-pattern quality vs questions per variable ---
@@ -144,18 +143,4 @@ func RenderTable4(rows []Table4Row) string {
 		g.add(r.Dataset, r.KB, fmt.Sprint(r.MUVF), fmt.Sprint(r.AVI))
 	}
 	return "Table 4: #-variables to validate\n" + g.String()
-}
-
-// validatedPattern runs the full discover→validate pipeline for one spec,
-// returning the crowd-validated pattern (used by the annotation and repair
-// experiments, which §7.3 seeds with "the table patterns obtained from
-// Section 7.2").
-func (e *Env) validatedPattern(spec *workload.TableSpec, kb *workload.KB, salt int64) *pattern.Pattern {
-	c := e.candidates(spec, kb)
-	ps := discovery.TopK(c, e.Cfg.K)
-	if len(ps) == 0 {
-		return nil
-	}
-	v := e.newValidator(spec, kb, e.newCrowd(salt), salt+7)
-	return v.MUVF(ps).Pattern
 }

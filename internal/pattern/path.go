@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"katara/internal/rdf"
-	"katara/internal/similarity"
 )
 
 // This file implements the paper's §9 extension to table patterns:
@@ -209,6 +208,3 @@ func twoHopChains(kb *rdf.Store, a, b string, threshold float64) [][2]rdf.ID {
 func isVocab(kb *rdf.Store, p rdf.ID) bool {
 	return p == kb.TypeID || p == kb.LabelID || p == kb.SubClassOfID || p == kb.SubPropertyOfID
 }
-
-// normalizeEq is a tiny helper for tests comparing values.
-func normalizeEq(a, b string) bool { return similarity.Normalize(a) == similarity.Normalize(b) }

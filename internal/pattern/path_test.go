@@ -154,12 +154,6 @@ func TestDiscoverPathsNoise(t *testing.T) {
 	}
 }
 
-func TestNormalizeEqHelper(t *testing.T) {
-	if !normalizeEq("S. Africa", "s africa") || normalizeEq("a", "b") {
-		t.Fatal("normalizeEq broken")
-	}
-}
-
 func TestDOTExport(t *testing.T) {
 	kb := pathKB()
 	p := pathPattern(kb)

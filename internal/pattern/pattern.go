@@ -55,20 +55,24 @@ func (p *Pattern) Clone() *Pattern {
 
 // Columns returns the sorted set of columns covered by the pattern.
 func (p *Pattern) Columns() []int {
-	// Collect with duplicates on the stack; only the set is returned.
 	var buf [16]int
-	cols := buf[:0]
+	return slices.Clone(p.columns(buf[:0]))
+}
+
+// columns appends the pattern's columns to buf (duplicates included, so a
+// caller's stack buffer takes them) and returns the sorted set.
+func (p *Pattern) columns(buf []int) []int {
 	for _, n := range p.Nodes {
-		cols = append(cols, n.Column)
+		buf = append(buf, n.Column)
 	}
 	for _, e := range p.Edges {
-		cols = append(cols, e.From, e.To)
+		buf = append(buf, e.From, e.To)
 	}
 	for _, pe := range p.Paths {
-		cols = append(cols, pe.From, pe.To)
+		buf = append(buf, pe.From, pe.To)
 	}
-	slices.Sort(cols)
-	return slices.Clone(slices.Compact(cols))
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }
 
 // NodeFor returns the node typing column col, or nil.
@@ -200,11 +204,15 @@ func (p *Pattern) Key() string {
 }
 
 // Match is the outcome of evaluating one tuple against a pattern (§3.2).
+// Matches of one Evaluator may share their candidate lists and NodeOK
+// maps: treat every field as read-only.
 type Match struct {
 	// Candidates holds, per covered column, the KB resources whose label
 	// matches the cell value and whose type satisfies the node (condition 2).
-	// Untyped nodes resolve to the literal ID if present in the KB.
-	Candidates map[int][]rdf.ID
+	// Untyped nodes resolve to the literal ID if present in the KB. It is
+	// indexed by column, up to the pattern's largest column; columns without
+	// a node hold nil.
+	Candidates [][]rdf.ID
 	// NodeOK reports condition 2 per column.
 	NodeOK map[int]bool
 	// EdgeOK reports condition 3 per edge index, tested independently.
@@ -214,8 +222,10 @@ type Match struct {
 	// Full reports whether a single consistent resource assignment satisfies
 	// every node, edge and path (t ⊨ φ).
 	Full bool
-	// Assignment is one witnessing resource assignment when Full.
-	Assignment map[int]rdf.ID
+	// Assignment is one witnessing resource assignment when Full, indexed
+	// like Candidates (rdf.NoID at columns the pattern does not cover); nil
+	// otherwise.
+	Assignment []rdf.ID
 	// Footprint records what the evaluation read from the KB, so a holder
 	// can tell whether later KB growth could have changed the Match (see
 	// Current).
@@ -256,9 +266,56 @@ type LabelSource interface {
 // labels — typically a shared memo cache — while type and edge checks read
 // kb directly. labels must resolve against kb.
 func EvaluateWith(p *Pattern, kb *rdf.Store, labels LabelSource, tuple []string, threshold float64) *Match {
+	ev := Evaluator{p: p, kb: kb, labels: labels, threshold: threshold}
+	return ev.Evaluate(tuple)
+}
+
+// Evaluator is EvaluateWith for many tuples over a KB that does not change
+// while the Evaluator is in use. Each node's cell value is resolved, banded
+// and type-filtered once per distinct value, and tuples whose nodes pass
+// alike share one NodeOK map, so a table's coverage costs a label lookup
+// per distinct value instead of one per tuple. Its Matches equal
+// EvaluateWith's. Not safe for concurrent use.
+type Evaluator struct {
+	p         *Pattern
+	kb        *rdf.Store
+	labels    LabelSource
+	threshold float64
+	// vals memoises resolve per node index and cell value; nodeOK the
+	// NodeOK maps by which nodes the tuple reaches and which pass. Both are
+	// nil in EvaluateWith's one-shot Evaluator.
+	vals   []map[string]resolved
+	nodeOK map[[2]uint64]map[int]bool
+}
+
+// resolved is one node's cell value resolved: the label hits the footprint
+// records and the in-band hits of the node's type.
+type resolved struct {
+	hits  []rdf.LabelMatch
+	cands []rdf.ID
+}
+
+// NewEvaluator returns an Evaluator of p over kb, resolving labels through
+// labels at threshold. kb must not change while the Evaluator is used.
+func NewEvaluator(p *Pattern, kb *rdf.Store, labels LabelSource, threshold float64) *Evaluator {
+	return &Evaluator{
+		p: p, kb: kb, labels: labels, threshold: threshold,
+		vals:   make([]map[string]resolved, len(p.Nodes)),
+		nodeOK: map[[2]uint64]map[int]bool{},
+	}
+}
+
+// Evaluate matches tuple against the Evaluator's pattern.
+func (ev *Evaluator) Evaluate(tuple []string) *Match {
+	p, kb := ev.p, ev.kb
+	var buf [16]int
+	cols := p.columns(buf[:0])
+	width := 0
+	if len(cols) > 0 {
+		width = cols[len(cols)-1] + 1
+	}
 	m := &Match{
-		Candidates: make(map[int][]rdf.ID, len(p.Nodes)),
-		NodeOK:     make(map[int]bool, len(p.Nodes)),
+		Candidates: make([][]rdf.ID, width),
 		EdgeOK:     make([]bool, len(p.Edges)),
 		Footprint: Footprint{
 			Triples:  kb.NumTriples(),
@@ -266,33 +323,83 @@ func EvaluateWith(p *Pattern, kb *rdf.Store, labels LabelSource, tuple []string,
 			Hits:     make([][]rdf.LabelMatch, len(p.Nodes)),
 		},
 	}
+	// key[0] and key[1] are bit sets over node indexes: the nodes whose
+	// column the tuple reaches, and those among them that pass.
+	var key [2]uint64
 	for i, n := range p.Nodes {
 		if n.Column >= len(tuple) {
 			continue
 		}
-		val := tuple[n.Column]
-		var cands []rdf.ID
-		if n.Type == rdf.NoID {
-			if id := literalOf(kb, val); id != rdf.NoID {
-				cands = []rdf.ID{id}
-			}
-		} else {
-			hits := labels.MatchLabel(val, threshold)
-			m.Footprint.Hits[i] = hits
-			for _, hit := range inBand(hits) {
-				if kb.HasType(hit.Resource, n.Type) {
-					cands = append(cands, hit.Resource)
-				}
+		r := ev.resolve(i, n, tuple[n.Column])
+		m.Footprint.Hits[i] = r.hits
+		m.Candidates[n.Column] = r.cands
+		if i < 64 {
+			key[0] |= 1 << i
+			if len(r.cands) > 0 {
+				key[1] |= 1 << i
 			}
 		}
-		m.Candidates[n.Column] = cands
-		m.NodeOK[n.Column] = len(cands) > 0
 	}
+	m.NodeOK = ev.nodeOKMap(len(tuple), m.Candidates, key)
 	for i, e := range p.Edges {
 		m.EdgeOK[i] = edgeHolds(kb, e, m.Candidates[e.From], m.Candidates[e.To])
 	}
 	evaluatePaths(p, kb, m)
-	m.Full, m.Assignment = consistentAssignment(p, kb, m)
+	m.Assignment = consistentAssignment(p, kb, m.Candidates, cols)
+	m.Full = m.Assignment != nil
+	return m
+}
+
+// resolve returns node i's candidates for cell value val (n is
+// p.Nodes[i]), memoised per value when the Evaluator keeps a memo.
+func (ev *Evaluator) resolve(i int, n Node, val string) resolved {
+	if ev.vals != nil {
+		if r, ok := ev.vals[i][val]; ok {
+			return r
+		}
+	}
+	var r resolved
+	if n.Type == rdf.NoID {
+		if id := literalOf(ev.kb, val); id != rdf.NoID {
+			r.cands = []rdf.ID{id}
+		}
+	} else {
+		r.hits = ev.labels.MatchLabel(val, ev.threshold)
+		for _, hit := range inBand(r.hits) {
+			if ev.kb.HasType(hit.Resource, n.Type) {
+				r.cands = append(r.cands, hit.Resource)
+			}
+		}
+	}
+	if ev.vals != nil {
+		if ev.vals[i] == nil {
+			ev.vals[i] = make(map[string]resolved)
+		}
+		ev.vals[i][val] = r
+	}
+	return r
+}
+
+// nodeOKMap returns the NodeOK map of a tuple of n cells whose nodes
+// resolved to cands. key holds the bit sets of the nodes the tuple reaches
+// and of those that pass, which determine the map: it is shared per key
+// when the Evaluator keeps a memo and the pattern has at most 64 nodes.
+func (ev *Evaluator) nodeOKMap(n int, cands [][]rdf.ID, key [2]uint64) map[int]bool {
+	share := ev.nodeOK != nil && len(ev.p.Nodes) <= 64
+	if share {
+		if m, ok := ev.nodeOK[key]; ok {
+			return m
+		}
+	}
+	m := make(map[int]bool, len(ev.p.Nodes))
+	for _, node := range ev.p.Nodes {
+		if node.Column < n {
+			m[node.Column] = len(cands[node.Column]) > 0
+		}
+	}
+	if share {
+		ev.nodeOK[key] = m
+	}
 	return m
 }
 
@@ -422,51 +529,73 @@ func edgeHolds(kb *rdf.Store, e Edge, subs, objs []rdf.ID) bool {
 
 // consistentAssignment searches for one resource per column satisfying all
 // nodes and edges simultaneously (condition 1's one-to-one mapping plus
-// conditions 2–3). Patterns are small, so plain backtracking suffices.
-func consistentAssignment(p *Pattern, kb *rdf.Store, m *Match) (bool, map[int]rdf.ID) {
-	cols := p.Columns()
+// conditions 2–3) and returns the first such assignment, indexed like cands,
+// or nil. cols is the pattern's sorted column set. Patterns are small, so
+// plain backtracking suffices; it runs on stack buffers, in column order and
+// each column's candidate order, checking a choice against the edges and
+// paths to the columns already assigned.
+func consistentAssignment(p *Pattern, kb *rdf.Store, cands [][]rdf.ID, cols []int) []rdf.ID {
 	for _, c := range cols {
-		if len(m.Candidates[c]) == 0 {
-			return false, nil
+		if len(cands[c]) == 0 {
+			return nil
 		}
 	}
-	assign := make(map[int]rdf.ID, len(cols))
-	var rec func(i int) bool
-	rec = func(i int) bool {
+	var abuf [16]rdf.ID
+	var cbuf [16]int
+	assign, choice := abuf[:0], cbuf[:0]
+	for range cands {
+		assign = append(assign, rdf.NoID)
+	}
+	for range cols {
+		choice = append(choice, 0)
+	}
+	for i := 0; i >= 0; {
 		if i == len(cols) {
-			return true
+			out := make([]rdf.ID, len(assign))
+			copy(out, assign)
+			return out
 		}
 		c := cols[i]
-		for _, r := range m.Candidates[c] {
-			assign[c] = r
-			ok := true
-			for _, e := range p.Edges {
-				sID, sOK := assign[e.From]
-				oID, oOK := assign[e.To]
-				if sOK && oOK && !kb.HasPredicate(sID, e.Prop, oID) {
-					ok = false
-					break
-				}
+		if choice[i] == len(cands[c]) {
+			// Column c is exhausted: unassign it and advance the previous
+			// column to its next candidate.
+			assign[c], choice[i] = rdf.NoID, 0
+			if i--; i >= 0 {
+				choice[i]++
 			}
-			if ok {
-				for _, pe := range p.Paths {
-					sID, sOK := assign[pe.From]
-					oID, oOK := assign[pe.To]
-					if sOK && oOK && !HasPath(kb, sID, pe.Props, oID) {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok && rec(i+1) {
-				return true
-			}
+			continue
 		}
-		delete(assign, c)
-		return false
+		assign[c] = cands[c][choice[i]]
+		if consistent(p, kb, assign, c) {
+			i++
+		} else {
+			choice[i]++
+		}
 	}
-	if rec(0) {
-		return true, assign
+	return nil
+}
+
+// consistent reports whether column c's assigned resource satisfies every
+// edge and path between c and an assigned column (rdf.NoID = unassigned).
+// The others were checked when their later column was assigned.
+func consistent(p *Pattern, kb *rdf.Store, assign []rdf.ID, c int) bool {
+	for _, e := range p.Edges {
+		if e.From != c && e.To != c {
+			continue
+		}
+		s, o := assign[e.From], assign[e.To]
+		if s != rdf.NoID && o != rdf.NoID && !kb.HasPredicate(s, e.Prop, o) {
+			return false
+		}
 	}
-	return false, nil
+	for _, pe := range p.Paths {
+		if pe.From != c && pe.To != c {
+			continue
+		}
+		s, o := assign[pe.From], assign[pe.To]
+		if s != rdf.NoID && o != rdf.NoID && !HasPath(kb, s, pe.Props, o) {
+			return false
+		}
+	}
+	return true
 }

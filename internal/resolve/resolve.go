@@ -69,8 +69,10 @@ type Cache struct {
 
 	shards [shardCount]shard
 
-	// hits counts memo hits, catch-ups included; misses counts lookups of
-	// keys the memo did not hold.
+	// misses counts the lookups that stored a key's first entry; hits
+	// counts every other lookup, catch-ups included. A lookup that misses
+	// but loses the race to store the key counts a hit, so the split is a
+	// function of the keys resolved, not of the goroutine schedule.
 	hits, misses atomic.Int64
 
 	// tel is the pipeline observing resolver latency for the current run.
@@ -128,9 +130,9 @@ func (c *Cache) Resolve(value string) []rdf.LabelMatch {
 		if e.gen == gen {
 			return e.matches
 		}
-		return sh.store(key, entry{c.kb.MatchLabelSince(key, c.threshold, e.gen, e.matches), gen})
+		matches, _ := sh.store(key, entry{c.kb.MatchLabelSince(key, c.threshold, e.gen, e.matches), gen})
+		return matches
 	}
-	c.misses.Add(1)
 	// The memo key IS the normalized value, so the miss path hands it to
 	// MatchLabelNorm directly instead of having MatchLabel re-normalize it;
 	// memoizing under the key collapses all spellings that normalize alike
@@ -144,20 +146,27 @@ func (c *Cache) Resolve(value string) []rdf.LabelMatch {
 	mSpan.SetInt("matches", int64(len(matches)))
 	mSpan.End()
 	tel.ObserveSince(telemetry.HistResolverLookup, mStart)
-	return sh.store(key, entry{matches, gen})
+	matches, stored := sh.store(key, entry{matches, gen})
+	if stored {
+		c.misses.Add(1)
+	} else {
+		c.hits.Add(1) // a racing reader stored the key first
+	}
+	return matches
 }
 
-// store memoises e under key and returns the memoised answer. An entry at
-// least as new that a racing reader stored first wins, so readers that
-// miss or catch up one key at once keep one canonical slice.
-func (sh *shard) store(key string, e entry) []rdf.LabelMatch {
+// store memoises e under key and returns the memoised answer, reporting
+// whether e was stored. An entry at least as new that a racing reader
+// stored first wins, so readers that miss or catch up one key at once keep
+// one canonical slice.
+func (sh *shard) store(key string, e entry) ([]rdf.LabelMatch, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if prior, ok := sh.m[key]; ok && prior.gen >= e.gen {
-		return prior.matches
+		return prior.matches, false
 	}
 	sh.m[key] = e
-	return e.matches
+	return e.matches, true
 }
 
 // Stats returns the cumulative hit and miss counts.

@@ -371,3 +371,28 @@ func TestConcurrentCatchUp(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestConcurrentColdMissCountsOnce: goroutines that cold-miss one key at
+// once all look it up, but only the one that stores the entry counts a
+// miss; the others find it stored and count hits. The hit/miss split is then
+// the same on every schedule.
+func TestConcurrentColdMissCountsOnce(t *testing.T) {
+	const n = 8
+	kb := newKB(t)
+	c := New(kb, similarity.DefaultThreshold)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			c.Resolve("Rome")
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if hits, misses := c.Stats(); misses != 1 || hits != n-1 {
+		t.Fatalf("%d goroutines on one cold key: hits=%d misses=%d, want %d/1", n, hits, misses, n-1)
+	}
+}

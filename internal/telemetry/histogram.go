@@ -31,7 +31,8 @@ const (
 	// (a heap pop plus child generation).
 	HistRankJoinIter
 	// HistAnnotateTuple is the per-tuple annotation step (§6.1 steps 1–2,
-	// crowd consultation included).
+	// crowd consultation included) of a tuple the annotator decides; a
+	// duplicate that replays its signature's verdict is not sampled.
 	HistAnnotateTuple
 	// HistRepairTopK is one erroneous row's top-k repair retrieval through
 	// the inverted lists (§6.2, Algorithm 4).
