@@ -14,23 +14,13 @@ import (
 // exact (normalised) lookup or the fuzzy trigram index, mirroring the
 // paper's LARQ/Lucene setup with threshold 0.7.
 
-// LabelsOf returns the label strings of x.
-func (s *Store) LabelsOf(x ID) []string {
-	objs := s.Objects(x, s.LabelID)
-	out := make([]string, 0, len(objs))
-	for _, o := range objs {
-		if s.IsLiteral(o) {
-			out = append(out, s.Term(o).Value)
-		}
-	}
-	return out
-}
-
 // LabelOf returns the first label of x, or a human-readable fallback derived
 // from the IRI (§5.1: strip the text before the last slash and punctuation).
 func (s *Store) LabelOf(x ID) string {
-	if ls := s.LabelsOf(x); len(ls) > 0 {
-		return ls[0]
+	for _, o := range s.Objects(x, s.LabelID) {
+		if s.IsLiteral(o) {
+			return s.Term(o).Value
+		}
 	}
 	return DisplayName(s.Term(x).Value)
 }

@@ -232,11 +232,28 @@ func TestHasPredicateWithSubProperty(t *testing.T) {
 	}
 }
 
+// LabelsOf returns the label strings of x.
+func (s *Store) LabelsOf(x ID) []string {
+	objs := s.Objects(x, s.LabelID)
+	out := make([]string, 0, len(objs))
+	for _, o := range objs {
+		if s.IsLiteral(o) {
+			out = append(out, s.Term(o).Value)
+		}
+	}
+	return out
+}
+
 func TestLabels(t *testing.T) {
 	s := fixture()
 	rome := id(t, s, "y:Rome")
 	if got := s.LabelOf(rome); got != "Rome" {
 		t.Fatalf("LabelOf(Rome) = %q", got)
+	}
+	// Every crowd check's question key reads a label: LabelOf returns the
+	// stored string without building the label list.
+	if allocs := testing.AllocsPerRun(100, func() { s.LabelOf(rome) }); allocs != 0 {
+		t.Fatalf("LabelOf allocates %v per call, want 0", allocs)
 	}
 	if rs := s.ResourcesLabeled("rome"); len(rs) != 1 || rs[0] != rome {
 		t.Fatalf("ResourcesLabeled(rome) = %v", rs)

@@ -8,10 +8,11 @@ import (
 
 // fuzzIndex is a fixed index covering the label shapes the trigram lookup
 // and its verify kernel have to handle: short strings, shared prefixes,
-// duplicates, punctuation, the empty string, non-ASCII labels and labels
-// over 64 bytes (both take the Jaro scan instead of the 64-bit position
-// mask), and a long run of one repeated character (many equal symbols in
-// one mask word, and a wide Levenshtein band).
+// duplicates, punctuation, the empty string, non-ASCII labels (whose runes
+// no ASCII query rune matches on the query masks), labels of exactly 64 and
+// 65 runes (the longest Jaro's mask path takes, and the first the scan
+// takes back) and longer ones, and a long run of one repeated character
+// (many equal symbols in one mask word, and a wide Levenshtein band).
 func fuzzIndex() *Index {
 	ix := NewIndex()
 	for _, s := range fuzzLabels {
@@ -28,6 +29,8 @@ var fuzzLabels = []string{
 	"", "banana",
 	"Royal Academy of Dramatic Art and Music of the United Kingdom of Great Britain",
 	"Royal Academy of Dramatic Art and Music of the United Kingdom of Great Britian",
+	"Royal Academy of Dramatic Art and Music of the United Kingdom GB",
+	"Royal Academy of Dramatic Art and Music of the United Kingdom GBR",
 	strings.Repeat("a", 70), strings.Repeat("a", 40) + "b",
 	"São Paulo", "Zürich", "Zurich", "Łódź", "Malmö", "Ñuñoa", "Αθήνα",
 }

@@ -32,11 +32,12 @@ type Index struct {
 // between calls (entries touched by a lookup are reset before release), so a
 // pooled scratch only pays for growth, never for clearing.
 type scratch struct {
-	counts  []int32 // candidate id -> shared distinct trigrams
-	touched []int32 // ids with counts[id] != 0, for sparse reset
-	runes   []rune  // padded rune window of the current string
-	gram    []byte  // UTF-8 encoding of the current trigram window
-	kern    kernel  // the verify kernel's buffers
+	counts  []int32     // candidate id -> shared distinct trigrams
+	touched []int32     // ids with counts[id] != 0, for sparse reset
+	hits    []Candidate // the lookup's hits, copied out at their final count
+	runes   []rune      // padded rune window of the current string
+	gram    []byte      // UTF-8 encoding of the current trigram window
+	kern    kernel      // the verify kernel's buffers
 }
 
 // NewIndex returns an empty index.
@@ -149,22 +150,15 @@ func (ix *Index) LookupNormalizedFrom(n string, threshold float64, from int32) [
 			sc.counts[id]++
 		}
 	}
-	// The counting pass bounds the result exactly: every hit is an exact
-	// match or a touched candidate, so one right-sized allocation serves the
-	// whole result (and a miss allocates nothing).
-	exact := since(ix.exact[n], from)
-	var out []Candidate
-	if len(exact)+len(sc.touched) > 0 {
-		out = make([]Candidate, 0, len(exact)+len(sc.touched))
-	}
-	for _, id := range exact {
-		out = append(out, Candidate{ID: id, Score: 1})
+	// Hits collect in the scratch, so the result is allocated once at its
+	// final length, and a miss allocates nothing.
+	for _, id := range since(ix.exact[n], from) {
+		sc.hits = append(sc.hits, Candidate{ID: id, Score: 1})
 	}
 	minShared := max(qGrams/4, 1)
 	// Decode the query once for the verify kernel: its runes are the padded
 	// window's interior.
-	sc.kern.q = append(sc.kern.q[:0], sc.runes[2:len(sc.runes)-1]...)
-	sc.kern.qASCII = isASCII(n)
+	sc.kern.setQuery(sc.runes[2 : len(sc.runes)-1])
 	for _, id := range sc.touched {
 		shared := sc.counts[id]
 		sc.counts[id] = 0
@@ -176,12 +170,17 @@ func (ix *Index) LookupNormalizedFrom(n string, threshold float64, from int32) [
 		// distinct trigrams over the union of both distinct-trigram sets.
 		jac := float64(shared) / float64(qGrams+ix.gramN[id]-shared)
 		if s := sc.kern.verify(v, jac, threshold); s >= threshold {
-			out = append(out, Candidate{ID: id, Score: s})
+			sc.hits = append(sc.hits, Candidate{ID: id, Score: s})
 		}
 	}
-	sc.touched = sc.touched[:0]
+	sc.kern.clearQuery()
+	var out []Candidate
+	if len(sc.hits) > 0 {
+		sortCandidates(sc.hits)
+		out = slices.Clone(sc.hits)
+	}
+	sc.touched, sc.hits = sc.touched[:0], sc.hits[:0]
 	ix.pool.Put(sc)
-	sortCandidates(out)
 	return out
 }
 

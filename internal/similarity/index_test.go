@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -113,9 +115,9 @@ func TestLookupAllocationLean(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
 	}
-	// The hit index: 300 variants of one name, some non-ASCII and some over
-	// 64 bytes (both take the Jaro scan, the rest the position mask), so one
-	// lookup verifies both Jaro paths hundreds of times.
+	// The hit index: 300 variants of one name, some with a non-ASCII rune
+	// (which no query mask matches) and some over 64 runes (Jaro's scan), so
+	// one lookup takes both Jaro paths many times.
 	var hitEntries []string
 	for i := 0; i < 300; i++ {
 		e := fmt.Sprintf("port elizabeth %c%d", 'a'+i%26, i)
@@ -128,9 +130,10 @@ func TestLookupAllocationLean(t *testing.T) {
 		hitEntries = append(hitEntries, e)
 	}
 	for _, tc := range []struct {
-		name    string
-		entries []string
-		query   string
+		name      string
+		entries   []string
+		query     string
+		threshold float64
 		// allocs: the query's Normalize, plus the result slice on a hit —
 		// nothing per verified candidate.
 		allocs   float64
@@ -138,8 +141,11 @@ func TestLookupAllocationLean(t *testing.T) {
 	}{
 		// A miss touches the whole filter path (padding, trigram encoding,
 		// posting scans) but produces no output.
-		{"miss", []string{"Rome", "Madrid", "Paris", "Berlin", "Lisbon", "Vienna"}, "Zanzibar", 1, 0},
-		{"hit", hitEntries, "Port Elizabeth", 2, 200},
+		{"miss", []string{"Rome", "Madrid", "Paris", "Berlin", "Lisbon", "Vienna"}, "Zanzibar", DefaultThreshold, 1, 0},
+		{"hit", hitEntries, "Port Elizabeth", DefaultThreshold, 2, 200},
+		// Few of the verified candidates reach a high threshold: the result
+		// is sized by the hits, not by the candidates.
+		{"few hits", hitEntries, "Port Elizabeth", 0.96, 2, 200},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ix := NewIndex()
@@ -151,15 +157,67 @@ func TestLookupAllocationLean(t *testing.T) {
 			if n := len(referenceLookup(ix.values, tc.query, math.Inf(-1))); n < tc.minCands {
 				t.Fatalf("%d candidates clear the filter, want >= %d", n, tc.minCands)
 			}
-			ix.Lookup(tc.query, DefaultThreshold) // warm the scratch pool
-			allocs := testing.AllocsPerRun(100, func() {
-				ix.Lookup(tc.query, DefaultThreshold)
+			hits := len(ix.Lookup(tc.query, tc.threshold)) // also warms the scratch pool
+			const runs = 100
+			allocs := testing.AllocsPerRun(runs, func() {
+				ix.Lookup(tc.query, tc.threshold)
 			})
 			if allocs > tc.allocs {
 				t.Errorf("lookup allocates %.1f per op, want <= %v", allocs, tc.allocs)
 			}
+			// Bytes: the normalised query and the result at its hit count,
+			// with room for size-class rounding.
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				ix.Lookup(tc.query, tc.threshold)
+			}
+			runtime.ReadMemStats(&after)
+			perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			if want := float64(len(tc.query)+32) + float64(16*hits)*9/8; perOp > want {
+				t.Errorf("lookup allocates %.0f bytes per op for %d hits, want <= %.0f", perOp, hits, want)
+			}
 		})
 	}
+}
+
+// TestConcurrentLookups runs lookups from several goroutines on one
+// quiescent index: each must return what the same lookup returns alone.
+// Every lookup borrows a pooled scratch whose query table (peq) it builds
+// and clears, so a table leaking from one lookup into the next would show
+// as a wrong score here, and a shared one as a race under -race.
+func TestConcurrentLookups(t *testing.T) {
+	ix := fuzzIndex()
+	for i := 0; i < 200; i++ {
+		ix.Add(fmt.Sprintf("port elizabeth %c%d", 'a'+i%26, i))
+	}
+	queries := []string{
+		"Rome", "Romania", "Johannesburgh", "Port Elizabeth", "port elizabet a1",
+		"Zurich", "São Paulo", "CÔTE D'IVOIRE", "a", strings.Repeat("a", 64),
+		strings.Repeat("a", 65), strings.Repeat("ab", 40),
+		"Royal Academy of Dramatic Art and Music of the United Kingdom of Great Britan",
+	}
+	want := make([][]Candidate, len(queries))
+	for i, q := range queries {
+		want[i] = ix.Lookup(q, 0.5)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for j := range queries {
+					i := (j*(g+1) + round) % len(queries)
+					if got := ix.Lookup(queries[i], 0.5); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("goroutine %d: Lookup(%q) = %v, alone %v", g, queries[i], got, want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestAddLookupSharedDedupe(t *testing.T) {

@@ -9,45 +9,114 @@ import (
 // max(Jaro-Winkler, Levenshtein similarity, trigram Jaccard) of the query
 // against one candidate entry. It runs once per candidate that clears the
 // trigram filter — hundreds per lookup on realistic label sets — so it
-// allocates nothing (every buffer lives in the lookup's pooled scratch) and
-// skips work that cannot change the result, while computing each term with
-// the textbook expressions so scores are bit-identical to the naive scorers
-// the tests keep as the reference (reference_test.go):
+// allocates nothing (every buffer lives in the lookup's pooled scratch),
+// and it computes each term from the same integers as the naive scorers the
+// tests keep as the reference (reference_test.go), so scores are
+// bit-identical to theirs.
 //
-//   - Jaro's greedy matching, when query and entry are both ASCII and the
-//     entry has at most 64 runes, is a position-mask walk: for query rune
-//     a[i], the lowest set bit of pos[a[i]] & window &^ matched is exactly
-//     the entry position j the left-to-right scan would pick. Other entries
-//     keep the scan.
-//   - Levenshtein similarity 1 − d/m can only change the result when it
-//     reaches bound = max(threshold, Jaro-Winkler, Jaccard), i.e. when
-//     d ≤ (1 − bound)·m. A DP confined to the diagonal band |i − j| ≤ k,
-//     k = ⌊(1 − bound)·m⌋ + 1 (one cell of slack for float rounding), returns
-//     the exact d when d ≤ k and "more than k" otherwise; when |la − lb| > k
-//     it does not run at all.
+// A query that is ASCII and 1–64 runes long is verified on 64-bit words.
+// peq[c] holds the query positions of ASCII rune c; a non-ASCII entry rune
+// has none. Against such a query:
+//
+//   - Jaro's greedy matching, for an entry of at most 64 runes, is taken
+//     from the entry side in one pass over the entry's runes (jaroMask):
+//     entry rune b[j] takes the lowest unmatched query position in its
+//     window, the lowest set bit of peq[b[j]] & window(j) &^ matchedQ. The
+//     textbook scan goes the other way (each query rune takes the first
+//     unmatched entry position in its window), and both build the same
+//     matching. A match pairs only equal runes, so each rune's positions
+//     form a bipartite graph of their own, and a position x's window
+//     [x−w, x+w] is an interval whose ends never move left as x grows. Let
+//     i* be the first query position with any partner and j* the first
+//     entry position ≥ i*−w (at most i*+w, since i* has a partner). The
+//     query-side greedy pairs i* with j*. The entry-side greedy does too:
+//     i* lies in j*'s window, and no query position before i* has a
+//     partner; an entry position before j* lies below i*−w, so its partners
+//     could only be query positions before i*, and it has none. No position
+//     before i* or j* can be matched later by either greedy, so both recurse
+//     on the same two suffixes and build the same matching: the same count
+//     m, the same matched runes, and so the same transpositions (matched
+//     query runes in query order against matched entry runes in entry
+//     order). Longer entries keep the scan.
+//   - Levenshtein similarity 1 − d/M (M the longer length) can only change
+//     the result when d ≤ limit = ⌊(1 − bound)·M⌋ + 1, bound =
+//     max(threshold, Jaro-Winkler, Jaccard); the general path's banded DP
+//     returns d when d ≤ limit and limit+1 otherwise, and the score only
+//     tests d ≤ limit. Jaro's matching often proves d > limit for free: an
+//     alignment of cost d pairs at least M − d equal runes, every pair
+//     within |i − j| ≤ d of each other, and no position twice. When
+//     limit ≤ w, an alignment of cost d ≤ limit is thus a matching in
+//     Jaro's window graph, whose maximum is m: each greedy above is a
+//     maximum matching, because the windows' ends never move left (an
+//     exchange argument). So M − m > limit with limit ≤ w proves d > limit,
+//     and d is not computed.
+//   - Otherwise d is exact, by Myers' bit-vector algorithm (JACM 1999) in
+//     Hyyrö's global form: the query is the pattern, one bit per DP row,
+//     and shifting a 1 into the horizontal +1 deltas (Ph<<1 | 1) starts
+//     each column from row 0's D[0][j] = j; d is D[0][n] = n plus the last
+//     column's vertical deltas. The exact d takes the banded DP's branch
+//     and gives the same 1 − d/M.
+//
+// A non-ASCII query, or one over 64 runes, takes the general path: the
+// textbook Jaro scan, and a Levenshtein DP confined to the diagonal band
+// |i − j| ≤ k that runs only when 1 − d/M can reach bound, i.e.
+// d ≤ (1 − bound)·M. With k = ⌊(1 − bound)·M⌋ + 1 (one cell of slack for
+// float rounding) the band returns the exact d when d ≤ k and "more than
+// k" otherwise; when |la − lb| > k it does not run at all.
 
 // kernel is the verify working set. Buffers grow to the longest string seen
 // and are reused across candidates and lookups.
 type kernel struct {
 	q, v    []rune  // the query (decoded once per lookup) and the current entry
-	qASCII  bool    // the query is all ASCII
-	seq     []rune  // query runes Jaro matched, in query order
-	matched []bool  // scan path: entry positions already matched
-	rows    []int32 // two banded Levenshtein DP rows
-	// Mask path: the entry positions of each ASCII rune, all-zero between
-	// candidates.
-	pos [utf8.RuneSelf]uint64
+	seq     []rune  // general path: query runes Jaro matched, in query order
+	matched []bool  // general path: entry positions already matched
+	rows    []int32 // general path: two banded Levenshtein DP rows
+	// masked: the query is ASCII and 1–64 runes, so peq serves it; built:
+	// peq holds the query's positions. peq is built at the first candidate
+	// that reaches verify and cleared by clearQuery, so it is all-zero
+	// between lookups, and a lookup that verifies nothing pays nothing for
+	// it.
+	masked, built bool
+	peq           [utf8.RuneSelf]uint64
+}
+
+// setQuery sets the lookup's query, decoded to runes.
+func (k *kernel) setQuery(q []rune) {
+	k.q = append(k.q[:0], q...)
+	k.masked = len(q) >= 1 && len(q) <= 64
+	for _, c := range q {
+		if c >= utf8.RuneSelf {
+			k.masked = false
+		}
+	}
+}
+
+// clearQuery resets the words of peq the query set.
+func (k *kernel) clearQuery() {
+	if !k.built {
+		return
+	}
+	for _, c := range k.q {
+		k.peq[c] = 0
+	}
+	k.built = false
 }
 
 // verify scores entry v (normalised, non-empty, unequal to the query)
-// against the query decoded into k.
+// against the query set by setQuery.
 func (k *kernel) verify(v string, jac, threshold float64) float64 {
 	k.v = k.v[:0]
 	for _, r := range v {
 		k.v = append(k.v, r)
 	}
+	if k.masked && !k.built {
+		for i, c := range k.q {
+			k.peq[c] |= 1 << uint(i)
+		}
+		k.built = true
+	}
 	var m, t int
-	if k.qASCII && len(v) <= 64 && isASCII(v) {
+	if k.masked && len(k.v) <= 64 {
 		m, t = k.jaroMask()
 	} else {
 		m, t = k.jaroScan()
@@ -55,21 +124,11 @@ func (k *kernel) verify(v string, jac, threshold float64) float64 {
 	return k.score(m, t, jac, threshold)
 }
 
-// isASCII reports whether s is all 7-bit bytes, so each byte is a rune
-// below utf8.RuneSelf.
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return false
-		}
-	}
-	return true
-}
-
 // score returns the composite similarity of k.q and k.v (unequal, both
 // non-empty), given Jaro's match and transposition counts and the trigram
-// Jaccard jac. Levenshtein runs only when its similarity could reach
-// max(threshold, Jaro-Winkler, jac), within the band that bound allows.
+// Jaccard jac. Levenshtein similarity counts only when it could reach
+// max(threshold, Jaro-Winkler, jac), and its distance is computed only when
+// it could be within the limit that bound allows.
 func (k *kernel) score(matches, transpositions int, jac, threshold float64) float64 {
 	a, b := k.q, k.v
 	la, lb := len(a), len(b)
@@ -92,7 +151,16 @@ func (k *kernel) score(matches, transpositions int, jac, threshold float64) floa
 	if bound <= 1 { // a wild threshold above 1 filters the hit anyway
 		m := max(la, lb)
 		limit := int((1-bound)*float64(m)) + 1
-		if d := k.levenshteinWithin(limit); d <= limit {
+		var d int
+		switch {
+		case !k.masked:
+			d = k.levenshteinWithin(limit)
+		case limit <= max(m/2-1, 0) && m-matches > limit:
+			d = limit + 1 // Jaro's matching proves d > limit
+		default:
+			d = k.myers()
+		}
+		if d <= limit {
 			if l := 1 - float64(d)/float64(m); l > s {
 				s = l
 			}
@@ -102,6 +170,55 @@ func (k *kernel) score(matches, transpositions int, jac, threshold float64) floa
 		s = jac
 	}
 	return s
+}
+
+// jaroMask is jaroScan for a masked query and an entry of at most 64
+// runes, by the entry-side greedy on peq.
+func (k *kernel) jaroMask() (matches, transpositions int) {
+	a, b := k.q, k.v
+	window := max(max(len(a), len(b))/2-1, 0)
+	var mq, me uint64 // matched query and entry positions
+	for j, c := range b {
+		var eq uint64
+		if uint32(c) < utf8.RuneSelf {
+			eq = k.peq[uint32(c)]
+		}
+		// Query positions [lo, hi): shifts of 64 or more yield 0, so hi ≥ 64
+		// gives an all-ones upper mask and lo ≥ 64 an empty window.
+		lo, hi := max(j-window, 0), j+window+1
+		win := (uint64(1)<<uint(hi) - 1) &^ (uint64(1)<<uint(lo) - 1)
+		cand := eq & win &^ mq
+		mq |= cand & -cand
+		me |= (cand | -cand) >> 63 << uint(j)
+	}
+	matches = bits.OnesCount64(mq)
+	for ; mq != 0; mq, me = mq&(mq-1), me&(me-1) {
+		// A nonzero x has bit 31 set in x | −x: no branch per matched pair.
+		x := uint32(a[bits.TrailingZeros64(mq)] ^ b[bits.TrailingZeros64(me)])
+		transpositions += int((x | -x) >> 31)
+	}
+	return matches, transpositions
+}
+
+// myers returns the edit distance of a masked query k.q and k.v.
+func (k *kernel) myers() int {
+	pv, mv := ^uint64(0), uint64(0) // the column's +1 and −1 vertical deltas
+	for _, c := range k.v {
+		var eq uint64
+		if uint32(c) < utf8.RuneSelf {
+			eq = k.peq[uint32(c)]
+		}
+		xv := eq | mv
+		xh := ((eq & pv) + pv) ^ pv | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	rows := uint64(1)<<uint(len(k.q)) - 1 // the query's rows; 64 shifts to all ones
+	return len(k.v) + bits.OnesCount64(pv&rows) - bits.OnesCount64(mv&rows)
 }
 
 // jaroScan is Jaro's greedy matching as the textbook scan: each query
@@ -134,39 +251,6 @@ func (k *kernel) jaroScan() (matches, transpositions int) {
 			transpositions++
 		}
 		j++
-	}
-	k.seq = seq
-	return len(seq), transpositions
-}
-
-// jaroMask is jaroScan for an ASCII query and an ASCII entry of at most 64
-// runes.
-func (k *kernel) jaroMask() (matches, transpositions int) {
-	a, b := k.q, k.v
-	for j, c := range b {
-		k.pos[c] |= 1 << uint(j)
-	}
-	window := max(max(len(a), len(b))/2-1, 0)
-	var matched uint64
-	seq := k.seq[:0]
-	for i, c := range a {
-		lo, hi := max(i-window, 0), min(i+window+1, len(b))
-		// Bits [lo, hi): shifts of 64 or more yield 0, so hi = 64 gives an
-		// all-ones upper mask and lo >= hi an empty window.
-		win := (uint64(1)<<uint(hi) - 1) &^ (uint64(1)<<uint(lo) - 1)
-		if cand := k.pos[c] & win &^ matched; cand != 0 {
-			matched |= 1 << uint(bits.TrailingZeros64(cand))
-			seq = append(seq, c)
-		}
-	}
-	for _, c := range b {
-		k.pos[c] = 0
-	}
-	for _, c := range seq {
-		if b[bits.TrailingZeros64(matched)] != c {
-			transpositions++
-		}
-		matched &= matched - 1
 	}
 	k.seq = seq
 	return len(seq), transpositions

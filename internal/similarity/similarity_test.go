@@ -201,9 +201,9 @@ func TestIndexOrdering(t *testing.T) {
 func TestIndexLookupMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	words := []string{"rome", "roma", "romania", "madrid", "milan", "munich", "paris", "prague", "pretoria"}
-	// Extra shapes for the verify kernel's Jaro scan (the position mask
-	// takes the rest): non-ASCII words, and words that repeat into labels
-	// over 64 bytes.
+	// Extra shapes for the verify kernel: non-ASCII words (the general path
+	// for a non-ASCII query, unmatched runes on an ASCII query's masks), and
+	// words that repeat into labels over 64 runes (Jaro's scan).
 	shapes := append(words, "münchen", "praha", "zürich", "são paulo", "ñuñoa")
 	randomLabel := func() string {
 		w := shapes[rng.Intn(len(shapes))]

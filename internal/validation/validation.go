@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -84,7 +85,7 @@ type Validator struct {
 	Missed bool
 
 	ambCache map[[2]rdf.ID]float64
-	extCache map[extKey][]rdf.ID // candidate -> its extension, see extension
+	extCache map[extKey][]uint64 // candidate -> its extension, see extension
 }
 
 // extKey names a candidate's extension: a type's instances, or a
@@ -156,7 +157,7 @@ func (v *Validator) defaults() {
 	}
 	if v.ambCache == nil {
 		v.ambCache = make(map[[2]rdf.ID]float64)
-		v.extCache = make(map[extKey][]rdf.ID)
+		v.extCache = make(map[extKey][]uint64)
 	}
 }
 
@@ -580,6 +581,8 @@ func (val *Validator) difficulty(domain []rdf.ID, v Variable) float64 {
 
 // overlap computes the Jaccard overlap of two candidates' extensions: type
 // instances for type variables, subject entities for relationship variables.
+// On term-ID bitsets it is popcount(A&B) / popcount(A|B): the same two
+// integers, and so the same float, as a merge of the sorted lists.
 func (val *Validator) overlap(a, b rdf.ID, isPair bool) float64 {
 	key := [2]rdf.ID{a, b}
 	if a > b {
@@ -589,24 +592,17 @@ func (val *Validator) overlap(a, b rdf.ID, isPair bool) float64 {
 		return v
 	}
 	setA, setB := val.extension(a, isPair), val.extension(b, isPair)
-	inter, union := 0, 0
-	i, j := 0, 0
-	for i < len(setA) && j < len(setB) {
-		switch {
-		case setA[i] < setB[j]:
-			union++
-			i++
-		case setA[i] > setB[j]:
-			union++
-			j++
-		default:
-			inter++
-			union++
-			i++
-			j++
-		}
+	if len(setA) < len(setB) {
+		setA, setB = setB, setA
 	}
-	union += (len(setA) - i) + (len(setB) - j)
+	inter, union := 0, 0
+	for i, w := range setB {
+		inter += bits.OnesCount64(w & setA[i])
+		union += bits.OnesCount64(w | setA[i])
+	}
+	for _, w := range setA[len(setB):] {
+		union += bits.OnesCount64(w)
+	}
 	v := 0.0
 	if union > 0 {
 		v = float64(inter) / float64(union)
@@ -615,20 +611,35 @@ func (val *Validator) overlap(a, b rdf.ID, isPair bool) float64 {
 	return v
 }
 
-// extension returns a candidate's sorted extension — type instances, or
-// subject entities for a relationship — computed once per candidate: every
-// pair of a domain needs both extensions, so without the memo each is
-// rebuilt (and re-sorted) once per pair it takes part in.
-func (val *Validator) extension(id rdf.ID, isPair bool) []rdf.ID {
+// extension returns a candidate's extension — the entities typed with it or
+// any of its subclasses, or the subjects of a relationship — as a bitset
+// over term IDs, long enough for its largest ID. It is built once per
+// candidate, since every pair of a domain needs both extensions.
+func (val *Validator) extension(id rdf.ID, isPair bool) []uint64 {
 	key := extKey{id, isPair}
 	if ext, ok := val.extCache[key]; ok {
 		return ext
 	}
-	var ext []rdf.ID
+	var ext []uint64
+	add := func(x rdf.ID) {
+		w := int(x >> 6)
+		if w >= len(ext) {
+			ext = append(ext, make([]uint64, w+1-len(ext))...)
+		}
+		ext[w] |= 1 << (x & 63)
+	}
+	kb := val.KB
 	if isPair {
-		ext = val.KB.SubjectsWithPredicate(id)
+		kb.ForEachSubject(id, func(sub rdf.ID, _ []rdf.ID) { add(sub) })
 	} else {
-		ext = val.KB.InstancesOf(id)
+		for _, x := range kb.Subjects(kb.TypeID, id) {
+			add(x)
+		}
+		for _, c := range kb.SubClasses(id) {
+			for _, x := range kb.Subjects(kb.TypeID, c) {
+				add(x)
+			}
+		}
 	}
 	val.extCache[key] = ext
 	return ext

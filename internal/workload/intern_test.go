@@ -33,7 +33,10 @@ func TestInternerRoundTripsCollisionLabels(t *testing.T) {
 	}
 	var decoys []string
 	for i := 0; i < 60; i++ {
-		decoys = append(decoys, kb.Store.LabelsOf(kb.Store.Res(fmt.Sprintf("adv:collision_%d", i)))...)
+		st := kb.Store
+		for _, o := range st.Objects(st.Res(fmt.Sprintf("adv:collision_%d", i)), st.LabelID) {
+			decoys = append(decoys, st.Term(o).Value)
+		}
 	}
 	if len(decoys) != added {
 		t.Fatalf("harvested %d decoy labels, want %d", len(decoys), added)

@@ -142,9 +142,11 @@ func newBuilder(name, prefix string, w *world.World, seed int64, cov coverage) *
 	}
 }
 
-func iriSafe(s string) string {
-	return strings.NewReplacer(" ", "_", ".", "", ",", "").Replace(s)
-}
+// iriReplacer maps an entity name to its IRI-safe form. A Replacer is safe
+// for concurrent use and builds its lookup table once, so it is shared.
+var iriReplacer = strings.NewReplacer(" ", "_", ".", "", ",", "")
+
+func iriSafe(s string) string { return iriReplacer.Replace(s) }
 
 // declareType registers a class with its label and semantic name ("" for
 // classes with no single world type). check overrides the real-world
